@@ -134,8 +134,8 @@ func TestHelperWithoutDoc() {} // test files are excluded entirely
 }
 
 // TestRepoDocsClean runs the two checks over the repository's own docs and
-// the internal/prefetch package — the same invocation CI uses — so a broken
-// link or an undocumented export fails `go test` locally too.
+// the packages CI gates — the same invocation CI uses — so a broken link or
+// an undocumented export fails `go test` locally too.
 func TestRepoDocsClean(t *testing.T) {
 	root := "../.."
 	files, err := collectMarkdown([]string{
@@ -148,11 +148,13 @@ func TestRepoDocsClean(t *testing.T) {
 	if problems := checkMarkdown(files); len(problems) > 0 {
 		t.Errorf("markdown problems:\n%s", strings.Join(problems, "\n"))
 	}
-	problems, err := checkPkgDocs(filepath.Join(root, "internal", "prefetch"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(problems) > 0 {
-		t.Errorf("doc-comment problems:\n%s", strings.Join(problems, "\n"))
+	for _, pkg := range []string{"prefetch", "telemetry", "sim", "sweepfarm", "experiments"} {
+		problems, err := checkPkgDocs(filepath.Join(root, "internal", pkg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(problems) > 0 {
+			t.Errorf("internal/%s doc-comment problems:\n%s", pkg, strings.Join(problems, "\n"))
+		}
 	}
 }

@@ -59,9 +59,7 @@ var logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 func main() {
 	n := flag.Int("n", 800_000, "requests per application trace")
 	warmup := flag.Float64("warmup", 0.2, "fraction of each trace run before statistics start (0 < w < 0.9; negative disables)")
-	parallel := flag.Bool("parallel", true, "run each simulation's channel slices concurrently (-parallel=false forces the serial engine)")
 	subshards := flag.Int("subshards", 0, "address-hashed sub-shards per channel for every run (power of two; 0 = auto from GOMAXPROCS, 1 = the unsharded paper geometry; values > 1 change the simulated geometry and scale each run past 4 workers)")
-	stream := flag.Bool("stream", true, "stream records to each engine in O(chunk) memory (bit-identical reports; -stream=false materializes traces)")
 	run := flag.String("run", "all", "experiment id (all, fig2, fig4, fig5, fig7, fig8, fig9, fig9b, fig10, tab-ipc, tab-traffic, tab-storage, cache-study, abl-coord, abl-dist, abl-pt, csv)")
 	jsonPath := flag.String("json", "", "write a combined JSON run artifact to this path")
 	artifactDir := flag.String("artifact-dir", "", "write one JSON artifact per (app, prefetcher) sweep cell into this directory")
@@ -155,9 +153,7 @@ func main() {
 		Warmup:           *warmup,
 		SampleEvery:      *sampleEvery,
 		ArtifactDir:      *artifactDir,
-		Serial:           !*parallel,
 		SubShards:        *subshards,
-		NoStream:         !*stream,
 		ExtraPrefetchers: extras,
 	}
 	if *debugAddr != "" {
@@ -346,15 +342,12 @@ func runFarm(w io.Writer, gridPath string, repeats int, opts experiments.Options
 		Base: sweepfarm.Config{
 			Requests:    opts.Requests,
 			Warmup:      warmup,
-			Serial:      opts.Serial,
 			SubShards:   opts.SubShards,
-			NoStream:    opts.NoStream,
 			SampleEvery: opts.SampleEvery,
 		},
 		ArtifactDir: opts.ArtifactDir,
 		Counters:    opts.Counters,
 		Verbose:     os.Stderr,
-		Materialize: experiments.TraceFor,
 	}
 	res, runErr := runner.Run(ctx)
 	if res != nil {

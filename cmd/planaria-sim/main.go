@@ -58,9 +58,7 @@ func main() {
 	n := flag.Int("n", 800_000, "requests to generate when using -app")
 	verbose := flag.Bool("v", false, "print detailed DRAM/cache counters")
 	warmup := flag.Float64("warmup", 0, "fraction of the trace run before statistics start (0 disables)")
-	parallel := flag.Bool("parallel", true, "run the four channel slices concurrently (bit-identical reports; -parallel=false forces the serial engine)")
-	subshards := flag.Int("subshards", 0, "address-hashed sub-shards per channel (power of two; 0 = auto from GOMAXPROCS, 1 = the unsharded paper geometry; values > 1 change the simulated geometry — see the report's parallel: line — and scale -parallel past 4 workers)")
-	stream := flag.Bool("stream", true, "stream records to the engine in O(chunk) memory instead of materializing the trace (bit-identical reports; -stream=false materializes)")
+	subshards := flag.Int("subshards", 0, "address-hashed sub-shards per channel (power of two; 0 = auto from GOMAXPROCS, 1 = the unsharded paper geometry; values > 1 change the simulated geometry — see the report's parallel: line — and scale a run past 4 workers)")
 	useMmap := flag.Bool("mmap", true, "memory-map the -trace file and decode records straight from the mapping (falls back to buffered reads when mapping is unavailable; -mmap=false forces the buffered reader)")
 	jsonPath := flag.String("json", "", "write a JSON run artifact (manifest + report + time series) to this path")
 	sampleEvery := flag.Uint64("sample-every", 0, "emit a windowed time-series sample every N requests (0 disables)")
@@ -92,9 +90,9 @@ func main() {
 		}
 	})
 
-	// Build the record stream: from a binary trace file (never materialized
-	// when -stream; the file's size declares the record count so warmup
-	// fractions still work) or from the seeded workload generator.
+	// Build the record stream: from a binary trace file (never materialized;
+	// the file's size declares the record count so warmup fractions still
+	// work) or from the seeded workload generator.
 	var (
 		s       trace.Stream
 		name    string
@@ -103,8 +101,7 @@ func main() {
 	)
 	if *traceFile != "" {
 		name = *traceFile
-		switch {
-		case *stream && *useMmap:
+		if *useMmap {
 			// Memory-mapped replay: records decode straight from the
 			// mapped file (OpenMapped falls back to buffered reads by
 			// itself when the platform cannot map).
@@ -118,7 +115,7 @@ func main() {
 				fatal(err)
 			}
 			s, records = ms, mt.Len()
-		case *stream:
+		} else {
 			f, err := os.Open(*traceFile)
 			if err != nil {
 				fatal(err)
@@ -134,17 +131,6 @@ func main() {
 				records = rc
 			}
 			s = rs
-		default:
-			f, err := os.Open(*traceFile)
-			if err != nil {
-				fatal(err)
-			}
-			tt, err := trace.ReadAllFrom(f)
-			f.Close()
-			if err != nil {
-				fatal(err)
-			}
-			s, records = tt.Stream(), len(tt)
 		}
 	} else {
 		p, ok := workloads.ByAbbr(*app)
@@ -152,11 +138,7 @@ func main() {
 			fatal(fmt.Errorf("unknown app %q (have %v)", *app, workloads.Abbrs()))
 		}
 		name, seed, records = p.Abbr, p.Seed, *n
-		if *stream {
-			s = p.Stream(*n)
-		} else {
-			s = p.Generate(*n).Stream()
-		}
+		s = p.Stream(*n)
 	}
 
 	if *tournament {
@@ -170,7 +152,6 @@ func main() {
 	cfg.NewPrefetcher = factory
 	cfg.SampleEvery = *sampleEvery
 	cfg.SampleEveryCycles = *sampleCycles
-	cfg.ParallelChannels = *parallel
 	if *subshards == 0 {
 		*subshards = sim.AutoSubShards()
 	}
@@ -240,7 +221,7 @@ func main() {
 	// the next chunk boundary and hands back a partial report, which is
 	// printed (and written as an artifact) like any other degraded run.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	rep, err := eng.RunWarmStreamCtx(ctx, s, name, *warmup)
+	rep, err := eng.Run(ctx, s, name, *warmup)
 	stopSignals()
 	if stopProgress != nil {
 		stopProgress()

@@ -26,23 +26,12 @@ type Options struct {
 	Warmup  float64
 	Verbose bool
 
-	// Serial forces the single-goroutine engine for every simulated run;
-	// the default is the sharded per-channel parallel engine, which
-	// produces bit-identical reports (see docs/PERFORMANCE.md).
-	Serial bool
-
 	// SubShards splits each channel of every simulated run into this
 	// many address-hashed execution units (sim.Config.SubShards). Zero
 	// and one mean the unsharded paper geometry; values above one change
 	// the simulated geometry (reports record it) and let a parallel run
 	// scale past one worker per channel.
 	SubShards int
-
-	// NoStream materializes each trace in memory (via the byte-capped
-	// TraceFor cache) before running it, instead of the default O(chunk)
-	// streaming from the generator. Reports are bit-identical either way;
-	// the switch exists for debugging and A/B benchmarking.
-	NoStream bool
 
 	// SampleEvery enables windowed time-series sampling inside every
 	// simulated run: one metrics sample per N trace records (zero
@@ -120,16 +109,10 @@ func (o Options) warmup() float64 {
 }
 
 // runProfile drives one app through an engine with the options' warmup
-// window discarded from the statistics. By default the records stream
-// straight from the workload generator — O(chunk) memory regardless of
-// opts.Requests — and the report is bit-identical to a materialized
-// RunWarm (pinned by the sim equivalence tests). NoStream materializes
-// through the byte-capped TraceFor cache instead.
+// window discarded from the statistics. The records stream straight from
+// the workload generator — O(chunk) memory regardless of opts.Requests.
 func runProfile(eng *sim.Engine, p workloads.Profile, opts Options) (metrics.Report, error) {
-	if opts.NoStream {
-		return eng.RunWarm(TraceFor(p, opts.requests()), p.Abbr, opts.warmup())
-	}
-	return eng.RunWarmStream(p.Stream(opts.requests()), p.Abbr, opts.warmup())
+	return eng.Run(context.Background(), p.Stream(opts.requests()), p.Abbr, opts.warmup())
 }
 
 // RunOne simulates one app trace under one named prefetcher.
@@ -138,13 +121,7 @@ func RunOne(p workloads.Profile, pf string, opts Options) (metrics.Report, error
 	if err != nil {
 		return metrics.Report{}, err
 	}
-	cfg := sim.DefaultConfig()
-	cfg.NewPrefetcher = factory
-	cfg.SampleEvery = opts.SampleEvery
-	cfg.ParallelChannels = !opts.Serial
-	cfg.SubShards = opts.SubShards
-	cfg.Counters = opts.Counters
-	return runProfile(sim.New(cfg), p, opts)
+	return RunOneWith(p, factory, opts)
 }
 
 // Sweep runs every catalog app under every named prefetcher. Since the
@@ -182,13 +159,10 @@ func Sweep(prefetchers []string, opts Options) (map[string]map[string]metrics.Re
 		Base: sweepfarm.Config{
 			Requests:    opts.requests(),
 			Warmup:      opts.warmup(),
-			Serial:      opts.Serial,
 			SubShards:   opts.SubShards,
-			NoStream:    opts.NoStream,
 			SampleEvery: opts.SampleEvery,
 		},
-		Counters:    opts.Counters,
-		Materialize: TraceFor,
+		Counters: opts.Counters,
 	}
 	res, runErr := runner.Run(context.Background())
 	if res == nil {
@@ -246,7 +220,7 @@ func Fig4(w io.Writer, opts Options) (avg float64) {
 	fmt.Fprintf(w, "\n== Figure 4: footprint overlap rate ==\n")
 	var rates []float64
 	for _, p := range workloads.Catalog() {
-		r := analysis.OverlapRate(TraceFor(p, opts.requests()))
+		r := analysis.OverlapRate(p.Generate(opts.requests()))
 		rates = append(rates, r)
 		fmt.Fprintf(w, "%-6s %6.1f%%\n", p.Abbr, 100*r)
 	}
@@ -268,7 +242,7 @@ func Fig5(w io.Writer, opts Options) (avgAt4, avgAt64 float64) {
 	sums := make([]float64, len(dists))
 	n := 0
 	for _, p := range workloads.Catalog() {
-		props := analysis.NeighborProportion(TraceFor(p, opts.requests()), dists, 4)
+		props := analysis.NeighborProportion(p.Generate(opts.requests()), dists, 4)
 		fmt.Fprintf(w, "%-6s", p.Abbr)
 		for i, pr := range props {
 			fmt.Fprintf(w, "%9.1f%%", 100*pr)
@@ -515,7 +489,7 @@ func RunAll(w io.Writer, opts Options) (map[string]map[string]metrics.Report, er
 // Fig2 extracts the snapshot timeline of a hot page (rendered as text).
 func Fig2(w io.Writer, opts Options) int {
 	p := workloads.Catalog()[0]
-	t := TraceFor(p, opts.requests())
+	t := p.Generate(opts.requests())
 	hot := analysis.HottestPages(t, 1)
 	if len(hot) == 0 {
 		return 0

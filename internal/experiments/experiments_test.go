@@ -17,19 +17,6 @@ import (
 // 150k requests per app is the smallest scale at which they hold reliably.
 func small() Options { return Options{Requests: 150_000} }
 
-func TestTraceForMemoised(t *testing.T) {
-	p, _ := workloads.ByAbbr("CFM")
-	a := TraceFor(p, 1000)
-	b := TraceFor(p, 1000)
-	if &a[0] != &b[0] {
-		t.Fatal("trace not memoised")
-	}
-	c := TraceFor(p, 2000)
-	if len(c) != 2000 {
-		t.Fatal("length key ignored")
-	}
-}
-
 func TestRunOneUnknownPrefetcher(t *testing.T) {
 	p, _ := workloads.ByAbbr("CFM")
 	if _, err := RunOne(p, "warp-drive", small()); err == nil {
@@ -82,8 +69,8 @@ func TestSweepPartialOnError(t *testing.T) {
 
 // TestSweepMatchesRunOne: the farm-backed Sweep is a pure wrapper — its
 // single-repeat cells are bit-identical to the direct RunOne path the old
-// worker pool used (repeat 0 keeps the catalog seed, and the streamed
-// context run is the same code path as RunWarmStream).
+// worker pool used (repeat 0 keeps the catalog seed, and both drive the
+// same Engine.Run).
 func TestSweepMatchesRunOne(t *testing.T) {
 	opts := Options{Requests: 20_000}
 	reps, err := Sweep([]string{"planaria"}, opts)

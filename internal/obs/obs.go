@@ -167,23 +167,38 @@ func Decode(r io.Reader) (Artifact, error) {
 	return a, nil
 }
 
-// WriteFile writes the artifact to path, creating parent directories as
-// needed.
+// WriteFile writes the artifact to path (mode 0644), creating parent
+// directories as needed. The JSON goes to a temporary ".<base>.tmp*" file in
+// the same directory — a name no "*.json" scan matches — that is renamed
+// over path only once encoding succeeded, so an encode error or a kill
+// mid-write never leaves a torn artifact behind. There is no fsync: the
+// rename guards against torn writes, not against power loss, and sweeps
+// write dozens of artifacts per run.
 func WriteFile(path string, a Artifact) error {
-	if dir := filepath.Dir(path); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("obs: %w", err)
-		}
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("obs: %w", err)
 	}
-	f, err := os.Create(path)
+	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
 	if err != nil {
+		return fmt.Errorf("obs: %w", err)
+	}
+	defer os.Remove(f.Name()) // fails harmlessly once the rename succeeded
+	if err := f.Chmod(0o644); err != nil {
+		f.Close()
 		return fmt.Errorf("obs: %w", err)
 	}
 	if err := Encode(f, a); err != nil {
 		f.Close()
 		return err
 	}
-	return f.Close()
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("obs: %w", err)
+	}
+	if err := os.Rename(f.Name(), path); err != nil {
+		return fmt.Errorf("obs: %w", err)
+	}
+	return nil
 }
 
 // ReadFile reads and validates the artifact at path.

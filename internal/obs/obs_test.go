@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -129,6 +130,76 @@ func TestWriteReadFile(t *testing.T) {
 			t.Fatalf("artifact JSON missing key %s", key)
 		}
 	}
+}
+
+// TestWriteFileKeepsPreviousOnError: an artifact that fails to encode (JSON
+// has no NaN) must leave the previous file byte-identical and no temporary
+// file behind.
+func TestWriteFileKeepsPreviousOnError(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "cell.json")
+	if err := WriteFile(path, sampleArtifact()); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := sampleArtifact()
+	bad.Report.AMAT = math.NaN()
+	if err := WriteFile(path, bad); err == nil {
+		t.Fatal("NaN report encoded without error")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("failed write changed the previous artifact")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("directory holds %d entries after a failed write, want only %s", len(entries), path)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Mode().Perm() != 0o644 {
+		t.Fatalf("artifact mode %v (%v), want 0644", fi.Mode().Perm(), err)
+	}
+}
+
+// FuzzDecode: Decode must never panic, and any artifact it accepts must
+// re-encode and re-decode to an equal value.
+func FuzzDecode(f *testing.F) {
+	var good bytes.Buffer
+	if err := Encode(&good, sampleArtifact()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good.Bytes())
+	f.Add([]byte(`{"manifest":{"schema_version":1,"tool":"t","go_version":"go"}}`))
+	f.Add([]byte(`{`))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		a, err := Decode(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var enc bytes.Buffer
+		if err := Encode(&enc, a); err != nil {
+			t.Fatalf("accepted artifact does not re-encode: %v", err)
+		}
+		b, err := Decode(bytes.NewReader(enc.Bytes()))
+		if err != nil {
+			t.Fatalf("re-encoded artifact rejected: %v\n%s", err, enc.Bytes())
+		}
+		var again bytes.Buffer
+		if err := Encode(&again, b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc.Bytes(), again.Bytes()) {
+			t.Fatalf("round trip changed the artifact:\n%s\n---\n%s", enc.Bytes(), again.Bytes())
+		}
+	})
 }
 
 // TestSchemaV3Provenance: the v3 repeat/seed/config-hash provenance fields

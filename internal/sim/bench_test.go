@@ -28,7 +28,7 @@ func benchEngine(b *testing.B, sampleEvery uint64, parallel bool) {
 		cfg.SampleEvery = sampleEvery
 		cfg.ParallelChannels = parallel
 		eng := New(cfg)
-		if _, err := eng.Run(tr, p.Abbr); err != nil {
+		if _, err := eng.RunStream(tr.Stream(), p.Abbr); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -74,7 +74,7 @@ func BenchmarkEngineStepTraced(b *testing.B) {
 		cfg.NewPrefetcher = factory
 		cfg.Events = &events.Config{RingSize: events.DefaultRingSize}
 		eng := New(cfg)
-		if _, err := eng.Run(tr, p.Abbr); err != nil {
+		if _, err := eng.RunStream(tr.Stream(), p.Abbr); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -106,7 +106,7 @@ func BenchmarkEngineStepTelemetry(b *testing.B) {
 		cfg.NewPrefetcher = factory
 		cfg.Telemetry = telemetry.NewRegistry()
 		eng := New(cfg)
-		if _, err := eng.Run(tr, p.Abbr); err != nil {
+		if _, err := eng.RunStream(tr.Stream(), p.Abbr); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -134,7 +134,7 @@ func BenchmarkEngineStepTournament(b *testing.B) {
 		cfg.NewPrefetcher = factory
 		cfg.ParallelChannels = false
 		eng := New(cfg)
-		if _, err := eng.Run(tr, p.Abbr); err != nil {
+		if _, err := eng.RunStream(tr.Stream(), p.Abbr); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -166,7 +166,7 @@ func BenchmarkEngineStepSubshard(b *testing.B) {
 		cfg.ParallelChannels = true
 		cfg.SubShards = 2
 		eng := New(cfg)
-		if _, err := eng.Run(tr, p.Abbr); err != nil {
+		if _, err := eng.RunStream(tr.Stream(), p.Abbr); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -69,7 +69,7 @@ func TestChaosMatrix(t *testing.T) {
 					f := faults.Plan(kind, 0xC0FFEE, n)
 					base := runtime.NumGoroutine()
 					eng := engineFor(t, "planaria", parallel, mode.sampleEvery)
-					rep, err := eng.RunWarmStream(
+					rep, err := eng.Run(context.Background(),
 						faults.Wrap(p.Stream(n), f), p.Abbr, mode.warmup)
 					if kind == faults.ErrAt {
 						if !errors.Is(err, faults.ErrInjected) {
@@ -113,7 +113,7 @@ func TestChaosCancellation(t *testing.T) {
 			s := faults.Wrap(p.Stream(n),
 				faults.Fault{Kind: faults.Stall, At: 10_000, StallFor: 250 * time.Millisecond})
 			time.AfterFunc(25*time.Millisecond, cancel)
-			rep, err := engineFor(t, "planaria", parallel, 0).RunStreamCtx(ctx, s, p.Abbr)
+			rep, err := engineFor(t, "planaria", parallel, 0).Run(ctx, s, p.Abbr, 0)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
@@ -130,7 +130,7 @@ func TestChaosCancellation(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
 			rep, err := engineFor(t, "planaria", parallel, 0).
-				RunStreamCtx(ctx, p.Stream(n), p.Abbr)
+				Run(ctx, p.Stream(n), p.Abbr, 0)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
@@ -288,14 +288,14 @@ func TestFaultStreamTransparent(t *testing.T) {
 	tr := p.Generate(n)
 	for _, mode := range chaosModes {
 		ref, err := engineFor(t, "planaria", false, mode.sampleEvery).
-			RunWarmStream(tr.Stream(), p.Abbr, mode.warmup)
+			Run(context.Background(), tr.Stream(), p.Abbr, mode.warmup)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := reportJSON(t, ref)
 		for _, parallel := range []bool{false, true} {
 			rep, err := engineFor(t, "planaria", parallel, mode.sampleEvery).
-				RunWarmStream(faults.Wrap(tr.Stream()), p.Abbr, mode.warmup)
+				Run(context.Background(), faults.Wrap(tr.Stream()), p.Abbr, mode.warmup)
 			if err != nil {
 				t.Fatalf("%s parallel=%v: %v", mode.name, parallel, err)
 			}
@@ -331,11 +331,11 @@ func TestClampWarmup(t *testing.T) {
 	// End to end: a NaN warmup on a sized stream must behave exactly like
 	// warmup 0, not corrupt the boundary.
 	p := workloads.Catalog()[0]
-	ref, err := engineFor(t, "planaria", false, 0).RunWarmStream(p.Stream(5_000), p.Abbr, 0)
+	ref, err := engineFor(t, "planaria", false, 0).Run(context.Background(), p.Stream(5_000), p.Abbr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := engineFor(t, "planaria", false, 0).RunWarmStream(p.Stream(5_000), p.Abbr, nan)
+	rep, err := engineFor(t, "planaria", false, 0).Run(context.Background(), p.Stream(5_000), p.Abbr, nan)
 	if err != nil {
 		t.Fatalf("NaN warmup failed the run: %v", err)
 	}

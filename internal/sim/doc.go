@@ -14,14 +14,22 @@
 // the event-driven controller. This is the standard trace-driven
 // "functional + timing" split; see DESIGN.md.
 //
+// # Running
+//
+// Engine.Run is the one run entry point: it consumes a trace.Stream (an
+// in-memory trace passes trace.Trace.Stream) with O(chunk) memory, drives
+// the channel slices concurrently, honours a warmup fraction and a
+// cancellable context, and returns a partial report on failure.
+// Engine.Step is the incremental, always-serial API.
+//
 // # Observability
 //
 // Beyond the end-of-run metrics.Report, the engine can sample windowed
 // metric deltas while a trace runs: setting Config.SampleEvery (records) or
 // Config.SampleEveryCycles (trace cycles) attaches a metrics.TimeSeries to
 // the report whose windows sum exactly to the final aggregates. Sampling is
-// disabled by default and costs one nil check per Step when off. RunWarm
-// runs a trace with a warmup fraction discarded from the statistics (and
-// from the time series: the first window starts at the reset boundary).
-// See docs/OBSERVABILITY.md for the artifact schema and worked examples.
+// disabled by default and costs one nil check per Step when off. A warmup
+// fraction passed to Run is discarded from the statistics and from the
+// time series: the first window starts at the reset boundary. See
+// docs/OBSERVABILITY.md for the artifact schema and worked examples.
 package sim

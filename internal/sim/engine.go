@@ -49,14 +49,16 @@ type Config struct {
 	// the paper's power-constrained setting.
 	ThrottleOutstanding int
 
-	// ParallelChannels runs Run/RunWarm with one goroutine per DRAM
-	// channel. The paper's system is four independent SC slices — each
-	// trace record touches exactly one channel's cache, prefetcher, queue
-	// and controller — so the trace is partitioned once by channel and
-	// the per-channel streams execute concurrently. Reports are
-	// bit-identical to the serial engine (see docs/PERFORMANCE.md for the
-	// determinism/merge contract). DefaultConfig enables it; Step always
-	// runs serially.
+	// ParallelChannels selects the unit-sharded driver: Run partitions the
+	// stream by execution unit (channel × sub-shard) and drives each unit
+	// from its own goroutine. The paper's system is four independent SC
+	// slices — each trace record touches exactly one channel's cache,
+	// prefetcher, queue and controller — so this is the production driver,
+	// and DefaultConfig enables it. Turning it off runs every record on the
+	// calling goroutine; that serial driver exists only as the equivalence
+	// oracle the golden, equivalence and chaos tests and the serial
+	// benchmarks compare against (reports are bit-identical; see
+	// docs/PERFORMANCE.md). Step always runs serially.
 	ParallelChannels bool
 
 	// SubShards splits each channel into this many address-hashed
@@ -95,8 +97,8 @@ type Config struct {
 	Events *events.Config
 
 	// Counters, when non-nil, receives live processed-record counts at
-	// chunk granularity from the streaming run paths (RunStream and the
-	// parallel workers) — the backing state of -progress and -debug-addr.
+	// chunk granularity from Run (the serial consumer or the parallel
+	// workers) — the backing state of -progress and -debug-addr.
 	Counters *events.RunCounters
 
 	// Telemetry, when non-nil, enables live production metrics: the
@@ -361,8 +363,8 @@ func newDRAMTelemetry(reg *telemetry.Registry, ch, shard int) *dram.Telemetry {
 }
 
 // Engine is one simulation instance. Not safe for concurrent use by
-// callers; with Config.ParallelChannels set, Run and RunWarm internally
-// drive every execution unit (channel × sub-shard) from one goroutine each.
+// callers; with Config.ParallelChannels set, Run internally drives every
+// execution unit (channel × sub-shard) from one goroutine each.
 type Engine struct {
 	cfg    Config
 	units  []*channelState // len = addr.Channels × shards; unit u serves channel u/shards
@@ -946,24 +948,6 @@ func (e *Engine) snapshot(cycle uint64) metrics.Snapshot {
 		s.LateByOrigin = cs.addLateByOrigin(s.LateByOrigin)
 	}
 	return s
-}
-
-// Run processes a whole in-memory trace and returns the aggregated report.
-// It is a compatibility shim over RunStream on a slice-backed stream: with
-// Config.ParallelChannels set, chunks are fanned out to one goroutine per
-// channel as the splitter walks the slice; the report is bit-identical to a
-// serial run.
-func (e *Engine) Run(t trace.Trace, workload string) (metrics.Report, error) {
-	return e.RunStream(t.Stream(), workload)
-}
-
-// RunWarm processes a whole in-memory trace with the first warmup fraction
-// of records used only to warm caches and train prefetchers: statistics
-// (and the metrics sampler, when enabled) are reset at the boundary, so the
-// report covers the measured region alone. Fractions outside [0, 0.9] are
-// clamped. It is a compatibility shim over RunWarmStream.
-func (e *Engine) RunWarm(t trace.Trace, workload string, warmup float64) (metrics.Report, error) {
-	return e.RunWarmStream(t.Stream(), workload, warmup)
 }
 
 // Finish flushes the DRAM controllers and builds the report.

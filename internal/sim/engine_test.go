@@ -34,7 +34,7 @@ func visitTrace(pages []addr.PageNum, offs []int, gap uint64) trace.Trace {
 
 func TestRunEmptyTrace(t *testing.T) {
 	eng := New(smallConfig())
-	rep, err := eng.Run(nil, "empty")
+	rep, err := eng.RunStream(trace.Trace(nil).Stream(), "empty")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestColdMissesAndRevisitHits(t *testing.T) {
 	eng := New(smallConfig())
 	p := addr.PageNum(42)
 	tr := visitTrace([]addr.PageNum{p, p}, []int{0, 1, 2, 3}, 100)
-	rep, err := eng.Run(tr, "t")
+	rep, err := eng.RunStream(tr.Stream(), "t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestColdMissesAndRevisitHits(t *testing.T) {
 func TestDemandMissesGoToDRAM(t *testing.T) {
 	eng := New(smallConfig())
 	tr := visitTrace([]addr.PageNum{1, 2, 3}, []int{0, 5, 9}, 50)
-	rep, err := eng.Run(tr, "t")
+	rep, err := eng.RunStream(tr.Stream(), "t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestWriteAllocExcludedFromReadAMAT(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr = append(tr, trace.Record{Addr: addr.PageNum(i).Block(0).Addr(), Cycle: uint64(i * 50), Write: true})
 	}
-	rep, err := eng.Run(tr, "w")
+	rep, err := eng.RunStream(tr.Stream(), "w")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestWritebackTraffic(t *testing.T) {
 		tr = append(tr, trace.Record{Addr: addr.BlockNum(i).Addr(), Cycle: cycle, Write: true})
 		cycle += 50
 	}
-	rep, err := eng.Run(tr, "wb")
+	rep, err := eng.RunStream(tr.Stream(), "wb")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestPrefetchTimeliness(t *testing.T) {
 			{Addr: addr.PageNum(9).Block(0).Addr(), Cycle: 0}, // miss → triggers prefetch
 			{Addr: target.Addr(), Cycle: gap},                 // probe
 		}
-		rep, err := eng.Run(tr, "tl")
+		rep, err := eng.RunStream(tr.Stream(), "tl")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +184,7 @@ func TestLateWriteKeepsDirtyBit(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		tr = append(tr, trace.Record{Addr: addr.BlockNum(i).Addr(), Cycle: uint64(1000 + i*50)})
 	}
-	rep, err := eng.Run(tr, "lw")
+	rep, err := eng.RunStream(tr.Stream(), "lw")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestPrefetchTrafficCounted(t *testing.T) {
 	}
 	eng := New(cfg)
 	tr := trace.Trace{{Addr: addr.PageNum(9).Block(0).Addr(), Cycle: 0}}
-	rep, err := eng.Run(tr, "pt")
+	rep, err := eng.RunStream(tr.Stream(), "pt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestMaxPerTriggerClamp(t *testing.T) {
 	}
 	eng := New(cfg)
 	tr := trace.Trace{{Addr: addr.PageNum(9).Block(0).Addr(), Cycle: 0}}
-	rep, err := eng.Run(tr, "clamp")
+	rep, err := eng.RunStream(tr.Stream(), "clamp")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestResidentTargetsFiltered(t *testing.T) {
 		{Addr: target.Addr(), Cycle: 0},   // miss fills the target itself
 		{Addr: target.Addr(), Cycle: 500}, // hit; prefetcher proposes resident block
 	}
-	rep, err := eng.Run(tr, "resfilter")
+	rep, err := eng.RunStream(tr.Stream(), "resfilter")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestForeignChannelTargetsDropped(t *testing.T) {
 	cfg.NewPrefetcher = func(int) prefetch.Prefetcher { return crossChannelPrefetcher{} }
 	eng := New(cfg)
 	tr := trace.Trace{{Addr: addr.PageNum(3).Block(0).Addr(), Cycle: 0}}
-	rep, err := eng.Run(tr, "evil")
+	rep, err := eng.RunStream(tr.Stream(), "evil")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestChannelRouting(t *testing.T) {
 		{Addr: p.Block(32).Addr(), Cycle: 100},
 		{Addr: p.Block(48).Addr(), Cycle: 150},
 	}
-	rep, err := eng.Run(tr, "route")
+	rep, err := eng.RunStream(tr.Stream(), "route")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestThrottleOutstanding(t *testing.T) {
 			// Distinct pages, same channel (segment 0), all misses.
 			tr = append(tr, trace.Record{Addr: addr.PageNum(i * 5).Block(0).Addr(), Cycle: uint64(i * 100)})
 		}
-		rep, err := eng.Run(tr, "throttle")
+		rep, err := eng.RunStream(tr.Stream(), "throttle")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -418,7 +418,7 @@ func TestDeterminism(t *testing.T) {
 			p := addr.PageNum(i * 7919 % 97)
 			tr = append(tr, trace.Record{Addr: p.Block(i % 64).Addr(), Cycle: uint64(i * 17), Write: i%5 == 0})
 		}
-		rep, err := eng.Run(tr, "det")
+		rep, err := eng.RunStream(tr.Stream(), "det")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -432,7 +432,7 @@ func TestDeterminism(t *testing.T) {
 func TestEnergyAccounted(t *testing.T) {
 	eng := New(smallConfig())
 	tr := visitTrace([]addr.PageNum{1, 2, 3, 4}, []int{0, 1, 2}, 50)
-	rep, err := eng.Run(tr, "e")
+	rep, err := eng.RunStream(tr.Stream(), "e")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +475,7 @@ func TestPlanariaEndToEndCoverage(t *testing.T) {
 		tr = append(tr, trace.Record{Addr: p.Block(o).Addr(), Cycle: cycle})
 		_ = first
 	}
-	rep, err := eng.Run(tr, "e2e")
+	rep, err := eng.RunStream(tr.Stream(), "e2e")
 	if err != nil {
 		t.Fatal(err)
 	}

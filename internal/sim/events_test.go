@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -23,7 +24,7 @@ func runTraced(t *testing.T, pf string, tr trace.Trace, name string, evCfg *even
 	cfg.ParallelChannels = par
 	cfg.Events = evCfg
 	eng := New(cfg)
-	rep, err := eng.RunWarm(tr, name, warmup)
+	rep, err := eng.Run(context.Background(), tr.Stream(), name, warmup)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestLateByOrigin(t *testing.T) {
 		cfg.NewPrefetcher = factory
 		cfg.SampleEvery = 8_000
 		eng := New(cfg)
-		rep, err := eng.Run(tr, p.Abbr)
+		rep, err := eng.RunStream(tr.Stream(), p.Abbr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +187,7 @@ func TestEngineCountersProgress(t *testing.T) {
 		cfg.ParallelChannels = par
 		cfg.Counters = &c
 		eng := New(cfg)
-		if _, err := eng.Run(tr, p.Abbr); err != nil {
+		if _, err := eng.RunStream(tr.Stream(), p.Abbr); err != nil {
 			t.Fatal(err)
 		}
 		if got := c.Records(); got != n {
@@ -195,7 +196,7 @@ func TestEngineCountersProgress(t *testing.T) {
 		// A second run on the same counter set accumulates (the
 		// experiments sweep shares one set across cells).
 		eng2 := New(cfg)
-		if _, err := eng2.Run(tr, p.Abbr); err != nil {
+		if _, err := eng2.RunStream(tr.Stream(), p.Abbr); err != nil {
 			t.Fatal(err)
 		}
 		if got := c.Records(); got != 2*n {

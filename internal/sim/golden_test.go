@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -74,7 +75,7 @@ func TestReportGoldens(t *testing.T) {
 				cfg.SampleEvery = 5_000
 				cfg.ParallelChannels = mode == "parallel"
 				eng := New(cfg)
-				rep, err := eng.RunWarm(tr, p.Abbr, 0.2)
+				rep, err := eng.Run(context.Background(), tr.Stream(), p.Abbr, 0.2)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/workloads"
@@ -21,7 +22,7 @@ func sampledConfig(every uint64) Config {
 func TestSeriesNilWhenDisabled(t *testing.T) {
 	p := workloads.Catalog()[0]
 	eng := New(DefaultConfig())
-	rep, err := eng.Run(p.Generate(20_000), p.Abbr)
+	rep, err := eng.RunStream(p.Generate(20_000).Stream(), p.Abbr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestSeriesNilWhenDisabled(t *testing.T) {
 func TestSeriesTotalsMatchReport(t *testing.T) {
 	p := workloads.Catalog()[0]
 	eng := New(sampledConfig(5_000))
-	rep, err := eng.Run(p.Generate(60_000), p.Abbr)
+	rep, err := eng.RunStream(p.Generate(60_000).Stream(), p.Abbr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,14 +83,14 @@ func TestSeriesTotalsMatchReport(t *testing.T) {
 	}
 }
 
-// TestSeriesWarmupReset: after RunWarm, the series must cover only the
+// TestSeriesWarmupReset: after a warmed-up Run, the series must cover only the
 // measured region — no warmup-era samples, first window starting at the
 // reset cycle, totals matching the (post-warmup) report.
 func TestSeriesWarmupReset(t *testing.T) {
 	p := workloads.Catalog()[0]
 	tr := p.Generate(40_000)
 	eng := New(sampledConfig(2_000))
-	rep, err := eng.RunWarm(tr, p.Abbr, 0.25)
+	rep, err := eng.Run(context.Background(), tr.Stream(), p.Abbr, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestSeriesCycleCadence(t *testing.T) {
 	cfg.SampleEveryCycles = 50_000
 	eng := New(cfg)
 	tr := p.Generate(30_000)
-	rep, err := eng.Run(tr, p.Abbr)
+	rep, err := eng.RunStream(tr.Stream(), p.Abbr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ import (
 	"repro/internal/trace"
 )
 
-// parallelOK reports whether Run/RunWarm should use the sharded mode. The
+// parallelOK reports whether Run should use the sharded mode. The
 // worker count is the engine's unit count — channels × sub-shards — so
 // Config.SubShards scales a parallel run past one worker per channel.
 func (e *Engine) parallelOK() bool {
@@ -242,7 +242,7 @@ splitting:
 	}
 	if cause == nil && warmAt >= global {
 		// The whole (possibly empty) stream was warmup: the in-loop
-		// boundary never fired, but RunWarm semantics still reset.
+		// boundary never fired, but warmup semantics still reset.
 		resume := quiesce()
 		e.ResetStats()
 		if sampling {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -25,7 +26,7 @@ func runBoth(t *testing.T, pf string, tr trace.Trace, name string, sampleEvery, 
 		cfg.SampleEveryCycles = sampleCycles
 		cfg.ParallelChannels = par
 		eng := New(cfg)
-		rep, err := eng.RunWarm(tr, name, warmup)
+		rep, err := eng.Run(context.Background(), tr.Stream(), name, warmup)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +107,7 @@ func TestParallelSeriesInvariant(t *testing.T) {
 	cfg.SampleEvery = 5_000
 	cfg.ParallelChannels = true
 	eng := New(cfg)
-	rep, err := eng.Run(p.Generate(40_000), p.Abbr)
+	rep, err := eng.RunStream(p.Generate(40_000).Stream(), p.Abbr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestParallelErrorMatchesSerial(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.ParallelChannels = par
 		eng := New(cfg)
-		_, err := eng.Run(bad, p.Abbr)
+		_, err := eng.RunStream(bad.Stream(), p.Abbr)
 		return err
 	}
 	serr, perr := run(false), run(true)

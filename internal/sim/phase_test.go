@@ -31,7 +31,7 @@ func TestPlanariaSurvivesPhaseChange(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.NewPrefetcher = f
 		eng := New(cfg)
-		rep, err := eng.Run(tr, "phase")
+		rep, err := eng.RunStream(tr.Stream(), "phase")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,18 +1,13 @@
 package sim
 
-// This file is the streaming face of the engine: RunStream and
-// RunWarmStream consume a trace.Stream with O(chunk) memory, so run length
-// is bounded by throughput, not RAM. Run and RunWarm survive as thin
-// compatibility shims over slice-backed streams; the record-processing code
-// is shared, so streamed and materialized runs are bit-identical (pinned by
-// internal/sim/stream_test.go).
+// This file is the engine's run entry point: Run consumes a trace.Stream
+// with O(chunk) memory, so run length is bounded by throughput, not RAM. An
+// in-memory trace runs through its slice-backed stream (trace.Trace.Stream).
 //
-// The Ctx variants add cooperative cancellation and are the primary entry
-// points; on any failure — a stream fault, a simulation error or a
-// cancelled context — the engine returns a *partial* report marked
-// Truncated with the failure position in FailedAt, alongside the error,
-// instead of discarding the work already done (docs/PERFORMANCE.md,
-// "Failure model").
+// On any failure — a stream fault, a simulation error or a cancelled
+// context — the engine returns a *partial* report marked Truncated with the
+// failure position in FailedAt, alongside the error, instead of discarding
+// the work already done (docs/PERFORMANCE.md, "Failure model").
 
 import (
 	"context"
@@ -30,41 +25,23 @@ import (
 // without warmup.
 var ErrUnsizedWarmup = errors.New("sim: warmup fraction requires a sized stream (trace.Sized)")
 
-// RunStream processes a whole record stream and returns the aggregated
-// report. Memory use is O(chunk), independent of stream length. With
-// Config.ParallelChannels set, a streaming splitter fans chunks out to one
-// goroutine per channel as they arrive; the report is bit-identical to a
-// serial run, and to Run on the materialized trace.
-func (e *Engine) RunStream(s trace.Stream, workload string) (metrics.Report, error) {
-	return e.RunStreamCtx(context.Background(), s, workload)
-}
-
-// RunStreamCtx is RunStream with cooperative cancellation: when ctx is
-// cancelled the engine stops at the next chunk boundary, tears down the
-// parallel splitter and every channel worker without leaking goroutines,
-// and returns ctx.Err() with a partial report (Truncated set, FailedAt at
-// the position the consumer had reached).
-func (e *Engine) RunStreamCtx(ctx context.Context, s trace.Stream, workload string) (metrics.Report, error) {
-	failedAt, err := e.consumeStream(ctx, s, -1)
-	return e.finishPartial(workload, failedAt, err)
-}
-
-// RunWarmStream processes a stream with the first warmup fraction of
-// records used only to warm caches and train prefetchers: statistics (and
-// the metrics sampler, when enabled) are reset at the boundary, so the
-// report covers the measured region alone. Fractions outside [0, 0.9] are
-// clamped. A positive fraction needs a sized stream (ErrUnsizedWarmup
-// otherwise); slice and generator streams always know their length.
-func (e *Engine) RunWarmStream(s trace.Stream, workload string, warmup float64) (metrics.Report, error) {
-	return e.RunWarmStreamCtx(context.Background(), s, workload, warmup)
-}
-
-// RunWarmStreamCtx is RunWarmStream with cooperative cancellation (see
-// RunStreamCtx for the cancellation and partial-report contract).
-func (e *Engine) RunWarmStreamCtx(ctx context.Context, s trace.Stream, workload string, warmup float64) (metrics.Report, error) {
-	warmup = clampWarmup(warmup)
-	var warmAt int64
-	if warmup > 0 {
+// Run processes a whole record stream and returns the aggregated report.
+// Memory use is O(chunk), independent of stream length.
+//
+// The first warmup fraction of records only warms caches and trains
+// prefetchers: statistics (and the metrics sampler, when enabled) are reset
+// at the boundary, so the report covers the measured region alone. Warmup 0
+// means no warmup; fractions outside [0, 0.9] are clamped. A positive
+// fraction needs a sized stream (ErrUnsizedWarmup otherwise); slice and
+// generator streams always know their length.
+//
+// Cancelling ctx stops the engine at the next chunk boundary, tears down
+// every channel worker without leaking goroutines, and returns ctx.Err()
+// with a partial report (Truncated set, FailedAt at the position the
+// consumer had reached).
+func (e *Engine) Run(ctx context.Context, s trace.Stream, workload string, warmup float64) (metrics.Report, error) {
+	warmAt := int64(-1)
+	if warmup = clampWarmup(warmup); warmup > 0 {
 		n := trace.StreamLen(s)
 		if n < 0 {
 			// Nothing ran: no partial report to salvage.
@@ -73,18 +50,17 @@ func (e *Engine) RunWarmStreamCtx(ctx context.Context, s trace.Stream, workload 
 		warmAt = int64(float64(n) * warmup)
 	}
 	failedAt, err := e.consumeStream(ctx, s, warmAt)
-	return e.finishPartial(workload, failedAt, err)
-}
-
-// finishPartial builds the report; on error it is marked as the partial
-// result of a truncated run, with the failure position attached.
-func (e *Engine) finishPartial(workload string, failedAt int64, err error) (metrics.Report, error) {
 	rep := e.Finish(workload)
 	if err != nil {
 		rep.Truncated = true
 		rep.FailedAt = failedAt
 	}
 	return rep, err
+}
+
+// RunStream is Run without cancellation or warmup.
+func (e *Engine) RunStream(s trace.Stream, workload string) (metrics.Report, error) {
+	return e.Run(context.Background(), s, workload, 0)
 }
 
 // clampWarmup maps a warmup fraction into [0, 0.9]; NaN and negatives
@@ -104,11 +80,11 @@ func clampWarmup(w float64) float64 {
 // consumeStream drives every record of s through the engine, resetting
 // statistics immediately before global record warmAt (warmAt < 0 disables
 // the reset; warmAt at or past the end of the stream resets after the last
-// record, matching RunWarm's t[:w] / reset / t[w:] split for every w).
-// Cancellation is observed at chunk boundaries. The returned position is
-// where any error is attributed: the failing record for simulation errors,
-// the records delivered for stream faults, the stop position for
-// cancellation. It is meaningless when err is nil.
+// record, so a warmup boundary past the last record still discards the
+// whole run). Cancellation is observed at chunk boundaries. The returned
+// position is where any error is attributed: the failing record for
+// simulation errors, the records delivered for stream faults, the stop
+// position for cancellation. It is meaningless when err is nil.
 func (e *Engine) consumeStream(ctx context.Context, s trace.Stream, warmAt int64) (int64, error) {
 	if c := e.cfg.Counters; c != nil {
 		c.Start()

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 
@@ -26,27 +27,33 @@ func engineFor(t *testing.T, pf string, parallel bool, sampleEvery uint64) *Engi
 
 // TestStreamSliceEquivalence is the streaming pipeline's determinism
 // contract: for every catalog app under the paper's evaluated prefetchers,
-// RunStream — serial and parallel, fed by a slice-backed stream — must
-// produce reports bit-identical to Run on the materialized trace. Running
-// it under -race (CI does) also exercises the splitter's synchronisation.
+// the parallel driver fed by the slice-backed stream, and both drivers fed
+// by the generator stream, must produce reports bit-identical to the serial
+// driver on the slice. Running it under -race (CI does) also exercises the
+// splitter's synchronisation.
 func TestStreamSliceEquivalence(t *testing.T) {
 	const n = 15_000
 	for _, p := range workloads.Catalog() {
 		tr := p.Generate(n)
 		for _, pf := range []string{"planaria", "bop", "spp"} {
-			ref, err := engineFor(t, pf, false, 0).Run(tr, p.Abbr)
+			ref, err := engineFor(t, pf, false, 0).RunStream(tr.Stream(), p.Abbr)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := reportJSON(t, ref)
 			for _, parallel := range []bool{false, true} {
-				rep, err := engineFor(t, pf, parallel, 0).RunStream(tr.Stream(), p.Abbr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := reportJSON(t, rep); got != want {
-					t.Errorf("%s/%s parallel=%v: RunStream diverges from Run\nslice:  %s\nstream: %s",
-						p.Abbr, pf, parallel, want, got)
+				for src, s := range map[string]trace.Stream{"slice": tr.Stream(), "generator": p.Stream(n)} {
+					if src == "slice" && !parallel {
+						continue // the reference itself
+					}
+					rep, err := engineFor(t, pf, parallel, 0).RunStream(s, p.Abbr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := reportJSON(t, rep); got != want {
+						t.Errorf("%s/%s %s parallel=%v: report diverges from the serial slice run\nwant: %s\ngot:  %s",
+							p.Abbr, pf, src, parallel, want, got)
+					}
 				}
 			}
 		}
@@ -56,14 +63,14 @@ func TestStreamSliceEquivalence(t *testing.T) {
 // TestStreamProducersEquivalence pins the three stream producers against
 // each other: the generator-backed stream, the binary Reader-backed stream
 // and the slice-backed stream of the same profile must all yield the same
-// report as the materialized Run — so file replay, synthetic streaming and
+// report as the serial slice run — so file replay, synthetic streaming and
 // in-memory runs are interchangeable.
 func TestStreamProducersEquivalence(t *testing.T) {
 	const n = 20_000
 	p := workloads.Catalog()[0]
 	tr := p.Generate(n)
 	want := reportJSON(t, mustRun(t, func(e *Engine) (metrics.Report, error) {
-		return e.Run(tr, p.Abbr)
+		return e.RunStream(tr.Stream(), p.Abbr)
 	}))
 
 	var buf bytes.Buffer
@@ -88,15 +95,15 @@ func TestStreamProducersEquivalence(t *testing.T) {
 				t.Fatalf("%s parallel=%v: %v", name, parallel, err)
 			}
 			if got := reportJSON(t, rep); got != want {
-				t.Errorf("%s parallel=%v: report diverges from materialized Run", name, parallel)
+				t.Errorf("%s parallel=%v: report diverges from the serial slice run", name, parallel)
 			}
 		}
 	}
 }
 
 // TestStreamSampledWarmEquivalence pins the on-the-fly window planning: a
-// sampled (SampleEvery) warmed-up streamed run must reproduce RunWarm's
-// report — including the full time series — bit-for-bit, serial and
+// sampled (SampleEvery) warmed-up generator-streamed run must reproduce the
+// serial slice run's report — including the full time series — bit-for-bit, serial and
 // parallel, for both a mid-trace warmup boundary and the degenerate
 // fractions 0 and 0.9+.
 func TestStreamSampledWarmEquivalence(t *testing.T) {
@@ -104,7 +111,7 @@ func TestStreamSampledWarmEquivalence(t *testing.T) {
 	p := workloads.Catalog()[1]
 	tr := p.Generate(n)
 	for _, warmup := range []float64{0, 0.25, 1.5} {
-		ref, err := engineFor(t, "planaria", false, 6_000).RunWarm(tr, p.Abbr, warmup)
+		ref, err := engineFor(t, "planaria", false, 6_000).Run(context.Background(), tr.Stream(), p.Abbr, warmup)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,12 +121,12 @@ func TestStreamSampledWarmEquivalence(t *testing.T) {
 		}
 		for _, parallel := range []bool{false, true} {
 			rep, err := engineFor(t, "planaria", parallel, 6_000).
-				RunWarmStream(p.Stream(n), p.Abbr, warmup)
+				Run(context.Background(), p.Stream(n), p.Abbr, warmup)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := reportJSON(t, rep); got != want {
-				t.Errorf("warmup %.2f parallel=%v: RunWarmStream diverges from RunWarm\nslice:  %s\nstream: %s",
+				t.Errorf("warmup %.2f parallel=%v: generator stream diverges from slice\nslice:  %s\nstream: %s",
 					warmup, parallel, want, got)
 			}
 		}
@@ -145,21 +152,21 @@ func TestStreamErrorPropagation(t *testing.T) {
 	}
 }
 
-// TestRunWarmStreamUnsized: a warmup fraction on a stream of unknown length
+// TestRunUnsizedWarmup: a warmup fraction on a stream of unknown length
 // must fail loudly rather than silently skipping warmup.
-func TestRunWarmStreamUnsized(t *testing.T) {
+func TestRunUnsizedWarmup(t *testing.T) {
 	p := workloads.Catalog()[0]
 	var buf bytes.Buffer
 	if err := trace.WriteAll(&buf, p.Generate(1_000)); err != nil {
 		t.Fatal(err)
 	}
 	unsized := trace.NewReader(bytes.NewReader(buf.Bytes())).Stream()
-	_, err := engineFor(t, "planaria", true, 0).RunWarmStream(unsized, p.Abbr, 0.2)
+	_, err := engineFor(t, "planaria", true, 0).Run(context.Background(), unsized, p.Abbr, 0.2)
 	if !errors.Is(err, ErrUnsizedWarmup) {
 		t.Fatalf("unsized warmup: got %v, want ErrUnsizedWarmup", err)
 	}
 	// Warmup 0 on the same unsized stream is fine.
-	if _, err := engineFor(t, "planaria", true, 0).RunWarmStream(
+	if _, err := engineFor(t, "planaria", true, 0).Run(context.Background(),
 		trace.NewReader(bytes.NewReader(buf.Bytes())).Stream(), p.Abbr, 0); err != nil {
 		t.Fatalf("unsized warmup-0 run failed: %v", err)
 	}

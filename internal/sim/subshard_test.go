@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/addr"
@@ -24,7 +25,7 @@ func runSharded(t *testing.T, pf string, tr trace.Trace, name string, m int, par
 	cfg.ParallelChannels = par
 	cfg.SampleEvery = 5_000
 	eng := New(cfg)
-	rep, err := eng.RunWarm(tr, name, 0.25)
+	rep, err := eng.Run(context.Background(), tr.Stream(), name, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}

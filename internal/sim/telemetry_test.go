@@ -5,6 +5,7 @@ package sim
 // exactly with the report aggregates they mirror.
 
 import (
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -23,7 +24,7 @@ func TestTelemetryTransparency(t *testing.T) {
 	tr := p.Generate(60_000)
 
 	cfg := DefaultConfig()
-	plain, err := New(cfg).Run(tr, p.Abbr)
+	plain, err := New(cfg).RunStream(tr.Stream(), p.Abbr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestTelemetryTransparency(t *testing.T) {
 
 	cfg = DefaultConfig()
 	cfg.Telemetry = telemetry.NewRegistry()
-	instrumented, err := New(cfg).Run(tr, p.Abbr)
+	instrumented, err := New(cfg).RunStream(tr.Stream(), p.Abbr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestTelemetryReconcilesWithReport(t *testing.T) {
 		cfg.ParallelChannels = parallel
 		reg := telemetry.NewRegistry()
 		cfg.Telemetry = reg
-		rep, err := New(cfg).Run(tr, p.Abbr)
+		rep, err := New(cfg).RunStream(tr.Stream(), p.Abbr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +158,7 @@ func TestTelemetryWarmupCoverage(t *testing.T) {
 	cfg := DefaultConfig()
 	reg := telemetry.NewRegistry()
 	cfg.Telemetry = reg
-	rep, err := New(cfg).RunWarm(tr, p.Abbr, 0.5)
+	rep, err := New(cfg).Run(context.Background(), tr.Stream(), p.Abbr, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

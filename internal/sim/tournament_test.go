@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -31,7 +32,7 @@ func TestTournamentTransparency(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.NewPrefetcher = factory
 			cfg.ParallelChannels = par
-			rep, err := New(cfg).RunWarm(tr, p.Abbr, 0.25)
+			rep, err := New(cfg).Run(context.Background(), tr.Stream(), p.Abbr, 0.25)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -14,9 +14,10 @@ package sweepfarm
 // future hash-format change silently accepting a foreign artifact.
 
 import (
+	"path/filepath"
+
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"path/filepath"
 )
 
 // manifestTemplate is the per-grid constant part of every checkpoint
@@ -27,8 +28,9 @@ func newManifest() manifestTemplate {
 	return manifestTemplate{man: obs.NewManifest("sweepfarm")}
 }
 
-// writeArtifact records one completed job at path.
-func writeArtifact(path string, t manifestTemplate, j Job, rep metrics.Report) error {
+// writeArtifact records one completed job at path; wallSec is the job's own
+// simulation time (the resume check ignores it).
+func writeArtifact(path string, t manifestTemplate, j Job, rep metrics.Report, wallSec float64) error {
 	man := t.man
 	man.Workload = j.Cell.App
 	man.Prefetcher = j.Cell.Prefetcher
@@ -39,6 +41,7 @@ func writeArtifact(path string, t manifestTemplate, j Job, rep metrics.Report) e
 	man.Repeat = j.Repeat
 	man.ConfigHash = j.Config.Hash()
 	man.TraceLen = j.Config.Requests
+	man.WallTimeSec = wallSec
 	return obs.WriteFile(path, obs.Artifact{Manifest: man, Report: &rep})
 }
 

@@ -13,11 +13,11 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/events"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -28,9 +28,7 @@ import (
 type Config struct {
 	Requests    int     // trace length per run
 	Warmup      float64 // resolved warmup fraction in [0, 0.9] (no 0→default sentinel)
-	Serial      bool    // force the single-goroutine engine
 	SubShards   int     // sim.Config.SubShards (simulated geometry)
-	NoStream    bool    // materialize traces instead of streaming
 	SampleEvery uint64  // windowed time-series sampling period
 }
 
@@ -51,14 +49,12 @@ func (c Config) normalize() Config {
 
 // Hash returns the configuration fingerprint recorded in artifact
 // manifests (obs.Manifest.ConfigHash, schema v3): a 64-bit FNV-1a over the
-// canonical field encoding, rendered as 16 hex digits. Streaming vs
-// materialized input is excluded — reports are pinned bit-identical either
-// way — so artifacts stay valid across that debugging switch.
+// canonical field encoding, rendered as 16 hex digits.
 func (c Config) Hash() string {
 	c = c.normalize()
 	h := fnv.New64a()
-	fmt.Fprintf(h, "requests=%d|warmup=%g|serial=%t|subshards=%d|sample=%d",
-		c.Requests, c.Warmup, c.Serial, c.SubShards, c.SampleEvery)
+	fmt.Fprintf(h, "requests=%d|warmup=%g|subshards=%d|sample=%d",
+		c.Requests, c.Warmup, c.SubShards, c.SampleEvery)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
@@ -343,11 +339,6 @@ type Runner struct {
 	// (resumed/done/failed per job).
 	Verbose io.Writer
 
-	// Materialize supplies traces for NoStream cells (the hook through
-	// which experiments plugs its byte-capped TraceFor cache); nil falls
-	// back to direct generation. Streaming cells never call it.
-	Materialize func(workloads.Profile, int) trace.Trace
-
 	// JobDone, when non-nil, is called after a job's result is
 	// checkpointed and recorded — the hook the resume tests use to cancel
 	// mid-grid at a deterministic point. Called concurrently from worker
@@ -459,14 +450,16 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 			defer wg.Done()
 			for i := range jobCh {
 				pl := plan[i]
+				start := time.Now()
 				rep, err := r.runJob(ctx, pl.job)
+				wall := time.Since(start).Seconds()
 				if err != nil {
 					errs[i] = fmt.Errorf("cell %s: %w", pl.job, err)
 					r.logf("failed %s: %v", pl.job, err)
 					continue
 				}
 				if r.ArtifactDir != "" {
-					if err := r.writeJobArtifact(manTemplate, pl.job, rep); err != nil {
+					if err := r.writeJobArtifact(manTemplate, pl.job, rep, wall); err != nil {
 						errs[i] = fmt.Errorf("cell %s: %w", pl.job, err)
 						continue
 					}
@@ -528,22 +521,9 @@ func (r *Runner) runJob(ctx context.Context, j Job) (metrics.Report, error) {
 	cfg := sim.DefaultConfig()
 	cfg.NewPrefetcher = factory
 	cfg.SampleEvery = j.Config.SampleEvery
-	cfg.ParallelChannels = !j.Config.Serial
 	cfg.SubShards = j.Config.SubShards
 	cfg.Counters = r.Counters
-	eng := sim.New(cfg)
-
-	var s trace.Stream
-	if j.Config.NoStream {
-		gen := r.Materialize
-		if gen == nil {
-			gen = workloads.Profile.Generate
-		}
-		s = gen(p, j.Config.Requests).Stream()
-	} else {
-		s = p.Stream(j.Config.Requests)
-	}
-	return eng.RunWarmStreamCtx(ctx, s, p.Abbr, j.Config.Warmup)
+	return sim.New(cfg).Run(ctx, p.Stream(j.Config.Requests), p.Abbr, j.Config.Warmup)
 }
 
 func (r *Runner) logf(format string, args ...any) {
@@ -552,8 +532,8 @@ func (r *Runner) logf(format string, args ...any) {
 	}
 }
 
-// writeJobArtifact checkpoints one completed job (see resume.go for the
-// matching read side).
-func (r *Runner) writeJobArtifact(man manifestTemplate, j Job, rep metrics.Report) error {
-	return writeArtifact(filepath.Join(r.ArtifactDir, j.ArtifactName()), man, j, rep)
+// writeJobArtifact checkpoints one completed job that simulated for
+// wallSec seconds (see resume.go for the matching read side).
+func (r *Runner) writeJobArtifact(man manifestTemplate, j Job, rep metrics.Report, wallSec float64) error {
+	return writeArtifact(filepath.Join(r.ArtifactDir, j.ArtifactName()), man, j, rep, wallSec)
 }

@@ -83,8 +83,8 @@ func StreamLen(s Stream) int {
 }
 
 // SliceStream adapts an in-memory Trace to the Stream interface without
-// copying the backing array. It is how Run/RunWarm remain thin shims over
-// the streaming engine.
+// copying the backing array. It is how an in-memory trace runs through the
+// engine's single stream entry point (sim.Engine.Run).
 type SliceStream struct {
 	t   Trace
 	pos int

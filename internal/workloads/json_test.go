@@ -63,3 +63,33 @@ func TestReadProfileGeneratesDeterministically(t *testing.T) {
 		t.Fatal("JSON round-tripped profile generates a different trace")
 	}
 }
+
+// FuzzReadProfile: ReadProfile must never panic, and any profile it accepts
+// must re-encode and re-decode to an equal value.
+func FuzzReadProfile(f *testing.F) {
+	p, _ := ByAbbr("CFM")
+	var good bytes.Buffer
+	if err := WriteProfile(&good, p); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good.Bytes())
+	f.Add([]byte(`{"DeviceWeights": [{"device": "toaster", "weight": 1}]}`))
+	f.Add([]byte(`{`))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		p, err := ReadProfile(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteProfile(&buf, p); err != nil {
+			t.Fatalf("accepted profile does not re-encode: %v", err)
+		}
+		back, err := ReadProfile(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded profile rejected: %v", err)
+		}
+		if !reflect.DeepEqual(back, p) {
+			t.Fatalf("round trip changed the profile:\n got %+v\nwant %+v", back, p)
+		}
+	})
+}
