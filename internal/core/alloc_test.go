@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/addr"
-	"repro/internal/prefetch"
 )
 
 // The steady-state allocation gates: once warm, the composite and both
@@ -16,10 +15,7 @@ import (
 // churn drives pf through a deterministic mix of pages wide enough to
 // exercise table eviction and neighbour matching, reusing one candidate
 // buffer like the engine does.
-func churn(pf interface {
-	Train(prefetch.Access)
-	IssueTo(prefetch.Access, []addr.BlockNum) []addr.BlockNum
-}, rounds int, dst []addr.BlockNum) []addr.BlockNum {
+func churn(pf trainIssuer, rounds int, dst []addr.BlockNum) []addr.BlockNum {
 	cycle := uint64(0)
 	for r := 0; r < rounds; r++ {
 		for pg := 0; pg < 40; pg++ {

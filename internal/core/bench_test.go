@@ -24,40 +24,34 @@ func benchAccesses(n int) []prefetch.Access {
 	return out
 }
 
+// trainIssuer is the engine's view of a prefetcher: Train, then IssueTo.
+type trainIssuer interface {
+	Train(prefetch.Access)
+	IssueTo(prefetch.Access, []addr.BlockNum) []addr.BlockNum
+}
+
+// benchTrainIssue drives pf the way the engine does — Train, then IssueTo
+// into one reused buffer — so BENCH_baseline.json can pin the TrainIssue
+// benchmarks allocation-free.
+func benchTrainIssue(b *testing.B, pf trainIssuer) {
+	accs := benchAccesses(1 << 16)
+	dst := make([]addr.BlockNum, 0, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := accs[i&(len(accs)-1)]
+		pf.Train(a)
+		dst = pf.IssueTo(a, dst[:0])
+	}
+}
+
 // BenchmarkSLPTrainIssue measures the per-access cost of the intra-page
 // sub-prefetcher.
-func BenchmarkSLPTrainIssue(b *testing.B) {
-	s := NewSLP(DefaultSLPConfig())
-	accs := benchAccesses(1 << 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := accs[i&(len(accs)-1)]
-		s.Train(a)
-		s.Issue(a)
-	}
-}
+func BenchmarkSLPTrainIssue(b *testing.B) { benchTrainIssue(b, NewSLP(DefaultSLPConfig())) }
 
 // BenchmarkTLPTrainIssue measures the per-access cost of the inter-page
-// sub-prefetcher (dominated by the 128-entry RPT bookkeeping).
-func BenchmarkTLPTrainIssue(b *testing.B) {
-	t := NewTLP(DefaultTLPConfig())
-	accs := benchAccesses(1 << 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := accs[i&(len(accs)-1)]
-		t.Train(a)
-		t.Issue(a)
-	}
-}
+// sub-prefetcher (dominated by the 128-entry RPT scans).
+func BenchmarkTLPTrainIssue(b *testing.B) { benchTrainIssue(b, NewTLP(DefaultTLPConfig())) }
 
 // BenchmarkPlanariaTrainIssue measures the full composite prefetcher.
-func BenchmarkPlanariaTrainIssue(b *testing.B) {
-	p := New(DefaultConfig())
-	accs := benchAccesses(1 << 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := accs[i&(len(accs)-1)]
-		p.Train(a)
-		p.Issue(a)
-	}
-}
+func BenchmarkPlanariaTrainIssue(b *testing.B) { benchTrainIssue(b, New(DefaultConfig())) }

@@ -227,9 +227,10 @@ func (s *SLP) promote(i int, now uint64) {
 func (s *SLP) expire(now uint64) {
 	const perCall = 4
 	for k := 0; k < perCall; k++ {
-		i := s.sweep
-		s.sweep = (s.sweep + 1) % len(s.at)
-		e := &s.at[i]
+		e := &s.at[s.sweep]
+		if s.sweep++; s.sweep == len(s.at) {
+			s.sweep = 0
+		}
 		if e.valid && now > e.last && now-e.last > s.cfg.Timeout {
 			s.capture(*e)
 			s.atIdx.Delete(uint64(e.page))

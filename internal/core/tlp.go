@@ -22,13 +22,9 @@ func DefaultTLPConfig() TLPConfig {
 	return TLPConfig{RPTEntries: 128, DistThreshold: 64, MinCommon: 4}
 }
 
-type rptEntry struct {
-	page  addr.PageNum
-	bits  bitmap.Seg16
-	last  uint64
-	valid bool
-	refs  []bool // refs[j]: entry j is a neighbour of this entry
-}
+// maxWindow caps DistThreshold: pages (BlockNum >> 6) stay below 2^58, so a
+// larger threshold admits the same neighbours, and 2×maxWindow cannot overflow.
+const maxWindow = 1 << 62
 
 // TLP is the transfer-learning (inter-page) sub-prefetcher for one channel.
 //
@@ -39,17 +35,25 @@ type rptEntry struct {
 // neighbour — largest count of common footprint bits, at least MinCommon —
 // and prefetches the blocks the neighbour accessed that this page has not.
 //
+// A Ref bit is a pure function of the two entries' page tags, so the
+// simulator derives it in BestNeighbor instead of storing the N×N matrix;
+// the modelled hardware still holds the bits (see StorageBits).
+//
 // Note: the paper's prose inverts the Ref polarity in one sentence
 // ("difference ... larger than a threshold" → set 1); every other part of
 // Section 4 requires neighbours to be close, so Ref here means "within the
 // distance threshold" (see DESIGN.md).
 type TLP struct {
-	cfg TLPConfig
-	rpt []rptEntry
-	// refSlab is the single backing array all per-entry Ref rows are sliced
-	// from (one N×N slab instead of N row allocations — the RPT metadata
-	// arena).
-	refSlab []bool
+	cfg    TLPConfig
+	window uint64 // DistThreshold capped at maxWindow
+
+	// The RPT as struct-of-arrays lanes: slot i holds pages[i], its
+	// footprint bits[i] and the cycle of its last access last[i]. Slots fill
+	// in order and only Reset empties them, so slot i is valid iff i < used.
+	pages []addr.PageNum
+	bits  []bitmap.Seg16
+	last  []uint64
+	used  int
 	// idx is the page → RPT-slot index; open addressing keeps the lookup
 	// allocation-free under entry churn.
 	idx *hashidx.U64
@@ -63,26 +67,28 @@ type TLP struct {
 // SetEventSink installs the decision-event sink (nil disables tracing).
 func (t *TLP) SetEventSink(sk events.Sink) { t.sink = sk }
 
-// NewTLP builds a TLP instance.
+// NewTLP builds a TLP instance. Zero (or negative) fields take their
+// DefaultTLPConfig values.
 func NewTLP(cfg TLPConfig) *TLP {
+	def := DefaultTLPConfig()
 	if cfg.RPTEntries <= 0 {
-		cfg.RPTEntries = 128
+		cfg.RPTEntries = def.RPTEntries
 	}
 	if cfg.DistThreshold == 0 {
-		cfg.DistThreshold = 64
+		cfg.DistThreshold = def.DistThreshold
 	}
 	if cfg.MinCommon <= 0 {
-		cfg.MinCommon = 3
+		cfg.MinCommon = def.MinCommon
 	}
-	t := &TLP{cfg: cfg}
 	n := cfg.RPTEntries
-	t.rpt = make([]rptEntry, n)
-	t.refSlab = make([]bool, n*n)
-	for i := range t.rpt {
-		t.rpt[i].refs = t.refSlab[i*n : (i+1)*n : (i+1)*n]
+	return &TLP{
+		cfg:    cfg,
+		window: min(cfg.DistThreshold, maxWindow),
+		pages:  make([]addr.PageNum, n),
+		bits:   make([]bitmap.Seg16, n),
+		last:   make([]uint64, n),
+		idx:    hashidx.New(n),
 	}
-	t.idx = hashidx.New(n)
-	return t
 }
 
 // Name implements prefetch.Prefetcher.
@@ -90,65 +96,42 @@ func (t *TLP) Name() string { return "tlp" }
 
 // Reset implements prefetch.Prefetcher.
 func (t *TLP) Reset() {
-	for i := range t.rpt {
-		e := &t.rpt[i]
-		e.page, e.bits, e.last, e.valid = 0, 0, 0, false
-		for j := range e.refs {
-			e.refs[j] = false
-		}
-	}
+	t.used, t.issues = 0, 0 // allocation overwrites every lane of a reused slot
 	t.idx.Reset()
-	t.issues = 0
 }
 
 // Train implements prefetch.Prefetcher (the TLP learning phase): record the
-// block in the page's RPT footprint, allocating an entry and recomputing its
-// Ref bits on first sight.
+// block in the page's RPT footprint, allocating an entry on first sight.
 func (t *TLP) Train(a prefetch.Access) {
 	p := a.Page()
 	off := a.Block.SegOffset()
 	if i, ok := t.idx.Get(uint64(p)); ok {
-		e := &t.rpt[i]
-		e.bits = e.bits.Set(off)
-		e.last = a.Cycle
+		t.bits[i] = t.bits[i].Set(off)
+		t.last[i] = a.Cycle
 		return
 	}
 	i := t.allocate()
-	e := &t.rpt[i]
-	if e.valid {
-		t.idx.Delete(uint64(e.page))
-	}
-	e.page = p
-	e.bits = bitmap.Seg16(0).Set(off)
-	e.last = a.Cycle
-	e.valid = true
+	t.pages[i] = p
+	t.bits[i] = bitmap.Seg16(0).Set(off)
+	t.last[i] = a.Cycle
 	t.idx.Put(uint64(p), int32(i))
-	// Recompute the Ref bits between the new entry and every other valid
-	// entry (the hardware sets these with one comparator per entry).
-	for j := range t.rpt {
-		if j == i {
-			e.refs[j] = false
-			continue
-		}
-		o := &t.rpt[j]
-		near := o.valid && p.Distance(o.page) <= t.cfg.DistThreshold
-		e.refs[j] = near
-		o.refs[i] = near
-	}
 }
 
-// allocate returns the RPT slot for a new page: an invalid slot if one
-// exists, otherwise the least recently used.
+// allocate returns the RPT slot for a new page: the next unused slot while
+// the table fills, otherwise the least recently used (lowest index on ties),
+// whose page it unindexes.
 func (t *TLP) allocate() int {
+	if t.used < len(t.pages) {
+		t.used++
+		return t.used - 1
+	}
 	lru := 0
-	for i := range t.rpt {
-		if !t.rpt[i].valid {
-			return i
-		}
-		if t.rpt[i].last < t.rpt[lru].last {
+	for i, l := range t.last {
+		if l < t.last[lru] {
 			lru = i
 		}
 	}
+	t.idx.Delete(uint64(t.pages[lru]))
 	return lru
 }
 
@@ -159,15 +142,16 @@ func (t *TLP) BestNeighbor(p addr.PageNum) (neighbor addr.PageNum, transfer bitm
 	if !exists {
 		return 0, 0, false
 	}
-	self := &t.rpt[i]
-	best := -1
-	bestCommon := t.cfg.MinCommon - 1
-	for j := range t.rpt {
-		if !self.refs[j] || !t.rpt[j].valid {
+	self := t.bits[i]
+	// Ref(p, q) ⇔ |p−q| ≤ window ⇔ q − (p−window) ≤ 2·window in wrapping
+	// unsigned arithmetic, exact while pages < 2^58 and window ≤ 2^62.
+	lo, span := uint64(p)-t.window, 2*t.window
+	best, bestCommon := -1, t.cfg.MinCommon-1
+	for j, q := range t.pages[:t.used] {
+		if uint64(q)-lo > span || j == int(i) {
 			continue
 		}
-		c := self.bits.Common(t.rpt[j].bits)
-		if c > bestCommon {
+		if c := self.Common(t.bits[j]); c > bestCommon {
 			bestCommon = c
 			best = j
 		}
@@ -175,11 +159,11 @@ func (t *TLP) BestNeighbor(p addr.PageNum) (neighbor addr.PageNum, transfer bitm
 	if best == -1 {
 		return 0, 0, false
 	}
-	tr := t.rpt[best].bits.Minus(self.bits)
+	tr := t.bits[best].Minus(self)
 	if tr == 0 {
 		return 0, 0, false
 	}
-	return t.rpt[best].page, tr, true
+	return t.pages[best], tr, true
 }
 
 // Issue implements prefetch.Prefetcher (the TLP issuing phase): on a demand
@@ -219,8 +203,9 @@ func (t *TLP) Issues() uint64 { return t.issues }
 
 // StorageBits implements prefetch.Prefetcher: each RPT entry holds a page
 // tag (36 b), a 16-bit bitmap, a 16-bit timestamp, a valid bit and N−1
-// useful Ref bits (Section 4.2).
+// useful Ref bits (Section 4.2). The simulator derives the Ref bits from
+// the tags, but the modelled hardware stores them, so they count here.
 func (t *TLP) StorageBits() int {
-	n := len(t.rpt)
+	n := len(t.pages)
 	return n * (36 + 16 + 16 + 1 + (n - 1))
 }

@@ -146,17 +146,20 @@ func TestTLPEvictionRecyclesLRU(t *testing.T) {
 	}
 }
 
-func TestTLPRefBitsSymmetric(t *testing.T) {
-	tl := NewTLP(DefaultTLPConfig())
-	trainPage(tl, 0x100, []int{1}, 0)
-	trainPage(tl, 0x101, []int{1}, 10)
-	i, _ := tl.idx.Get(0x100)
-	j, _ := tl.idx.Get(0x101)
-	if !tl.rpt[i].refs[j] || !tl.rpt[j].refs[i] {
-		t.Fatal("Ref bits not symmetric for neighbours")
-	}
-	if tl.rpt[i].refs[i] {
-		t.Fatal("self-reference set")
+// TestTLPZeroConfigUsesDefaults: zero config fields take DefaultTLPConfig's
+// values, so a zero MinCommon refuses a neighbour sharing only 3 bits just
+// as the paper's MinCommon of 4 does.
+func TestTLPZeroConfigUsesDefaults(t *testing.T) {
+	for name, cfg := range map[string]TLPConfig{"zero": {}, "default": DefaultTLPConfig()} {
+		tl := NewTLP(cfg)
+		if tl.cfg != DefaultTLPConfig() {
+			t.Fatalf("%s: filled config %+v, want %+v", name, tl.cfg, DefaultTLPConfig())
+		}
+		trainPage(tl, 0x100, []int{1, 2, 3, 4, 5, 6}, 0)
+		trainPage(tl, 0x101, []int{1, 2, 3}, 100) // 3 common bits
+		if _, _, ok := tl.BestNeighbor(0x101); ok {
+			t.Fatalf("%s: neighbour sharing 3 bits accepted", name)
+		}
 	}
 }
 

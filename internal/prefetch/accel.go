@@ -113,9 +113,6 @@ func (p *Accel) Issue(a Access) []addr.BlockNum {
 
 // IssueTo implements BufferedIssuer.
 func (p *Accel) IssueTo(a Access, dst []addr.BlockNum) []addr.BlockNum {
-	if !a.Miss {
-		return dst
-	}
 	out := p.Peek(a, dst)
 	if len(out) > len(dst) {
 		p.issues++
@@ -123,11 +120,11 @@ func (p *Accel) IssueTo(a Access, dst []addr.BlockNum) []addr.BlockNum {
 	return out
 }
 
-// Peek implements Component: extrapolate the accelerating sequence from the
-// trigger offset without mutating the table.
+// Peek implements Component: on a miss, extrapolate the accelerating
+// sequence from the trigger offset without mutating the table.
 func (p *Accel) Peek(a Access, dst []addr.BlockNum) []addr.BlockNum {
 	e := p.slot(a.Page())
-	if !e.valid || e.page != a.Page() || !e.primed || e.conf < p.cfg.MinConf {
+	if !a.Miss || !e.valid || e.page != a.Page() || !e.primed || e.conf < p.cfg.MinConf {
 		return dst
 	}
 	d := e.delta + e.accel

@@ -186,9 +186,6 @@ func (m *Markov) Issue(a Access) []addr.BlockNum {
 
 // IssueTo implements BufferedIssuer.
 func (m *Markov) IssueTo(a Access, dst []addr.BlockNum) []addr.BlockNum {
-	if !a.Miss {
-		return dst
-	}
 	out := m.Peek(a, dst)
 	if len(out) > len(dst) {
 		m.issues++
@@ -196,12 +193,12 @@ func (m *Markov) IssueTo(a Access, dst []addr.BlockNum) []addr.BlockNum {
 	return out
 }
 
-// Peek implements Component: walk the pattern table from the page's current
-// signature, chaining up to Degree confident transitions, without touching
-// any state.
+// Peek implements Component: on a miss, walk the pattern table from the
+// page's current signature, chaining up to Degree confident transitions,
+// without touching any state.
 func (m *Markov) Peek(a Access, dst []addr.BlockNum) []addr.BlockNum {
 	t := m.tracker(a.Page())
-	if !t.valid || t.page != a.Page() || t.primed < m.cfg.History {
+	if !a.Miss || !t.valid || t.page != a.Page() || t.primed < m.cfg.History {
 		return dst
 	}
 	page := a.Page()

@@ -58,6 +58,10 @@ type BufferedIssuer interface {
 // calls it on every component for every trigger (shadow evaluation) to
 // score the meta-predictor's trust counters. Implementations should treat
 // dst as scratch owned by the caller and never retain it.
+//
+// Peek(a) must equal what Issue(a) would return at the same point: the
+// tournament relies on it and never re-peeks a component whose Issue just
+// came back empty on the same trigger.
 type Component interface {
 	Prefetcher
 	Peek(a Access, dst []addr.BlockNum) []addr.BlockNum

@@ -292,13 +292,18 @@ func (t *Tournament) IssueTo(a Access, dst []addr.BlockNum) []addr.BlockNum {
 	out := dst[base:]
 
 	// Shadow bookkeeping: what each component would have issued here.
-	// The winner's actual candidates stand in for its Peek.
+	// The winner's actual candidates stand in for its Peek; components
+	// already asked on this trigger (the losing selection, fall-throughs
+	// before the winner) issued nothing, so by contract Peek is empty too.
 	for c := range t.comps {
-		preds := t.scratch[:0]
-		if c == winner {
+		var preds []addr.BlockNum
+		switch {
+		case c == winner:
 			preds = out
-		} else {
-			preds = t.comps[c].Peek(a, preds)
+		case c == selected || winner != selected && (winner < 0 || c < winner):
+			continue
+		default:
+			preds = t.comps[c].Peek(a, t.scratch[:0])
 			t.scratch = preds[:0]
 		}
 		for _, b := range preds {

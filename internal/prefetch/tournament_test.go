@@ -8,22 +8,35 @@ import (
 )
 
 // fixed is a test component that always predicts the same in-segment offsets
-// for any miss in its page set (nil = any page).
+// for any miss. It also counts Peeks, and the Peeks that follow an empty
+// Issue on the same trigger (Train starts a new trigger).
 type fixed struct {
-	name  string
-	offs  []int
-	mute  bool // predict nothing at all
-	train int  // Train call count (checks all-components training)
+	name      string
+	offs      []int
+	mute      bool // predict nothing at all
+	train     int  // Train call count (checks all-components training)
+	empty     bool // the last Issue since Train returned nothing
+	peeks     int
+	redundant int // Peeks after an empty Issue on the same trigger
 }
 
 func (f *fixed) Name() string     { return f.name }
-func (f *fixed) Train(Access)     { f.train++ }
+func (f *fixed) Train(Access)     { f.train++; f.empty = false }
 func (f *fixed) StorageBits() int { return 0 }
 func (f *fixed) Reset()           { f.train = 0 }
 func (f *fixed) Issue(a Access) []addr.BlockNum {
-	return f.Peek(a, nil)
+	out := f.predict(a, nil)
+	f.empty = len(out) == 0
+	return out
 }
 func (f *fixed) Peek(a Access, dst []addr.BlockNum) []addr.BlockNum {
+	f.peeks++
+	if f.empty {
+		f.redundant++
+	}
+	return f.predict(a, dst)
+}
+func (f *fixed) predict(a Access, dst []addr.BlockNum) []addr.BlockNum {
 	if !a.Miss || f.mute {
 		return dst
 	}
@@ -232,6 +245,43 @@ func TestTournamentPeekPure(t *testing.T) {
 	}
 	if ia, ib := a.IssuesByComponent(), b.IssuesByComponent(); ia["b"] != ib["b"] {
 		t.Fatalf("Peek counted as issue: %v vs %v", ia, ib)
+	}
+}
+
+// TestTournamentSkipsPeekAfterEmptyIssue: a component the tournament already
+// asked to issue on this trigger, and that returned nothing, is not peeked
+// again — whether it was the selected component, a fall-through component
+// tried before the winner, or one of many that all came back empty. The
+// components the trigger never reached are still peeked for their shadow
+// filters.
+func TestTournamentSkipsPeekAfterEmptyIssue(t *testing.T) {
+	comps := []*fixed{
+		{name: "a", mute: true}, {name: "b", mute: true}, {name: "c", offs: []int{5}},
+		{name: "d", mute: true}, {name: "e", offs: []int{9}},
+	}
+	mute := []*fixed{{name: "x", mute: true}, {name: "y", mute: true}}
+	tours := []*Tournament{
+		NewTournament(TournamentConfig{}, comps[0], comps[1], comps[2], comps[3], comps[4]),
+		NewTournament(TournamentConfig{}, mute[0], mute[1]),
+	}
+	for _, tour := range tours {
+		// Pages 0, 64, ... lead components 0, 1, ... in turn; the rest are
+		// follower regions, where the meta-predictor picks.
+		for p := addr.PageNum(0); p < 64*40; p += 16 {
+			a := missAt(p, 1)
+			tour.Train(a)
+			tour.Issue(a)
+		}
+	}
+	for _, c := range append(comps, mute...) {
+		if c.redundant != 0 {
+			t.Errorf("component %s: %d Peeks after its empty Issue on the same trigger", c.name, c.redundant)
+		}
+	}
+	// d and e sit after the usual winner c in the priority order, so the
+	// fall-through never asks them and the shadow pass must peek them.
+	if comps[3].peeks == 0 || comps[4].peeks == 0 {
+		t.Fatalf("untried components not peeked: d=%d e=%d", comps[3].peeks, comps[4].peeks)
 	}
 }
 
