@@ -148,7 +148,9 @@ func TestRepoDocsClean(t *testing.T) {
 	if problems := checkMarkdown(files); len(problems) > 0 {
 		t.Errorf("markdown problems:\n%s", strings.Join(problems, "\n"))
 	}
-	for _, pkg := range []string{"prefetch", "telemetry", "sim", "sweepfarm", "experiments"} {
+	for _, pkg := range []string{
+		"prefetch", "telemetry", "sim", "sweepfarm", "experiments", "obs", "events", "metrics",
+	} {
 		problems, err := checkPkgDocs(filepath.Join(root, "internal", pkg))
 		if err != nil {
 			t.Fatal(err)

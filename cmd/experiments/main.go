@@ -69,7 +69,7 @@ func main() {
 	validate := flag.String("validate-artifact", "", "read and validate the JSON artifact at this path, then exit (CI smoke check)")
 	validateTrace := flag.String("validate-trace", "", "read and validate the Chrome trace-event JSON at this path, then exit (CI smoke check)")
 	validateMetrics := flag.String("validate-metrics", "", "read and validate the Prometheus text exposition at this path (a saved /metrics scrape), then exit (CI smoke check)")
-	debugAddr := flag.String("debug-addr", "", "serve live sweep introspection (progress, expvar, pprof) on this address, e.g. localhost:6060")
+	debugAddr := flag.String("debug-addr", "", "serve live sweep introspection (progress, metrics, pprof) on this address, e.g. localhost:6060")
 	extraPF := flag.String("extra-pf", "", "comma-separated extra prefetchers added to the fig7/csv sweep set, e.g. planaria-tournament (see sim.PrefetcherNames)")
 	repeats := flag.Int("repeats", 1, "seeded repeats per sweep cell; values > 1 run the resumable sweep farm and report mean ± 95% CI (see EXPERIMENTS.md)")
 	gridPath := flag.String("grid", "", "JSON grid spec (apps × prefetchers × variants × repeats) run on the sweep farm; overrides -run")
@@ -157,13 +157,11 @@ func main() {
 		ExtraPrefetchers: extras,
 	}
 	if *debugAddr != "" {
-		counters := &events.RunCounters{}
-		counters.Start()
-		opts.Counters = counters
+		opts.Progress = telemetry.NewRegistry()
 		d, derr := obs.StartDebugServer(*debugAddr, obs.DebugConfig{
-			Counters: counters,
-			Tool:     "experiments",
-			Workload: *run,
+			Telemetry: opts.Progress,
+			Tool:      "experiments",
+			Workload:  *run,
 		})
 		if derr != nil {
 			fail(derr)
@@ -346,7 +344,7 @@ func runFarm(w io.Writer, gridPath string, repeats int, opts experiments.Options
 			SampleEvery: opts.SampleEvery,
 		},
 		ArtifactDir: opts.ArtifactDir,
-		Counters:    opts.Counters,
+		Progress:    opts.Progress,
 		Verbose:     os.Stderr,
 	}
 	res, runErr := runner.Run(ctx)

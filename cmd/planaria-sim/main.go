@@ -67,9 +67,9 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile (runtime/pprof) to this path")
 	traceOut := flag.String("trace-out", "", "record decision events and write a Chrome trace-event JSON (Perfetto-loadable) to this path")
 	attrib := flag.Bool("attrib", false, "record decision events and print the per-prefetcher attribution table")
-	debugAddr := flag.String("debug-addr", "", "serve live run introspection (progress, attribution, metrics, expvar, pprof) on this address, e.g. localhost:6060")
+	debugAddr := flag.String("debug-addr", "", "serve live run introspection (progress, attribution, metrics, pprof) on this address, e.g. localhost:6060")
 	progress := flag.Bool("progress", false, "print a one-line progress report to stderr every second")
-	telemetryOn := flag.Bool("telemetry", false, "enable live metrics instruments (latency histograms, per-component counters); implied by -debug-addr and -progress unless set explicitly; adds the telemetry summary to reports and -json artifacts (docs/OBSERVABILITY.md)")
+	telemetryOn := flag.Bool("telemetry", false, "enable live metrics instruments (latency histograms, per-component counters); implied by -debug-addr and -progress; adds the telemetry summary to reports and -json artifacts (docs/OBSERVABILITY.md)")
 	logLevel := flag.String("log-level", "info", "minimum structured-log level on stderr: debug, info, warn or error")
 	logJSON := flag.Bool("log-json", false, "emit structured logs as JSON lines instead of key=value text")
 	flag.Parse()
@@ -80,15 +80,6 @@ func main() {
 	}
 	logger = telemetry.NewLogger(os.Stderr, level, *logJSON).
 		With("tool", "planaria-sim", "run_id", telemetry.NewRunID())
-
-	// -debug-addr (/metrics) and -progress (live p99) both want the
-	// instruments; an explicit -telemetry flag — either value — wins.
-	enableTelemetry := *telemetryOn || *debugAddr != "" || *progress
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "telemetry" {
-			enableTelemetry = *telemetryOn
-		}
-	})
 
 	// Build the record stream: from a binary trace file (never materialized;
 	// the file's size declares the record count so warmup fractions still
@@ -163,14 +154,10 @@ func main() {
 	} else if *attrib || *debugAddr != "" {
 		cfg.Events = &events.Config{}
 	}
-	var counters *events.RunCounters
-	if *progress || *debugAddr != "" {
-		counters = &events.RunCounters{}
-		counters.SetTotal(int64(records))
-		cfg.Counters = counters
-	}
+	// Run progress is a pair of registry series, so -progress and
+	// -debug-addr always build the registry.
 	var reg *telemetry.Registry
-	if enableTelemetry {
+	if *telemetryOn || *debugAddr != "" || *progress {
 		reg = telemetry.NewRegistry()
 		cfg.Telemetry = reg
 	}
@@ -179,7 +166,6 @@ func main() {
 	var debug *obs.DebugServer
 	if *debugAddr != "" {
 		d, err := obs.StartDebugServer(*debugAddr, obs.DebugConfig{
-			Counters:   counters,
 			Recorder:   eng.Events(),
 			Telemetry:  reg,
 			Tool:       "planaria-sim",
@@ -195,7 +181,7 @@ func main() {
 	}
 	var stopProgress func()
 	if *progress {
-		stopProgress = startProgressPrinter(counters)
+		stopProgress = startProgressPrinter(reg)
 		defer stopProgress()
 	}
 
@@ -300,10 +286,11 @@ func main() {
 }
 
 // startProgressPrinter logs a one-line progress report every second: records
-// done, live req/s and — on telemetry-enabled runs — the live p99 demand read
-// latency from the merged DRAM histogram. The returned stop function is
-// idempotent.
-func startProgressPrinter(c *events.RunCounters) func() {
+// done, live req/s, ETA and the live p99 demand read latency, from the
+// registry's progress view with elapsed time counted from this call. The
+// returned stop function is idempotent.
+func startProgressPrinter(reg *telemetry.Registry) func() {
+	start := time.Now()
 	done := make(chan struct{})
 	finished := make(chan struct{})
 	go func() {
@@ -315,7 +302,7 @@ func startProgressPrinter(c *events.RunCounters) func() {
 			case <-done:
 				return
 			case <-tick.C:
-				p := c.Progress()
+				p := reg.Progress(start)
 				attrs := []any{
 					"records", p.Records,
 					"req_per_s", int64(p.ReqPerSec),

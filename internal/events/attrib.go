@@ -135,16 +135,6 @@ type AttribSnapshot struct {
 	DroppedEvents uint64 `json:"dropped_events"`
 }
 
-// IssuedByOrigin returns the issued count per origin name (the debug
-// endpoint's per-prefetcher issue counters).
-func (s *AttribSnapshot) IssuedByOrigin() map[string]uint64 {
-	out := make(map[string]uint64, len(s.Origins))
-	for _, o := range s.Origins {
-		out[o.Origin] = o.Issued
-	}
-	return out
-}
-
 // UsefulByOrigin returns used+late per origin name — the event-level
 // counterpart of metrics.Report.UsefulByOrigin (which also counts late hits
 // per origin); the two reconcile exactly at end of run.

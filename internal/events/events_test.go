@@ -2,7 +2,6 @@ package events
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/addr"
 )
@@ -99,9 +98,6 @@ func TestRecorderAttribLifecycle(t *testing.T) {
 	if got := snap.UsefulByOrigin(); got["slp"] != 1 || got["tlp"] != 1 {
 		t.Fatalf("UsefulByOrigin = %v (used+late per origin)", got)
 	}
-	if got := snap.IssuedByOrigin(); got["slp"] != 1 || got["tlp"] != 1 {
-		t.Fatalf("IssuedByOrigin = %v", got)
-	}
 
 	// ResetAttrib zeroes everything.
 	r.ResetAttrib()
@@ -166,50 +162,5 @@ func TestOriginFromName(t *testing.T) {
 		if got := OriginFromName(name); got != want {
 			t.Errorf("OriginFromName(%q) = %v, want %v", name, got, want)
 		}
-	}
-}
-
-func TestRunCountersProgress(t *testing.T) {
-	var c RunCounters
-	c.Start()
-	first := c.Progress()
-	c.Start() // idempotent: the original start time sticks
-	c.SetTotal(1000)
-	c.Add(200)
-	c.Add(300)
-	time.Sleep(time.Millisecond)
-	p := c.Progress()
-	if p.Records != 500 || p.Total != 1000 {
-		t.Fatalf("records/total = %d/%d", p.Records, p.Total)
-	}
-	if p.Fraction != 0.5 {
-		t.Fatalf("fraction = %v", p.Fraction)
-	}
-	if p.ElapsedSec <= 0 || p.ElapsedSec < first.ElapsedSec {
-		t.Fatalf("elapsed %v rewound (first %v): Start not idempotent", p.ElapsedSec, first.ElapsedSec)
-	}
-	if p.ReqPerSec <= 0 || p.ETASec <= 0 {
-		t.Fatalf("rates: req/s %v, ETA %v", p.ReqPerSec, p.ETASec)
-	}
-	// Store overwrites (single-owner consumers).
-	c.Store(1000)
-	if p := c.Progress(); p.Records != 1000 || p.ETASec != 0 {
-		t.Fatalf("completed progress %+v", p)
-	}
-}
-
-func TestRunCountersUnknownTotal(t *testing.T) {
-	var c RunCounters
-	c.Add(42)
-	p := c.Progress()
-	if p.Total != 0 || p.Fraction != 0 || p.ETASec != 0 {
-		t.Fatalf("unknown-total progress %+v", p)
-	}
-	if p.Records != 42 {
-		t.Fatalf("records = %d", p.Records)
-	}
-	c.SetTotal(-5)
-	if p := c.Progress(); p.Total != 0 {
-		t.Fatalf("negative total surfaced as %d", p.Total)
 	}
 }

@@ -18,7 +18,6 @@ func RunOneWith(p workloads.Profile, factory func(int) prefetch.Prefetcher, opts
 	cfg.NewPrefetcher = factory
 	cfg.SampleEvery = opts.SampleEvery
 	cfg.SubShards = opts.SubShards
-	cfg.Counters = opts.Counters
 	return runProfile(sim.New(cfg), p, opts)
 }
 

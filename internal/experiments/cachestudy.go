@@ -59,7 +59,6 @@ func CacheStudy(w io.Writer, opts Options, variants []CacheVariant) (map[string]
 			cfg.Cache.Policy = v.Policy
 			cfg.NewPrefetcher = factory
 			cfg.SubShards = opts.SubShards
-			cfg.Counters = opts.Counters
 			rep, err := runProfile(sim.New(cfg), p, opts)
 			if err != nil {
 				return nil, err

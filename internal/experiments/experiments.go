@@ -10,10 +10,10 @@ import (
 	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/events"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/sweepfarm"
+	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
 
@@ -45,11 +45,12 @@ type Options struct {
 	// caller prints.
 	ArtifactDir string
 
-	// Counters, when non-nil, receives additive processed-record progress
-	// from every simulated run — the backing state of cmd/experiments'
-	// -debug-addr endpoint. Safe across the concurrent sweep: the counter
-	// set is atomic and runs only add.
-	Counters *events.RunCounters
+	// Progress, when non-nil, receives job-granular run progress from
+	// every simulated run (telemetry.RunProgress) — the backing state of
+	// cmd/experiments' -debug-addr endpoint. Each run declares its records
+	// before it starts and adds them when it completes; the registry is
+	// never handed to the engines, so reports do not depend on it.
+	Progress *telemetry.Registry
 
 	// ExtraPrefetchers adds named prefetchers (sim.PrefetcherNames) to the
 	// Figure 7 / CSV sweep set beyond EvalPrefetchers — the way to put
@@ -109,10 +110,18 @@ func (o Options) warmup() float64 {
 }
 
 // runProfile drives one app through an engine with the options' warmup
-// window discarded from the statistics. The records stream straight from
-// the workload generator — O(chunk) memory regardless of opts.Requests.
+// window discarded from the statistics, publishing the run on
+// opts.Progress. The records stream straight from the workload generator —
+// O(chunk) memory regardless of opts.Requests.
 func runProfile(eng *sim.Engine, p workloads.Profile, opts Options) (metrics.Report, error) {
-	return eng.Run(context.Background(), p.Stream(opts.requests()), p.Abbr, opts.warmup())
+	n := opts.requests()
+	records, expected := telemetry.RunProgress(opts.Progress)
+	expected.Add(int64(n))
+	rep, err := eng.Run(context.Background(), p.Stream(n), p.Abbr, opts.warmup())
+	if err == nil {
+		records.Add(uint64(n))
+	}
+	return rep, err
 }
 
 // RunOne simulates one app trace under one named prefetcher.
@@ -162,7 +171,7 @@ func Sweep(prefetchers []string, opts Options) (map[string]map[string]metrics.Re
 			SubShards:   opts.SubShards,
 			SampleEvery: opts.SampleEvery,
 		},
-		Counters: opts.Counters,
+		Progress: opts.Progress,
 	}
 	res, runErr := runner.Run(context.Background())
 	if res == nil {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
 
@@ -154,6 +155,24 @@ func TestRunAllPartialOnFig9bFailure(t *testing.T) {
 	}
 	if len(reps) != 10 {
 		t.Fatalf("Fig7 sweep discarded on Fig9b failure: %d apps, want 10", len(reps))
+	}
+}
+
+// TestProgressSweepThenFig9b: a sweep followed by the RunOne-driven Fig9b
+// on one progress registry ends with every processed record declared
+// first — records equal expected, so /progress never passes fraction 1.
+func TestProgressSweepThenFig9b(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	opts := Options{Requests: 2000, SubShards: 1, Progress: reg}
+	if _, err := Sweep(EvalPrefetchers, opts); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Fig9b(io.Discard, opts); err != nil {
+		t.Fatal(err)
+	}
+	records, expected := telemetry.RunProgress(reg)
+	if records.Value() != 100_000 || expected.Value() != 100_000 {
+		t.Fatalf("records %d, expected %d; want 100000 each", records.Value(), expected.Value())
 	}
 }
 

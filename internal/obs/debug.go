@@ -2,20 +2,18 @@ package obs
 
 // This file implements the live introspection endpoint behind the CLIs'
 // -debug-addr flag: a small HTTP server exposing run progress, the live
-// attribution snapshot, expvar-style counters and the net/http/pprof
+// attribution snapshot, the metrics registry and the net/http/pprof
 // profiling handlers while a (possibly hours-long) streamed run is in
 // flight. Everything served here reads atomics or takes point-in-time
 // snapshots, so the simulation hot path is never blocked by a request.
 //
-// The server deliberately avoids the expvar and pprof packages' global
-// DefaultServeMux side effects: counters live in a private expvar.Map and
-// the pprof handlers are registered explicitly on a private mux, so tests
-// (and processes embedding several servers) never hit duplicate-registration
+// The pprof handlers are registered explicitly on a private mux rather than
+// through the pprof package's DefaultServeMux side effect, so tests (and
+// processes embedding several servers) never hit duplicate-registration
 // panics.
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
@@ -29,13 +27,12 @@ import (
 // DebugConfig wires a DebugServer to a run's live state. Any source may
 // be nil: the corresponding endpoints then report "not enabled".
 type DebugConfig struct {
-	// Counters is the run's live progress state (records, req/s, ETA).
-	Counters *events.RunCounters
 	// Recorder is the run's event recorder; its attribution snapshot is
 	// safe to take mid-run.
 	Recorder *events.Recorder
 	// Telemetry is the run's live metrics registry, served in Prometheus
-	// text exposition format at /metrics. Scrape-safe mid-run.
+	// text exposition format at /metrics and as the progress view
+	// (telemetry.Registry.Progress) at /progress. Scrape-safe mid-run.
 	Telemetry *telemetry.Registry
 
 	// Labels echoed on the index page and in /progress.
@@ -48,9 +45,10 @@ type DebugConfig struct {
 // StartDebugServer, stop with Close; both CLIs close it on run end,
 // cancellation and failure alike.
 type DebugServer struct {
-	cfg DebugConfig
-	ln  net.Listener
-	srv *http.Server
+	cfg   DebugConfig
+	ln    net.Listener
+	srv   *http.Server
+	start time.Time // progress elapsed time and rates count from here
 }
 
 // StartDebugServer listens on addr (e.g. "localhost:6060"; an empty port
@@ -61,13 +59,12 @@ func StartDebugServer(addr string, cfg DebugConfig) (*DebugServer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("obs: debug server listen %s: %w", addr, err)
 	}
-	d := &DebugServer{cfg: cfg, ln: ln}
+	d := &DebugServer{cfg: cfg, ln: ln, start: time.Now()}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", d.handleIndex)
 	mux.HandleFunc("/progress", d.handleProgress)
 	mux.HandleFunc("/attrib", d.handleAttrib)
 	mux.HandleFunc("/metrics", d.handleMetrics)
-	mux.Handle("/debug/vars", d.varsHandler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -100,22 +97,21 @@ func (d *DebugServer) handleIndex(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "/progress      run progress (records, req/s, ETA) as JSON")
 	fmt.Fprintln(w, "/attrib        live prefetch-lifecycle attribution snapshot as JSON")
 	fmt.Fprintln(w, "/metrics       live metrics in Prometheus text exposition format")
-	fmt.Fprintln(w, "/debug/vars    expvar counters as JSON")
 	fmt.Fprintln(w, "/debug/pprof/  net/http/pprof profiling handlers")
 }
 
-// handleProgress serves the live progress snapshot.
+// handleProgress serves the progress view of the registry.
 func (d *DebugServer) handleProgress(w http.ResponseWriter, _ *http.Request) {
-	if d.cfg.Counters == nil {
-		http.Error(w, "progress counters not enabled for this run", http.StatusNotFound)
+	if d.cfg.Telemetry == nil {
+		http.Error(w, "telemetry not enabled for this run", http.StatusNotFound)
 		return
 	}
 	writeJSON(w, struct {
 		Tool       string `json:"tool,omitempty"`
 		Workload   string `json:"workload,omitempty"`
 		Prefetcher string `json:"prefetcher,omitempty"`
-		events.Progress
-	}{d.cfg.Tool, d.cfg.Workload, d.cfg.Prefetcher, d.cfg.Counters.Progress()})
+		telemetry.Progress
+	}{d.cfg.Tool, d.cfg.Workload, d.cfg.Prefetcher, d.cfg.Telemetry.Progress(d.start)})
 }
 
 // handleAttrib serves a point-in-time attribution snapshot.
@@ -128,56 +124,15 @@ func (d *DebugServer) handleAttrib(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleMetrics serves the run's registry in the Prometheus text
-// exposition format, appending run-progress families from the live
-// counters when available. Every read is an atomic snapshot, so scraping
-// mid-run never blocks the simulation.
+// exposition format. Every read is an atomic snapshot, so scraping mid-run
+// never blocks the simulation.
 func (d *DebugServer) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	if d.cfg.Telemetry == nil && d.cfg.Counters == nil {
+	if d.cfg.Telemetry == nil {
 		http.Error(w, "telemetry not enabled for this run", http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := telemetry.WritePrometheus(w, d.cfg.Telemetry); err != nil {
-		return // client went away; nothing useful to do
-	}
-	if c := d.cfg.Counters; c != nil {
-		p := c.Progress()
-		fmt.Fprintf(w, "# HELP planaria_run_records_total Trace records processed so far.\n")
-		fmt.Fprintf(w, "# TYPE planaria_run_records_total counter\n")
-		fmt.Fprintf(w, "planaria_run_records_total %d\n", p.Records)
-		fmt.Fprintf(w, "# HELP planaria_run_req_per_s Live processing rate in records per second.\n")
-		fmt.Fprintf(w, "# TYPE planaria_run_req_per_s gauge\n")
-		fmt.Fprintf(w, "planaria_run_req_per_s %g\n", p.ReqPerSec)
-	}
-}
-
-// varsHandler builds the /debug/vars handler over a private expvar.Map (no
-// global expvar registration, so repeated server starts in one process —
-// tests, the experiments sweep — cannot panic on duplicate names).
-func (d *DebugServer) varsHandler() http.Handler {
-	m := new(expvar.Map).Init()
-	if c := d.cfg.Counters; c != nil {
-		m.Set("records", expvar.Func(func() any { return c.Records() }))
-		m.Set("req_per_s", expvar.Func(func() any { return c.Progress().ReqPerSec }))
-	}
-	if r := d.cfg.Recorder; r != nil {
-		m.Set("dropped_events", expvar.Func(func() any { return r.Dropped() }))
-		m.Set("issued_by_origin", expvar.Func(func() any { return r.Attrib().IssuedByOrigin() }))
-		m.Set("useful_by_origin", expvar.Func(func() any { return r.Attrib().UsefulByOrigin() }))
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		fmt.Fprintf(w, "{")
-		first := true
-		m.Do(func(kv expvar.KeyValue) {
-			if !first {
-				fmt.Fprintf(w, ",")
-			}
-			first = false
-			fmt.Fprintf(w, "\n%q: %s", kv.Key, kv.Value)
-		})
-		fmt.Fprintf(w, "\n}\n")
-	})
+	telemetry.WritePrometheus(w, d.cfg.Telemetry) //nolint:errcheck // client went away; nothing useful to do
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

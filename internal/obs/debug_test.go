@@ -8,9 +8,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/addr"
 	"repro/internal/events"
+	"repro/internal/telemetry"
 )
 
 // getBody fetches one endpoint from the server, asserting the status code.
@@ -32,10 +34,10 @@ func getBody(t *testing.T, d *DebugServer, path string, wantStatus int) string {
 }
 
 func TestDebugServerEndpoints(t *testing.T) {
-	counters := &events.RunCounters{}
-	counters.Start()
-	counters.SetTotal(1000)
-	counters.Add(250)
+	reg := telemetry.NewRegistry()
+	records, expected := telemetry.RunProgress(reg)
+	expected.Add(1000)
+	records.Add(250)
 	rec := events.NewRecorder(addr.Channels, 0)
 	b := addr.PageNum(7).Block(0)
 	rec.Channel(0).Emit(events.Event{Kind: events.KindIssue, Block: b, Origin: events.OriginSLP})
@@ -43,7 +45,7 @@ func TestDebugServerEndpoints(t *testing.T) {
 	rec.Channel(0).Emit(events.Event{Kind: events.KindUsed, Block: b, Origin: events.OriginSLP})
 
 	d, err := StartDebugServer("127.0.0.1:0", DebugConfig{
-		Counters: counters, Recorder: rec,
+		Telemetry: reg, Recorder: rec,
 		Tool: "test", Workload: "CFM", Prefetcher: "planaria",
 	})
 	if err != nil {
@@ -52,15 +54,18 @@ func TestDebugServerEndpoints(t *testing.T) {
 	defer d.Close()
 
 	index := getBody(t, d, "/", http.StatusOK)
-	for _, want := range []string{"/progress", "/attrib", "/debug/vars", "/debug/pprof/"} {
+	for _, want := range []string{"/progress", "/attrib", "/metrics", "/debug/pprof/"} {
 		if !strings.Contains(index, want) {
 			t.Errorf("index missing %s", want)
 		}
 	}
+	if strings.Contains(index, "/debug/vars") {
+		t.Error("index still lists /debug/vars")
+	}
 
 	var prog struct {
 		Tool string `json:"tool"`
-		events.Progress
+		telemetry.Progress
 	}
 	if err := json.Unmarshal([]byte(getBody(t, d, "/progress", http.StatusOK)), &prog); err != nil {
 		t.Fatal(err)
@@ -77,16 +82,7 @@ func TestDebugServerEndpoints(t *testing.T) {
 		t.Fatalf("attrib snapshot %+v", snap)
 	}
 
-	var vars map[string]any
-	if err := json.Unmarshal([]byte(getBody(t, d, "/debug/vars", http.StatusOK)), &vars); err != nil {
-		t.Fatal(err)
-	}
-	if vars["records"] != float64(250) {
-		t.Fatalf("vars records = %v", vars["records"])
-	}
-	if _, ok := vars["issued_by_origin"].(map[string]any); !ok {
-		t.Fatalf("vars issued_by_origin = %v", vars["issued_by_origin"])
-	}
+	getBody(t, d, "/debug/vars", http.StatusNotFound)
 
 	if body := getBody(t, d, "/debug/pprof/", http.StatusOK); !strings.Contains(body, "goroutine") {
 		t.Error("pprof index not served")
@@ -101,23 +97,20 @@ func TestDebugServerNilSources(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	getBody(t, d, "/progress", http.StatusNotFound)
-	getBody(t, d, "/attrib", http.StatusNotFound)
-	// /debug/vars still serves, just with no counters registered.
-	if body := getBody(t, d, "/debug/vars", http.StatusOK); !strings.HasPrefix(body, "{") {
-		t.Fatalf("vars body %q", body)
+	for _, path := range []string{"/progress", "/attrib", "/metrics", "/debug/vars"} {
+		getBody(t, d, path, http.StatusNotFound)
 	}
 }
 
 // TestDebugServerLiveRun exercises the real concurrency pattern under -race:
-// channel workers emitting events and advancing counters while HTTP clients
-// snapshot attribution and progress mid-run.
+// channel workers emitting events and advancing the progress series while
+// HTTP clients snapshot attribution, progress and metrics mid-run.
 func TestDebugServerLiveRun(t *testing.T) {
-	counters := &events.RunCounters{}
-	counters.Start()
-	counters.SetTotal(int64(addr.Channels) * 5_000)
+	reg := telemetry.NewRegistry()
+	records, expected := telemetry.RunProgress(reg)
+	expected.Add(int64(addr.Channels) * 5_000)
 	rec := events.NewRecorder(addr.Channels, 64)
-	d, err := StartDebugServer("127.0.0.1:0", DebugConfig{Counters: counters, Recorder: rec, Tool: "live"})
+	d, err := StartDebugServer("127.0.0.1:0", DebugConfig{Telemetry: reg, Recorder: rec, Tool: "live"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,10 +126,10 @@ func TestDebugServerLiveRun(t *testing.T) {
 			for i := 0; i < 5_000; i++ {
 				sink.Emit(events.Event{Kind: events.KindIssue, Cycle: uint64(i), Block: b, Origin: events.OriginTLP})
 				if i%100 == 99 {
-					counters.Add(100)
+					records.Add(100)
 				}
 			}
-			counters.Add(int64(5_000 % 100))
+			records.Add(5_000 % 100)
 		}(ch)
 	}
 	readErr := make(chan error, 1)
@@ -150,7 +143,7 @@ func TestDebugServerLiveRun(t *testing.T) {
 				return
 			default:
 			}
-			for _, path := range []string{"/progress", "/attrib", "/debug/vars"} {
+			for _, path := range []string{"/progress", "/attrib", "/metrics"} {
 				resp, err := http.Get(fmt.Sprintf("http://%s%s", d.Addr(), path))
 				if err != nil {
 					select {
@@ -172,8 +165,8 @@ func TestDebugServerLiveRun(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
-	if got := counters.Records(); got != int64(addr.Channels)*5_000 {
-		t.Fatalf("records = %d", got)
+	if p := reg.Progress(time.Now()); p.Records != int64(addr.Channels)*5_000 || p.Fraction != 1 {
+		t.Fatalf("progress %+v", p)
 	}
 	snap := rec.Attrib()
 	var issued uint64

@@ -6,33 +6,30 @@ package obs
 // exposition.
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
 
-	"repro/internal/events"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
 
-// TestMetricsEndpoint pins the serving contract: a populated registry is
-// exposed in valid Prometheus text format with the run-progress families
-// appended from the counters; a counters-only server still serves the
-// progress families; a server with neither source 404s.
+// TestMetricsEndpoint pins the serving contract: a populated registry,
+// run-progress series included, is exposed in valid Prometheus text format
+// with each family declared once; a server without a registry 404s.
 func TestMetricsEndpoint(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.Counter("test_ops_total", "Operations.").Add(42)
 	reg.Histogram("test_latency_cycles", "Latency.").Record(100)
-	counters := &events.RunCounters{}
-	counters.Start()
-	counters.Add(250)
+	records, expected := telemetry.RunProgress(reg)
+	records.Add(250)
+	expected.Add(1000)
 
-	d, err := StartDebugServer("127.0.0.1:0", DebugConfig{
-		Counters: counters, Telemetry: reg, Tool: "test",
-	})
+	d, err := StartDebugServer("127.0.0.1:0", DebugConfig{Telemetry: reg, Tool: "test"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +51,17 @@ func TestMetricsEndpoint(t *testing.T) {
 		"test_ops_total 42",
 		"test_latency_cycles_count 1",
 		"planaria_run_records_total 250",
-		"planaria_run_req_per_s",
+		"planaria_run_records_expected 1000",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	if n := strings.Count(body, "# TYPE planaria_run_records_total "); n != 1 {
+		t.Errorf("%d TYPE lines for planaria_run_records_total, want 1", n)
+	}
+	if strings.Contains(body, "planaria_run_req_per_s") {
+		t.Error("req/s is rate() of the records counter, not a family")
 	}
 	if err := telemetry.ValidateExposition(strings.NewReader(body)); err != nil {
 		t.Errorf("exposition invalid: %v", err)
@@ -67,24 +70,13 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Error("index missing /metrics")
 	}
 
-	// Counters-only: the progress families alone are still a valid payload.
-	d2, err := StartDebugServer("127.0.0.1:0", DebugConfig{Counters: counters})
+	// No registry: 404, like /progress and /attrib.
+	d2, err := StartDebugServer("127.0.0.1:0", DebugConfig{Tool: "bare"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	body2 := getBody(t, d2, "/metrics", http.StatusOK)
-	if err := telemetry.ValidateExposition(strings.NewReader(body2)); err != nil {
-		t.Errorf("counters-only exposition invalid: %v", err)
-	}
-
-	// Neither source: 404, like /progress and /attrib.
-	d3, err := StartDebugServer("127.0.0.1:0", DebugConfig{Tool: "bare"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d3.Close()
-	getBody(t, d3, "/metrics", http.StatusNotFound)
+	getBody(t, d2, "/metrics", http.StatusNotFound)
 }
 
 // TestMetricsScrapeLiveRun is the mid-run scrape pattern under -race: a
@@ -94,12 +86,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // with WritePrometheus snapshotting them.
 func TestMetricsScrapeLiveRun(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	counters := &events.RunCounters{}
-	counters.Start()
-
-	d, err := StartDebugServer("127.0.0.1:0", DebugConfig{
-		Counters: counters, Telemetry: reg, Tool: "live",
-	})
+	d, err := StartDebugServer("127.0.0.1:0", DebugConfig{Telemetry: reg, Tool: "live"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +94,6 @@ func TestMetricsScrapeLiveRun(t *testing.T) {
 
 	cfg := sim.DefaultConfig()
 	cfg.Telemetry = reg
-	cfg.Counters = counters
 	p := workloads.Catalog()[0]
 	const n = 400_000
 
@@ -145,18 +131,19 @@ func TestMetricsScrapeLiveRun(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
-	if counters.Records() != n {
-		t.Fatalf("run processed %d records, want %d", counters.Records(), n)
+	var progress telemetry.Progress
+	if err := json.Unmarshal([]byte(getBody(t, d, "/progress", http.StatusOK)), &progress); err != nil {
+		t.Fatal(err)
+	}
+	if progress.Records != n || progress.Total != n {
+		t.Fatalf("progress %d/%d records, want %d/%d", progress.Records, progress.Total, n, n)
 	}
 	// The final scrape must reflect the whole run.
 	body := getBody(t, d, "/metrics", http.StatusOK)
 	if !strings.Contains(body, "planaria_demand_reads_total") {
 		t.Error("final scrape missing demand read counters")
 	}
-	if v, ok := reg.Quantile(sim.MetricDRAMDemandReadLatency, 0.99); !ok || v <= 0 {
-		t.Errorf("p99 demand latency = %v, %v; want a positive live reading", v, ok)
-	}
-	if p := counters.Progress(); p.P99DemandLatCycles <= 0 {
-		t.Errorf("progress p99 = %v, want positive (latency source installed by the engine)", p.P99DemandLatCycles)
+	if progress.P99DemandLatCycles <= 0 {
+		t.Errorf("progress p99 = %v, want a positive live reading", progress.P99DemandLatCycles)
 	}
 }

@@ -96,18 +96,15 @@ type Config struct {
 	// tracing on or off. See docs/TRACING.md.
 	Events *events.Config
 
-	// Counters, when non-nil, receives live processed-record counts at
-	// chunk granularity from Run (the serial consumer or the parallel
-	// workers) — the backing state of -progress and -debug-addr.
-	Counters *events.RunCounters
-
 	// Telemetry, when non-nil, enables live production metrics: the
 	// engine registers per-unit atomic counters and log₂-bucketed latency
 	// histograms on the registry (demand mix, prefetch timeliness, DRAM
 	// latency/queue/row-buffer, tournament component wins) and records
-	// into them from the hot paths. The registry is scrape-safe mid-run —
-	// it backs the -debug-addr /metrics handler — and its Summary lands
-	// in the report (Report.Telemetry). Instruments cover the whole run
+	// into them from the hot paths, plus the run-progress series (records
+	// expected and processed, telemetry.RunProgress) at chunk granularity.
+	// The registry is scrape-safe mid-run — it backs the -debug-addr
+	// /metrics and /progress handlers — and its Summary lands in the
+	// report (Report.Telemetry). Instruments cover the whole run
 	// including warmup and are never reset (Prometheus counter
 	// semantics); the report aggregates remain measured-region-only. Nil
 	// disables everything: the hot path then pays one nil check per site,
@@ -293,15 +290,9 @@ type telemetrySetter interface {
 	SetTelemetry(*telemetry.Registry, ...telemetry.Label)
 }
 
-// MetricDRAMDemandReadLatency is the telemetry family name of the DRAM
-// demand-read latency histogram — the distribution behind the progress
-// line's and /progress's live p99. Exported so tools can query
-// Registry.Quantile against the same family the engine records into.
-const MetricDRAMDemandReadLatency = "planaria_dram_demand_read_latency_cycles"
-
 // unitTelemetry is one execution unit's set of engine-level instruments,
 // registered on Config.Telemetry with channel/shard labels so hot-path
-// atomics stay uncontended (the events.RunCounters sharding pattern).
+// atomics stay uncontended.
 // The DRAM controller's instruments are installed separately via
 // dram.Controller.SetTelemetry.
 type unitTelemetry struct {
@@ -349,7 +340,7 @@ func newDRAMTelemetry(reg *telemetry.Registry, ch, shard int) *dram.Telemetry {
 		{Key: "shard", Value: strconv.Itoa(shard)},
 	}
 	return &dram.Telemetry{
-		DemandReadLatency: reg.Histogram(MetricDRAMDemandReadLatency,
+		DemandReadLatency: reg.Histogram(telemetry.MetricDRAMDemandReadLatency,
 			"Total DRAM service latency of demand reads, queueing included.", ls...),
 		QueueDepth: reg.Histogram("planaria_dram_queue_depth",
 			"Controller queue occupancy observed at each enqueue.", ls...),
@@ -377,6 +368,11 @@ type Engine struct {
 	requests uint64
 	sampler  *metrics.Sampler
 	recorder *events.Recorder
+
+	// runRecords and runExpected are the run-progress series, nil unless
+	// Config.Telemetry was set.
+	runRecords  *telemetry.Counter
+	runExpected *telemetry.Gauge
 }
 
 // New builds an engine; it panics on an invalid configuration
@@ -418,6 +414,7 @@ func New(cfg Config) *Engine {
 		shards >>= 1
 	}
 	e := &Engine{cfg: cfg, shards: shards}
+	e.runRecords, e.runExpected = telemetry.RunProgress(cfg.Telemetry)
 	numUnits := addr.Channels * shards
 	if cfg.Events != nil {
 		// One event sink per unit: the recorder treats units as channels,
@@ -473,14 +470,6 @@ func New(cfg Config) *Engine {
 	if cfg.SampleEvery > 0 || cfg.SampleEveryCycles > 0 {
 		e.sampler = metrics.NewSampler(cfg.SampleEvery, cfg.SampleEveryCycles)
 	}
-	if cfg.Counters != nil && cfg.Telemetry != nil {
-		// Progress snapshots (the -progress printer, /progress) gain the
-		// live p99 demand latency from the merged telemetry histogram.
-		reg := cfg.Telemetry
-		cfg.Counters.SetLatencySource(func() (float64, bool) {
-			return reg.Quantile(MetricDRAMDemandReadLatency, 0.99)
-		})
-	}
 	return e
 }
 
@@ -532,10 +521,6 @@ func (e *Engine) Channel(ch int) prefetch.Prefetcher { return e.units[ch*e.shard
 // Consumers read rings only after a run has returned; the attribution
 // snapshot is safe to take live.
 func (e *Engine) Events() *events.Recorder { return e.recorder }
-
-// Counters returns the live progress counters, nil unless Config.Counters
-// was set.
-func (e *Engine) Counters() *events.RunCounters { return e.cfg.Counters }
 
 // Telemetry returns the live metrics registry, nil unless Config.Telemetry
 // was set. The registry is scrape-safe mid-run from any goroutine.

@@ -173,38 +173,6 @@ func TestLateByOriginUntracedMatchesTraced(t *testing.T) {
 	}
 }
 
-// TestEngineCountersProgress: both run paths advance the shared progress
-// counters to exactly the record count, and sequential runs accumulate.
-func TestEngineCountersProgress(t *testing.T) {
-	p := workloads.Catalog()[0]
-	const n = 20_000
-	tr := p.Generate(n)
-	for _, par := range []bool{false, true} {
-		var c events.RunCounters
-		factory, _ := NamedPrefetcher("planaria")
-		cfg := DefaultConfig()
-		cfg.NewPrefetcher = factory
-		cfg.ParallelChannels = par
-		cfg.Counters = &c
-		eng := New(cfg)
-		if _, err := eng.RunStream(tr.Stream(), p.Abbr); err != nil {
-			t.Fatal(err)
-		}
-		if got := c.Records(); got != n {
-			t.Fatalf("parallel=%v: counters saw %d records, want %d", par, got, n)
-		}
-		// A second run on the same counter set accumulates (the
-		// experiments sweep shares one set across cells).
-		eng2 := New(cfg)
-		if _, err := eng2.RunStream(tr.Stream(), p.Abbr); err != nil {
-			t.Fatal(err)
-		}
-		if got := c.Records(); got != 2*n {
-			t.Fatalf("parallel=%v: sequential runs did not accumulate: %d, want %d", par, got, 2*n)
-		}
-	}
-}
-
 // TestEngineEventsDisabledByDefault: a default config records nothing and
 // exposes a nil recorder.
 func TestEngineEventsDisabledByDefault(t *testing.T) {

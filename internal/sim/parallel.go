@@ -142,10 +142,10 @@ func (e *Engine) runParallelStream(ctx context.Context, s trace.Stream, warmAt i
 						errs[u] = chanErr{err: err, global: at}
 						failed = true
 						trip.Do(func() { close(abort) })
-					} else if c := e.cfg.Counters; c != nil {
+					} else if c := e.runRecords; c != nil {
 						// Chunk-granularity additive progress, like the
 						// serial consumer.
-						c.Add(int64(len(p.buf.recs)))
+						c.Add(uint64(len(p.buf.recs)))
 					}
 				}
 				p.buf.recs = p.buf.recs[:0]

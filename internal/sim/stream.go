@@ -33,21 +33,25 @@ var ErrUnsizedWarmup = errors.New("sim: warmup fraction requires a sized stream 
 // at the boundary, so the report covers the measured region alone. Warmup 0
 // means no warmup; fractions outside [0, 0.9] are clamped. A positive
 // fraction needs a sized stream (ErrUnsizedWarmup otherwise); slice and
-// generator streams always know their length.
+// generator streams always know their length. With Config.Telemetry set, a
+// sized stream's length is added to the expected-records series first.
 //
 // Cancelling ctx stops the engine at the next chunk boundary, tears down
 // every channel worker without leaking goroutines, and returns ctx.Err()
 // with a partial report (Truncated set, FailedAt at the position the
 // consumer had reached).
 func (e *Engine) Run(ctx context.Context, s trace.Stream, workload string, warmup float64) (metrics.Report, error) {
+	n := trace.StreamLen(s)
 	warmAt := int64(-1)
 	if warmup = clampWarmup(warmup); warmup > 0 {
-		n := trace.StreamLen(s)
 		if n < 0 {
 			// Nothing ran: no partial report to salvage.
 			return metrics.Report{}, ErrUnsizedWarmup
 		}
 		warmAt = int64(float64(n) * warmup)
+	}
+	if n >= 0 {
+		e.runExpected.Add(int64(n))
 	}
 	failedAt, err := e.consumeStream(ctx, s, warmAt)
 	rep := e.Finish(workload)
@@ -86,9 +90,6 @@ func clampWarmup(w float64) float64 {
 // simulation errors, the records delivered for stream faults, the stop
 // position for cancellation. It is meaningless when err is nil.
 func (e *Engine) consumeStream(ctx context.Context, s trace.Stream, warmAt int64) (int64, error) {
-	if c := e.cfg.Counters; c != nil {
-		c.Start()
-	}
 	if e.parallelOK() {
 		return e.runParallelStream(ctx, s, warmAt)
 	}
@@ -115,10 +116,10 @@ func (e *Engine) consumeStream(ctx context.Context, s trace.Stream, warmAt int64
 		}
 		// Progress is published at chunk granularity — one atomic add per
 		// ~ChunkSize records keeps -progress and -debug-addr nearly free —
-		// and additively, so sequential runs sharing one counter set (the
-		// experiments CLI) accumulate instead of rewinding.
-		if c := e.cfg.Counters; c != nil {
-			c.Add(global - counted)
+		// and additively, so sequential engines sharing one registry
+		// accumulate instead of rewinding.
+		if c := e.runRecords; c != nil {
+			c.Add(uint64(global - counted))
 			counted = global
 		}
 	}

@@ -5,12 +5,14 @@ package sim
 // exactly with the report aggregates they mirror.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"strings"
 	"testing"
 
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -98,6 +100,10 @@ func TestTelemetryReconcilesWithReport(t *testing.T) {
 			t.Errorf("%s = %d, want %d (report aggregate)", c.family, v, c.want)
 		}
 	}
+	// The run-progress series ride along in the summary.
+	if r, x := sum.Counters[telemetry.MetricRunRecords], sum.Gauges[telemetry.MetricRunRecordsExpected]; r != 80_000 || x != 80_000 {
+		t.Errorf("progress in summary: records %d, expected %d, want 80000 each", r, x)
+	}
 
 	// Every useful (non-late) prefetch has a first-use gap observation: the
 	// engine stamps the fill cycle and the first demand hit reads it back.
@@ -112,11 +118,11 @@ func TestTelemetryReconcilesWithReport(t *testing.T) {
 	}
 	// Demand read latency: one observation per DRAM demand read service;
 	// quantiles must be ordered and live-readable mid- or post-run.
-	lat := sum.Histograms[MetricDRAMDemandReadLatency]
+	lat := sum.Histograms[telemetry.MetricDRAMDemandReadLatency]
 	if lat.Count == 0 || !(lat.P50 <= lat.P90 && lat.P90 <= lat.P99) {
 		t.Errorf("demand latency summary %+v not ordered", lat)
 	}
-	if v, ok := reg.Quantile(MetricDRAMDemandReadLatency, 0.99); !ok || v != lat.P99 {
+	if v, ok := reg.Quantile(telemetry.MetricDRAMDemandReadLatency, 0.99); !ok || v != lat.P99 {
 		t.Errorf("Quantile p99 = %v (%v), want summary's %v", v, ok, lat.P99)
 	}
 
@@ -166,5 +172,52 @@ func TestTelemetryWarmupCoverage(t *testing.T) {
 	if total <= rep.DemandReads {
 		t.Errorf("whole-run demand reads %d not above measured-region %d (warmup must stay counted)",
 			total, rep.DemandReads)
+	}
+}
+
+// TestEngineCountersProgress: both drivers advance the run-progress series
+// to exactly the record count, sequential engines sharing one registry
+// accumulate, and only sized streams declare expected records.
+func TestEngineCountersProgress(t *testing.T) {
+	p := workloads.Catalog()[0]
+	const n = 20_000
+	tr := p.Generate(n)
+	var bin bytes.Buffer
+	if err := trace.WriteAll(&bin, tr); err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []bool{false, true} {
+		reg := telemetry.NewRegistry()
+		records, expected := telemetry.RunProgress(reg)
+		cfg := DefaultConfig()
+		cfg.ParallelChannels = par
+		cfg.Telemetry = reg
+		if _, err := New(cfg).RunStream(tr.Stream(), p.Abbr); err != nil {
+			t.Fatal(err)
+		}
+		if got := records.Value(); got != n {
+			t.Fatalf("parallel=%v: %d records, want %d", par, got, n)
+		}
+		// A second engine on the same registry accumulates.
+		if _, err := New(cfg).RunStream(tr.Stream(), p.Abbr); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := records.Value(), uint64(2*n); got != want {
+			t.Fatalf("parallel=%v: sequential engines reached %d records, want %d", par, got, want)
+		}
+		if got := expected.Value(); got != 2*n {
+			t.Fatalf("parallel=%v: expected %d records, want %d", par, got, 2*n)
+		}
+		// An unsized stream still counts records but declares none.
+		unsized := trace.NewReader(bytes.NewReader(bin.Bytes())).Stream()
+		if _, err := New(cfg).RunStream(unsized, p.Abbr); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := records.Value(), uint64(3*n); got != want {
+			t.Fatalf("parallel=%v: unsized run left %d records, want %d", par, got, want)
+		}
+		if got := expected.Value(); got != 2*n {
+			t.Fatalf("parallel=%v: unsized run moved expected to %d, want %d", par, got, 2*n)
+		}
 	}
 }

@@ -15,9 +15,9 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/events"
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
 
@@ -330,10 +330,12 @@ type Runner struct {
 	// Workers bounds the pool; 0 means GOMAXPROCS.
 	Workers int
 
-	// Counters, when non-nil, receives additive processed-record progress
-	// from every executed run, with SetTotal primed to the records the
-	// plan still has to simulate (resumed jobs excluded).
-	Counters *events.RunCounters
+	// Progress, when non-nil, receives job-granular run progress
+	// (telemetry.RunProgress): Run declares the records of every planned
+	// job it did not resume, then adds each job's records as it completes.
+	// The registry is never handed to the engines, so reports and
+	// checkpoints stay independent of it.
+	Progress *telemetry.Registry
 
 	// Verbose, when non-nil, receives one line per scheduling decision
 	// (resumed/done/failed per job).
@@ -404,18 +406,11 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	}
 	res.Resumed = len(resumed)
 
-	if r.Counters != nil {
-		var total int64
-		for i, pl := range plan {
-			if _, ok := resumed[i]; !ok {
-				total += int64(pl.job.Config.Requests)
-			}
+	records, expected := telemetry.RunProgress(r.Progress)
+	for i, pl := range plan {
+		if _, ok := resumed[i]; !ok {
+			expected.Add(int64(pl.job.Config.Requests))
 		}
-		// The counter set may be shared across sequential grids/figures
-		// (cmd/experiments -debug-addr), so the expected total extends
-		// whatever has already been processed instead of replacing it —
-		// fraction and ETA stay meaningful mid-RunAll.
-		r.Counters.SetTotal(r.Counters.Records() + total)
 	}
 
 	// The manifest template is built once: git describe is a subprocess
@@ -458,6 +453,7 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 					r.logf("failed %s: %v", pl.job, err)
 					continue
 				}
+				records.Add(uint64(pl.job.Config.Requests))
 				if r.ArtifactDir != "" {
 					if err := r.writeJobArtifact(manTemplate, pl.job, rep, wall); err != nil {
 						errs[i] = fmt.Errorf("cell %s: %w", pl.job, err)
@@ -522,7 +518,6 @@ func (r *Runner) runJob(ctx context.Context, j Job) (metrics.Report, error) {
 	cfg.NewPrefetcher = factory
 	cfg.SampleEvery = j.Config.SampleEvery
 	cfg.SubShards = j.Config.SubShards
-	cfg.Counters = r.Counters
 	return sim.New(cfg).Run(ctx, p.Stream(j.Config.Requests), p.Abbr, j.Config.Warmup)
 }
 

@@ -13,11 +13,12 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
-	"repro/internal/events"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/sweepfarm"
+	"repro/internal/telemetry"
 )
 
 // tiny keeps farm integration tests fast: the statistics machinery does
@@ -231,9 +232,9 @@ func TestRunnerRepeatsAndAggregates(t *testing.T) {
 // TestRunnerInterruptResume is the resume-correctness pin (run under -race
 // in CI): an R=3 grid is cancelled mid-flight after K jobs checkpoint,
 // then a second runner over the same artifact directory executes only the
-// missing jobs (counted both by the scheduler and by RunCounters), and the
-// final grouped CSV is byte-identical to an uninterrupted run of the same
-// grid.
+// missing jobs (counted both by the scheduler and by the run-progress
+// series), and the final grouped CSV is byte-identical to an uninterrupted
+// run of the same grid.
 func TestRunnerInterruptResume(t *testing.T) {
 	grid := tinyGrid(3)
 	const totalJobs = 12
@@ -294,10 +295,10 @@ func TestRunnerInterruptResume(t *testing.T) {
 	}
 
 	// Resume: only the missing jobs may execute, counted by the runner
-	// and cross-checked against the processed-record counters.
-	counters := &events.RunCounters{}
-	counters.Start()
-	second := &sweepfarm.Runner{Grid: grid, Base: tinyConfig(), ArtifactDir: dir, Counters: counters}
+	// and cross-checked against the run-progress series — resumed jobs
+	// count for neither records nor expected.
+	reg := telemetry.NewRegistry()
+	second := &sweepfarm.Runner{Grid: grid, Base: tinyConfig(), ArtifactDir: dir, Progress: reg}
 	secondRes, err := second.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -309,8 +310,9 @@ func TestRunnerInterruptResume(t *testing.T) {
 		t.Fatalf("executed %d jobs on resume, want %d", secondRes.Executed, totalJobs-checkpointed)
 	}
 	wantRecords := int64(secondRes.Executed) * tinyRequests
-	if got := counters.Records(); got != wantRecords {
-		t.Fatalf("counters saw %d records, want %d (only missing cells may run)", got, wantRecords)
+	if p := reg.Progress(time.Now()); p.Records != wantRecords || p.Total != wantRecords {
+		t.Fatalf("progress %d/%d records, want %d/%d (only missing cells may run)",
+			p.Records, p.Total, wantRecords, wantRecords)
 	}
 
 	// The resumed aggregate must be byte-identical to the uninterrupted
