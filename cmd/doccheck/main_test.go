@@ -149,7 +149,9 @@ func TestRepoDocsClean(t *testing.T) {
 		t.Errorf("markdown problems:\n%s", strings.Join(problems, "\n"))
 	}
 	for _, pkg := range []string{
-		"prefetch", "telemetry", "sim", "sweepfarm", "experiments", "obs", "events", "metrics",
+		"addr", "analysis", "bitmap", "cache", "core", "dram", "events", "experiments",
+		"faults", "hashidx", "metrics", "obs", "power", "prefetch", "prefetch/bop",
+		"prefetch/spp", "sim", "sweepfarm", "telemetry", "trace", "workloads",
 	} {
 		problems, err := checkPkgDocs(filepath.Join(root, "internal", pkg))
 		if err != nil {

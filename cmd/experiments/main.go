@@ -324,25 +324,12 @@ func runFarm(w io.Writer, gridPath string, repeats int, opts experiments.Options
 		return err
 	}
 
-	// Mirror Options.warmup's 0→default resolution: the farm's Config holds
-	// the resolved fraction (no sentinel), so equal effective configurations
-	// hash — and resume — equally.
-	warmup := opts.Warmup
-	if warmup == 0 {
-		warmup = 0.2
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	runner := &sweepfarm.Runner{
-		Grid: grid,
-		Base: sweepfarm.Config{
-			Requests:    opts.Requests,
-			Warmup:      warmup,
-			SubShards:   opts.SubShards,
-			SampleEvery: opts.SampleEvery,
-		},
+		Grid:        grid,
+		Base:        opts.FarmConfig(),
 		ArtifactDir: opts.ArtifactDir,
 		Progress:    opts.Progress,
 		Verbose:     os.Stderr,

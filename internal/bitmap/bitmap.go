@@ -186,6 +186,7 @@ type ParseError struct {
 	Pos   int
 }
 
+// Error names the offending position and quotes the input.
 func (e *ParseError) Error() string {
 	return "bitmap: invalid character at position " + strconv.Itoa(e.Pos) + " in " + strconv.Quote(e.Input)
 }

@@ -166,11 +166,11 @@ type Controller struct {
 	// actCount&3 is the one an ACT four ago used, i.e. the next overwrite).
 	// A ring instead of an appended-and-resliced slice keeps noteAct — the
 	// single hottest call site of the controller — allocation-free.
-	actRing     [4]uint64
-	actCount    uint64
-	lastActBank int // bank of the most recent ACT (scheduler hint)
-	lastCASAt     uint64   // last RD/WR issue (tCCD)
-	lastBusyAt    uint64   // completion time of the most recent activity
+	actRing       [4]uint64
+	actCount      uint64
+	lastActBank   int    // bank of the most recent ACT (scheduler hint)
+	lastCASAt     uint64 // last RD/WR issue (tCCD)
+	lastBusyAt    uint64 // completion time of the most recent activity
 	lastWasWrite  bool
 	lastWrDataEnd uint64 // end of last write burst (tWTR/tWR interactions)
 	busFreeAt     uint64 // data bus availability

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
 
@@ -23,8 +22,7 @@ type Options struct {
 	// Warmup is the fraction of each trace run before statistics are
 	// reset (standard trace-simulation warmup; negative disables, zero
 	// selects the default of 0.2).
-	Warmup  float64
-	Verbose bool
+	Warmup float64
 
 	// SubShards splits each channel of every simulated run into this
 	// many address-hashed execution units (sim.Config.SubShards). Zero
@@ -81,10 +79,6 @@ func (o Options) EvalSet() []string {
 	return out
 }
 
-// DefaultOptions returns the default experiment scale: large enough for
-// stable shapes, small enough to run in seconds per app.
-func DefaultOptions() Options { return Options{Requests: 800_000} }
-
 func (o Options) requests() int {
 	if o.Requests <= 0 {
 		return 800_000
@@ -92,21 +86,25 @@ func (o Options) requests() int {
 	return o.Requests
 }
 
+// warmup resolves Warmup: zero selects the 0.2 default, and every other
+// value is clamped as the engine clamps it.
 func (o Options) warmup() float64 {
-	switch {
-	case math.IsNaN(o.Warmup):
-		// NaN compares false against everything, so without this guard it
-		// would fall through every case below and poison the warmup
-		// boundary arithmetic downstream. Treat it like "disabled".
-		return 0
-	case o.Warmup < 0:
-		return 0
-	case o.Warmup == 0:
+	if o.Warmup == 0 {
 		return 0.2
-	case o.Warmup > 0.9:
-		return 0.9
 	}
-	return o.Warmup
+	return sim.ClampWarmup(o.Warmup)
+}
+
+// FarmConfig returns the sweep-farm cell configuration the options resolve
+// to. It holds the resolved warmup fraction, so equal effective options
+// hash, and resume, equally.
+func (o Options) FarmConfig() sweepfarm.Config {
+	return sweepfarm.Config{
+		Requests:    o.requests(),
+		Warmup:      o.warmup(),
+		SubShards:   o.SubShards,
+		SampleEvery: o.SampleEvery,
+	}
 }
 
 // runProfile drives one app through an engine with the options' warmup
@@ -164,13 +162,8 @@ func Sweep(prefetchers []string, opts Options) (map[string]map[string]metrics.Re
 		return map[string]map[string]metrics.Report{}, nil
 	}
 	runner := &sweepfarm.Runner{
-		Grid: sweepfarm.Grid{Prefetchers: uniq},
-		Base: sweepfarm.Config{
-			Requests:    opts.requests(),
-			Warmup:      opts.warmup(),
-			SubShards:   opts.SubShards,
-			SampleEvery: opts.SampleEvery,
-		},
+		Grid:     sweepfarm.Grid{Prefetchers: uniq},
+		Base:     opts.FarmConfig(),
 		Progress: opts.Progress,
 	}
 	res, runErr := runner.Run(context.Background())

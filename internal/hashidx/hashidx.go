@@ -1,14 +1,14 @@
 // Package hashidx provides a small open-addressing uint64 → int32 index
 // with deterministic, allocation-free steady-state behaviour.
 //
-// The simulator's hot paths (the SLP filter/accumulation table indices, the
-// TLP recent-page-table index, the prefetch queue's in-flight set) need an
-// O(1) key → slot lookup with frequent insert/delete churn. Go's built-in
-// map is unsuitable for the zero-allocation contract: under sustained
-// delete/insert churn it can still allocate overflow buckets long after
-// warm-up, which trips the testing.AllocsPerRun gates. This index uses
-// linear probing with backward-shift deletion (no tombstones), so after the
-// backing arrays reach their high-water size, Put/Get/Delete never allocate.
+// The simulator's hot paths (the SLP filter/accumulation table indices and
+// the TLP recent-page-table index) need an O(1) key → slot lookup with
+// frequent insert/delete churn. Go's built-in map is unsuitable for the
+// zero-allocation contract: under sustained delete/insert churn it can
+// still allocate overflow buckets long after warm-up, which trips the
+// testing.AllocsPerRun gates. This index uses linear probing with
+// backward-shift deletion (no tombstones), so after the backing arrays
+// reach their high-water size, Put/Get/Delete never allocate.
 package hashidx
 
 // U64 maps uint64 keys to int32 values. The zero value is not usable; build

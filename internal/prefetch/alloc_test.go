@@ -8,9 +8,9 @@ import (
 
 // Steady-state allocation gates for the baseline components and the
 // tournament: once warm, Train and IssueTo (with a reused buffer) allocate
-// nothing. Strict zero — the queue's in-flight set, the tournament's
-// shadow filters and every component table are fixed-footprint, so any
-// allocation here is a regression.
+// nothing. Strict zero — the tournament's shadow filters and every
+// component table are fixed-footprint, so any allocation here is a
+// regression.
 
 // churnComp drives c through a deterministic access mix (strided pages
 // with repeats, so stride/markov/accel all lock on) reusing dst.
@@ -49,25 +49,5 @@ func TestComponentSteadyStateAllocs(t *testing.T) {
 		if avg := testing.AllocsPerRun(20, func() { dst = churnComp(c, 1, dst) }); avg != 0 {
 			t.Errorf("%s: %.1f allocs per warm round, want 0", name, avg)
 		}
-	}
-}
-
-// TestQueueSteadyStateAllocs pins the prefetch queue's fixed footprint:
-// push/pop/complete churn far past the capacity allocates nothing once the
-// ring and the in-flight index are built.
-func TestQueueSteadyStateAllocs(t *testing.T) {
-	q := NewQueue(64)
-	blk := func(i int) addr.BlockNum { return addr.PageNum(uint64(i % 97)).Block(i % 64) }
-	churn := func() {
-		for i := 0; i < 500; i++ {
-			q.Push(blk(i), false)
-			if b, ok := q.Pop(); ok {
-				q.Complete(b)
-			}
-		}
-	}
-	churn()
-	if avg := testing.AllocsPerRun(20, churn); avg != 0 {
-		t.Errorf("queue churn: %.1f allocs per round, want 0", avg)
 	}
 }

@@ -1,7 +1,6 @@
 // Package prefetch defines the prefetcher abstraction shared by Planaria and
-// the baseline prefetchers, the bounded prefetch queue that feeds the DRAM
-// controllers, and the tournament layer that arbitrates between multiple
-// prefetcher components with a learned meta-predictor.
+// the baseline prefetchers, and the tournament layer that arbitrates between
+// multiple prefetcher components with a learned meta-predictor.
 //
 // # Components
 //

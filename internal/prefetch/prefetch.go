@@ -1,9 +1,6 @@
 package prefetch
 
-import (
-	"repro/internal/addr"
-	"repro/internal/hashidx"
-)
+import "repro/internal/addr"
 
 // Access is one demand access as seen at the system-cache level. There is
 // deliberately no program counter: the paper's setting is the memory side,
@@ -85,101 +82,11 @@ func (None) StorageBits() int { return 0 }
 // Reset implements Prefetcher.
 func (None) Reset() {}
 
-// Stats counts queue-level prefetch events for one channel.
+// Stats counts one execution unit's prefetch candidates by outcome; every
+// candidate lands in exactly one of Filtered, Issued and Dropped.
 type Stats struct {
 	Candidates uint64 `json:"candidates"` // blocks proposed by the prefetcher
-	Filtered   uint64 `json:"filtered"`   // dropped: already resident or in flight
-	Issued     uint64 `json:"issued"`     // entered the prefetch queue
-	Dropped    uint64 `json:"dropped"`    // queue full
-}
-
-// Queue is the bounded prefetch queue between a prefetcher and a DRAM
-// channel (Figure 1: "the generated prefetch requests are inserted into the
-// prefetch queue"). It deduplicates in-flight targets. The pending entries
-// live in a fixed ring and the in-flight set is an open-addressing index,
-// so steady-state Push/Pop/Complete never allocate (the old slice-reslice
-// pop and map-backed set dominated the engine's allocation profile).
-type Queue struct {
-	capLimit int
-	ring     []addr.BlockNum // fixed ring of capLimit slots
-	head     int             // index of the oldest queued target
-	count    int             // queued (not yet popped) targets
-	inflight *hashidx.U64    // queued + popped-but-not-Completed targets
-	stats    Stats
-}
-
-// NewQueue builds a queue with the given capacity (≤0 means a default of 32).
-func NewQueue(capacity int) *Queue {
-	if capacity <= 0 {
-		capacity = 32
-	}
-	return &Queue{
-		capLimit: capacity,
-		ring:     make([]addr.BlockNum, capacity),
-		inflight: hashidx.New(2 * capacity),
-	}
-}
-
-// Stats returns a snapshot of the queue statistics.
-func (q *Queue) Stats() Stats { return q.stats }
-
-// ResetStats zeroes the counters without touching queue contents (used to
-// discard warmup).
-func (q *Queue) ResetStats() { q.stats = Stats{} }
-
-// Len returns the number of queued (not yet popped) targets.
-func (q *Queue) Len() int { return q.count }
-
-// Push offers a candidate. resident reports whether the block is already in
-// the cache (the engine passes a closure over the channel's cache slice).
-// It returns true when the candidate was queued.
-func (q *Queue) Push(b addr.BlockNum, resident bool) bool {
-	q.stats.Candidates++
-	if resident {
-		q.stats.Filtered++
-		return false
-	}
-	if _, ok := q.inflight.Get(uint64(b)); ok {
-		q.stats.Filtered++
-		return false
-	}
-	if q.count >= q.capLimit {
-		q.stats.Dropped++
-		return false
-	}
-	q.ring[(q.head+q.count)%q.capLimit] = b
-	q.count++
-	q.inflight.Put(uint64(b), 0)
-	q.stats.Issued++
-	return true
-}
-
-// Reject records a candidate refused before reaching the queue (e.g. the
-// per-trigger insert bandwidth limit).
-func (q *Queue) Reject() {
-	q.stats.Candidates++
-	q.stats.Dropped++
-}
-
-// Pop removes and returns the oldest queued target.
-func (q *Queue) Pop() (addr.BlockNum, bool) {
-	if q.count == 0 {
-		return 0, false
-	}
-	b := q.ring[q.head]
-	q.head = (q.head + 1) % q.capLimit
-	q.count--
-	return b, true
-}
-
-// Complete marks a previously popped target as filled into the cache,
-// releasing its in-flight slot.
-func (q *Queue) Complete(b addr.BlockNum) {
-	q.inflight.Delete(uint64(b))
-}
-
-// InFlight reports whether b is queued or outstanding.
-func (q *Queue) InFlight(b addr.BlockNum) bool {
-	_, ok := q.inflight.Get(uint64(b))
-	return ok
+	Filtered   uint64 `json:"filtered"`   // resident, in flight, or proposed earlier in the trigger
+	Issued     uint64 `json:"issued"`     // sent to DRAM
+	Dropped    uint64 `json:"dropped"`    // another unit's block, or the trigger's limit reached
 }

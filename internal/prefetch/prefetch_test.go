@@ -18,80 +18,6 @@ func TestNoneBaseline(t *testing.T) {
 	p.Reset()
 }
 
-func TestQueuePushPop(t *testing.T) {
-	q := NewQueue(2)
-	b1, b2, b3 := addr.BlockNum(1), addr.BlockNum(2), addr.BlockNum(3)
-	if !q.Push(b1, false) || !q.Push(b2, false) {
-		t.Fatal("pushes into empty queue failed")
-	}
-	if q.Push(b3, false) {
-		t.Fatal("push into full queue succeeded")
-	}
-	if q.Stats().Dropped != 1 {
-		t.Fatalf("Dropped = %d", q.Stats().Dropped)
-	}
-	got, ok := q.Pop()
-	if !ok || got != b1 {
-		t.Fatalf("Pop = %v, %v", got, ok)
-	}
-	if q.Len() != 1 {
-		t.Fatalf("Len = %d", q.Len())
-	}
-}
-
-func TestQueueFiltersResident(t *testing.T) {
-	q := NewQueue(4)
-	if q.Push(addr.BlockNum(9), true) {
-		t.Fatal("resident block queued")
-	}
-	s := q.Stats()
-	if s.Filtered != 1 || s.Issued != 0 {
-		t.Fatalf("stats %+v", s)
-	}
-}
-
-func TestQueueDedupInFlight(t *testing.T) {
-	q := NewQueue(4)
-	b := addr.BlockNum(5)
-	if !q.Push(b, false) {
-		t.Fatal("first push failed")
-	}
-	if q.Push(b, false) {
-		t.Fatal("duplicate queued")
-	}
-	// Still in flight after Pop (outstanding at DRAM).
-	q.Pop()
-	if q.Push(b, false) {
-		t.Fatal("outstanding duplicate queued")
-	}
-	if !q.InFlight(b) {
-		t.Fatal("InFlight lost the block")
-	}
-	// After completion the block may be prefetched again.
-	q.Complete(b)
-	if !q.Push(b, false) {
-		t.Fatal("push after Complete failed")
-	}
-}
-
-func TestQueueDefaultCapacity(t *testing.T) {
-	q := NewQueue(0)
-	n := 0
-	for i := 0; q.Push(addr.BlockNum(i), false); i++ {
-		n++
-	}
-	if n != 32 {
-		t.Fatalf("default capacity = %d, want 32", n)
-	}
-}
-
-func TestQueuePopEmpty(t *testing.T) {
-	q := NewQueue(1)
-	if _, ok := q.Pop(); ok {
-		t.Fatal("Pop on empty queue returned ok")
-	}
-}
-
 func TestNextLine(t *testing.T) {
 	p := NewNextLine(2)
 	page := addr.PageNum(10)

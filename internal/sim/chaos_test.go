@@ -324,8 +324,8 @@ func TestClampWarmup(t *testing.T) {
 		{-inf, 0},
 	}
 	for _, c := range cases {
-		if got := clampWarmup(c.in); got != c.want {
-			t.Errorf("clampWarmup(%v) = %v, want %v", c.in, got, c.want)
+		if got := ClampWarmup(c.in); got != c.want {
+			t.Errorf("ClampWarmup(%v) = %v, want %v", c.in, got, c.want)
 		}
 	}
 	// End to end: a NaN warmup on a sized stream must behave exactly like

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 
 	"repro/internal/addr"
@@ -19,6 +20,13 @@ import (
 	"repro/internal/trace"
 )
 
+// prefetchQueueCap is the depth of each unit's prefetch queue (Figure 1:
+// "the generated prefetch requests are inserted into the prefetch queue").
+// The engine sends a trigger's prefetches to DRAM within that trigger, so
+// the depth bounds only how many one trigger may issue; it binds when
+// Config.MaxPerTrigger exceeds it.
+const prefetchQueueCap = 64
+
 // Config parameterises one simulation run.
 type Config struct {
 	Cache        cache.Config // per-channel SC slice
@@ -31,10 +39,9 @@ type Config struct {
 	NewPrefetcher func(channel int) prefetch.Prefetcher
 
 	// MaxPerTrigger clamps the number of prefetches accepted per demand
-	// trigger (hardware prefetch queue insert bandwidth).
+	// trigger (hardware prefetch queue insert bandwidth); the 64-entry
+	// prefetch queue caps it.
 	MaxPerTrigger int
-	// QueueCapacity bounds each channel's prefetch queue.
-	QueueCapacity int
 	// PrefetchLatency is the delay before a prefetched block becomes
 	// usable in the SC (queue + DRAM service). A demand arriving earlier
 	// sees a "late prefetch": it waits out the remaining time instead of
@@ -42,12 +49,6 @@ type Config struct {
 	// shallow delta prefetchers would enjoy zero-lead-time coverage they
 	// cannot have in hardware.
 	PrefetchLatency uint64
-	// ThrottleOutstanding caps the number of in-flight prefetches per
-	// channel; candidates beyond the cap are rejected. Zero disables the
-	// throttle. This is the utilization-aware extension: it bounds the
-	// DRAM bandwidth any prefetcher can consume, a natural hardening for
-	// the paper's power-constrained setting.
-	ThrottleOutstanding int
 
 	// ParallelChannels selects the unit-sharded driver: Run partitions the
 	// stream by execution unit (channel × sub-shard) and drives each unit
@@ -123,54 +124,49 @@ func DefaultConfig() Config {
 		SCHitLatency:     30,
 		NewPrefetcher:    func(int) prefetch.Prefetcher { return prefetch.None{} },
 		MaxPerTrigger:    16,
-		QueueCapacity:    64,
 		PrefetchLatency:  110,
 		ParallelChannels: true,
 	}
 }
 
-// NamedPrefetcher returns a prefetcher factory for the given name:
-// "none", "nextline", "stride", "markov", "accel", "bop", "spp",
-// "planaria", "planaria-slp", "planaria-tlp", "planaria-serial",
-// "planaria-parallel", "planaria-tournament".
+// prefetchers is the registry behind NamedPrefetcher and PrefetcherNames.
+var prefetchers = []struct {
+	name    string
+	factory func(int) prefetch.Prefetcher
+}{
+	{"none", func(int) prefetch.Prefetcher { return prefetch.None{} }},
+	{"nextline", func(int) prefetch.Prefetcher { return prefetch.NewNextLine(2) }},
+	{"stride", func(int) prefetch.Prefetcher { return prefetch.NewStride(256, 2) }},
+	{"markov", func(int) prefetch.Prefetcher { return prefetch.NewMarkov(prefetch.DefaultMarkovConfig()) }},
+	{"accel", func(int) prefetch.Prefetcher { return prefetch.NewAccel(prefetch.DefaultAccelConfig()) }},
+	{"bop", func(int) prefetch.Prefetcher { return bop.New(bop.DefaultConfig()) }},
+	{"spp", func(int) prefetch.Prefetcher { return spp.New(spp.DefaultConfig()) }},
+	{"spp-ghr", func(int) prefetch.Prefetcher { return spp.NewGHR(spp.DefaultConfig()) }},
+	{"planaria", func(int) prefetch.Prefetcher { return core.New(core.DefaultConfig()) }},
+	{"planaria-slp", planariaVariant(func(c *core.Config) { c.DisableTLP = true })},
+	{"planaria-tlp", planariaVariant(func(c *core.Config) { c.DisableSLP = true })},
+	{"planaria-serial", planariaVariant(func(c *core.Config) { c.Mode = core.Serial })},
+	{"planaria-parallel", planariaVariant(func(c *core.Config) { c.Mode = core.Parallel })},
+	{"planaria-tournament", TournamentPrefetcher()},
+}
+
+// planariaVariant returns a factory for the Planaria composite built from
+// core.DefaultConfig as edited by set.
+func planariaVariant(set func(*core.Config)) func(int) prefetch.Prefetcher {
+	return func(int) prefetch.Prefetcher {
+		cfg := core.DefaultConfig()
+		set(&cfg)
+		return core.New(cfg)
+	}
+}
+
+// NamedPrefetcher returns the prefetcher factory registered under name; see
+// PrefetcherNames for the names.
 func NamedPrefetcher(name string) (func(int) prefetch.Prefetcher, error) {
-	switch name {
-	case "none":
-		return func(int) prefetch.Prefetcher { return prefetch.None{} }, nil
-	case "nextline":
-		return func(int) prefetch.Prefetcher { return prefetch.NewNextLine(2) }, nil
-	case "stride":
-		return func(int) prefetch.Prefetcher { return prefetch.NewStride(256, 2) }, nil
-	case "bop":
-		return func(int) prefetch.Prefetcher { return bop.New(bop.DefaultConfig()) }, nil
-	case "spp":
-		return func(int) prefetch.Prefetcher { return spp.New(spp.DefaultConfig()) }, nil
-	case "spp-ghr":
-		return func(int) prefetch.Prefetcher { return spp.NewGHR(spp.DefaultConfig()) }, nil
-	case "planaria":
-		return func(int) prefetch.Prefetcher { return core.New(core.DefaultConfig()) }, nil
-	case "planaria-slp":
-		cfg := core.DefaultConfig()
-		cfg.DisableTLP = true
-		return func(int) prefetch.Prefetcher { return core.New(cfg) }, nil
-	case "planaria-tlp":
-		cfg := core.DefaultConfig()
-		cfg.DisableSLP = true
-		return func(int) prefetch.Prefetcher { return core.New(cfg) }, nil
-	case "planaria-serial":
-		cfg := core.DefaultConfig()
-		cfg.Mode = core.Serial
-		return func(int) prefetch.Prefetcher { return core.New(cfg) }, nil
-	case "planaria-parallel":
-		cfg := core.DefaultConfig()
-		cfg.Mode = core.Parallel
-		return func(int) prefetch.Prefetcher { return core.New(cfg) }, nil
-	case "markov":
-		return func(int) prefetch.Prefetcher { return prefetch.NewMarkov(prefetch.DefaultMarkovConfig()) }, nil
-	case "accel":
-		return func(int) prefetch.Prefetcher { return prefetch.NewAccel(prefetch.DefaultAccelConfig()) }, nil
-	case "planaria-tournament":
-		return TournamentPrefetcher(), nil
+	for _, p := range prefetchers {
+		if p.name == name {
+			return p.factory, nil
+		}
 	}
 	return nil, fmt.Errorf("sim: unknown prefetcher %q", name)
 }
@@ -193,13 +189,14 @@ func TournamentPrefetcher() func(int) prefetch.Prefetcher {
 	}
 }
 
-// PrefetcherNames lists the names accepted by NamedPrefetcher.
+// PrefetcherNames lists the names accepted by NamedPrefetcher, in registry
+// order (the order the CLI help prints).
 func PrefetcherNames() []string {
-	return []string{
-		"none", "nextline", "stride", "markov", "accel", "bop", "spp", "spp-ghr",
-		"planaria", "planaria-slp", "planaria-tlp",
-		"planaria-serial", "planaria-parallel", "planaria-tournament",
+	names := make([]string, len(prefetchers))
+	for i, p := range prefetchers {
+		names[i] = p.name
 	}
+	return names
 }
 
 // channelState is the complete state of one execution unit — a channel's
@@ -212,7 +209,6 @@ type channelState struct {
 	cache *cache.Cache
 	dram  *dram.Controller
 	pf    prefetch.Prefetcher
-	queue *prefetch.Queue
 
 	// unit is this state's index in Engine.units; shards is the per-channel
 	// sub-shard count. Together they let step reject prefetch candidates
@@ -230,6 +226,12 @@ type channelState struct {
 	// single allocation this way.
 	issuer prefetch.BufferedIssuer
 	cands  []addr.BlockNum
+
+	// kept holds the candidates one trigger issues (the prefetch queue,
+	// allocated once at its full depth), and pstats counts this unit's
+	// candidates by outcome.
+	kept   []addr.BlockNum
+	pstats prefetch.Stats
 
 	// In-flight prefetches, FIFO by readiness (constant latency).
 	pending pendingRing
@@ -387,9 +389,6 @@ func New(cfg Config) *Engine {
 	if cfg.MaxPerTrigger <= 0 {
 		cfg.MaxPerTrigger = 16
 	}
-	if cfg.QueueCapacity <= 0 {
-		cfg.QueueCapacity = 64
-	}
 	if cfg.Cache.SizeBytes == 0 {
 		cfg.Cache = cache.DefaultConfig()
 	}
@@ -434,7 +433,7 @@ func New(cfg Config) *Engine {
 			cache:        cache.New(ccfg),
 			dram:         dram.NewController(cfg.DRAM),
 			pf:           pf,
-			queue:        prefetch.NewQueue(cfg.QueueCapacity),
+			kept:         make([]addr.BlockNum, 0, prefetchQueueCap),
 			unit:         u,
 			shards:       shards,
 			originIDs:    make(map[string]uint8),
@@ -538,7 +537,7 @@ func (e *Engine) ResetStats() {
 	for _, cs := range e.units {
 		cs.cache.ResetStats()
 		cs.dram.ResetStats()
-		cs.queue.ResetStats()
+		cs.pstats = prefetch.Stats{}
 		cs.metaEvents = 0
 		cs.scEvents = 0
 		cs.hitLatency = 0
@@ -631,7 +630,6 @@ func (cs *channelState) commitPending(now uint64) error {
 				Origin: cs.evOrigin(p.origin), Flags: fl,
 			})
 		}
-		cs.queue.Complete(p.block)
 		cs.scEvents++
 	}
 	return nil
@@ -794,37 +792,29 @@ func (cs *channelState) step(rec trace.Record) error {
 		}
 		cs.metaEvents++
 	}
-	issued := 0
+	// Filter pass: count every candidate before any reaches DRAM, so an
+	// enqueue error below leaves the whole trigger counted. A prefetcher
+	// instance may only target its own unit (its channel, and with
+	// sub-sharding its page-group slice of it): foreign targets are dropped,
+	// which defends against buggy custom prefetchers rather than silently
+	// corrupting another unit's cache.
+	cs.kept = cs.kept[:0]
 	for _, c := range cands {
-		if unitIndex(c, cs.shards) != cs.unit {
-			// A prefetcher instance may only target its own unit (its
-			// channel, and with sub-sharding its page-group slice of it);
-			// drop foreign targets (defends against buggy custom
-			// prefetchers rather than silently corrupting another unit's
-			// cache). With shards == 1 this is exactly the old per-channel
-			// ownership check.
-			cs.queue.Reject()
-			continue
+		cs.pstats.Candidates++
+		switch {
+		case unitIndex(c, cs.shards) != cs.unit || len(cs.kept) >= cs.cfg.MaxPerTrigger:
+			cs.pstats.Dropped++
+		case cs.cache.Contains(c) || cs.pending.find(c) != nil || slices.Contains(cs.kept, c):
+			cs.pstats.Filtered++ // resident, in flight, or kept earlier
+		case len(cs.kept) >= prefetchQueueCap:
+			cs.pstats.Dropped++
+		default:
+			cs.kept = append(cs.kept, c)
+			cs.pstats.Issued++
 		}
-		if issued >= cs.cfg.MaxPerTrigger {
-			cs.queue.Reject() // insert bandwidth exhausted this trigger
-			continue
-		}
-		if n := cs.cfg.ThrottleOutstanding; n > 0 && cs.pending.size()+issued >= n {
-			cs.queue.Reject() // outstanding-prefetch throttle engaged
-			continue
-		}
-		if !cs.queue.Push(c, cs.cache.Contains(c)) {
-			continue
-		}
-		issued++
 	}
-	// Drain the queue into DRAM; fills land PrefetchLatency later.
-	for {
-		c, ok := cs.queue.Pop()
-		if !ok {
-			break
-		}
+	// Issue pass, in candidate order; fills land PrefetchLatency later.
+	for _, c := range cs.kept {
 		req := cs.dram.NewRequest()
 		req.Block = c
 		req.Prefetch = true
@@ -914,7 +904,6 @@ func (e *Engine) snapshot(cycle uint64) metrics.Snapshot {
 	for _, cs := range e.units {
 		cstats := cs.cache.Stats()
 		dstats := cs.dram.Stats()
-		qstats := cs.queue.Stats()
 		s.DemandReads += cs.demandReads
 		s.DemandWrites += cs.demandWrites
 		s.DemandHits += cstats.DemandHits
@@ -922,7 +911,7 @@ func (e *Engine) snapshot(cycle uint64) metrics.Snapshot {
 		s.PrefetchFills += cstats.PrefetchFills
 		s.UsefulPrefetches += cstats.UsefulPrefetches
 		s.LatePrefetchHits += cs.lateHits
-		s.Issued += qstats.Issued
+		s.Issued += cs.pstats.Issued
 		s.DRAMReads += dstats.Reads
 		s.DRAMWrites += dstats.Writes
 		s.PrefReads += dstats.PrefReads
@@ -953,13 +942,12 @@ func (e *Engine) Finish(workload string) metrics.Report {
 		cs.dram.Flush()
 		cstats := cs.cache.Stats()
 		dstats := cs.dram.Stats()
-		qstats := cs.queue.Stats()
 
 		rep.DemandReads += cs.demandReads
 		rep.DemandWrites += cs.demandWrites
 		addCache(&rep.Cache, cstats)
 		addDRAM(&rep.DRAM, dstats)
-		addPF(&rep.Prefetch, qstats)
+		addPF(&rep.Prefetch, cs.pstats)
 		rep.StorageBits += cs.pf.StorageBits()
 
 		// Read AMAT components: hit latency for read hits, late-

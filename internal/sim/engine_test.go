@@ -120,10 +120,10 @@ func TestWritebackTraffic(t *testing.T) {
 	}
 }
 
-// scriptedPrefetcher issues a fixed target on every miss.
+// scriptedPrefetcher issues fixed targets on every miss.
 type scriptedPrefetcher struct {
-	target addr.BlockNum
-	onHit  bool
+	targets []addr.BlockNum
+	onHit   bool
 }
 
 func (s *scriptedPrefetcher) Name() string          { return "scripted" }
@@ -132,7 +132,7 @@ func (s *scriptedPrefetcher) StorageBits() int      { return 1 }
 func (s *scriptedPrefetcher) Reset()                {}
 func (s *scriptedPrefetcher) Issue(a prefetch.Access) []addr.BlockNum {
 	if a.Miss || s.onHit {
-		return []addr.BlockNum{s.target}
+		return s.targets
 	}
 	return nil
 }
@@ -145,7 +145,7 @@ func TestPrefetchTimeliness(t *testing.T) {
 		cfg.PrefetchLatency = 200
 		target := addr.PageNum(9).Block(1) // channel 0
 		cfg.NewPrefetcher = func(int) prefetch.Prefetcher {
-			return &scriptedPrefetcher{target: target}
+			return &scriptedPrefetcher{targets: []addr.BlockNum{target}}
 		}
 		eng := New(cfg)
 		tr := trace.Trace{
@@ -171,7 +171,7 @@ func TestLateWriteKeepsDirtyBit(t *testing.T) {
 	cfg.PrefetchLatency = 200
 	target := addr.PageNum(9).Block(1)
 	cfg.NewPrefetcher = func(int) prefetch.Prefetcher {
-		return &scriptedPrefetcher{target: target}
+		return &scriptedPrefetcher{targets: []addr.BlockNum{target}}
 	}
 	eng := New(cfg)
 	tr := trace.Trace{
@@ -197,7 +197,7 @@ func TestPrefetchTrafficCounted(t *testing.T) {
 	cfg := smallConfig()
 	target := addr.PageNum(9).Block(1)
 	cfg.NewPrefetcher = func(int) prefetch.Prefetcher {
-		return &scriptedPrefetcher{target: target}
+		return &scriptedPrefetcher{targets: []addr.BlockNum{target}}
 	}
 	eng := New(cfg)
 	tr := trace.Trace{{Addr: addr.PageNum(9).Block(0).Addr(), Cycle: 0}}
@@ -237,7 +237,7 @@ func TestResidentTargetsFiltered(t *testing.T) {
 	cfg := smallConfig()
 	target := addr.PageNum(9).Block(1)
 	cfg.NewPrefetcher = func(int) prefetch.Prefetcher {
-		return &scriptedPrefetcher{target: target, onHit: true}
+		return &scriptedPrefetcher{targets: []addr.BlockNum{target}, onHit: true}
 	}
 	eng := New(cfg)
 	tr := trace.Trace{
@@ -250,6 +250,54 @@ func TestResidentTargetsFiltered(t *testing.T) {
 	}
 	if rep.Prefetch.Filtered == 0 {
 		t.Fatal("resident prefetch target not filtered")
+	}
+}
+
+// TestIssueFilter pins how a unit counts the candidates of its triggers: a
+// block proposed twice in one trigger, or again while its fill is in
+// flight, is filtered; and with MaxPerTrigger above the 64-entry prefetch
+// queue, the queue bounds what one trigger issues.
+func TestIssueFilter(t *testing.T) {
+	x := addr.PageNum(9).Block(1) // channel 0
+	var eighty []addr.BlockNum    // distinct channel-0 blocks
+	for p := addr.PageNum(100); p < 105; p++ {
+		for off := 0; off < addr.SegmentBlocks; off++ {
+			eighty = append(eighty, p.Block(off))
+		}
+	}
+	cases := []struct {
+		name          string
+		targets       []addr.BlockNum
+		maxPerTrigger int
+		misses        int // triggering demand misses, 100 cycles apart
+		want          prefetch.Stats
+	}{
+		{"duplicate in one trigger", []addr.BlockNum{x, x}, 0, 1,
+			prefetch.Stats{Candidates: 2, Filtered: 1, Issued: 1}},
+		{"in flight from an earlier trigger", []addr.BlockNum{x}, 0, 2,
+			prefetch.Stats{Candidates: 2, Filtered: 1, Issued: 1}},
+		{"queue full", eighty, 100, 1,
+			prefetch.Stats{Candidates: 80, Issued: 64, Dropped: 16}},
+	}
+	for _, c := range cases {
+		cfg := smallConfig()
+		cfg.PrefetchLatency = 1000 // no fill lands before the last trigger
+		cfg.MaxPerTrigger = c.maxPerTrigger
+		cfg.NewPrefetcher = func(int) prefetch.Prefetcher {
+			return &scriptedPrefetcher{targets: c.targets}
+		}
+		var tr trace.Trace
+		for i := 0; i < c.misses; i++ {
+			tr = append(tr, trace.Record{Addr: addr.PageNum(9).Block(2 + i).Addr(), Cycle: uint64(i * 100)})
+		}
+		rep, err := New(cfg).RunStream(tr.Stream(), "filter")
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if rep.Prefetch != c.want || rep.DRAM.PrefReads != c.want.Issued {
+			t.Errorf("%s: stats %+v, %d DRAM prefetch reads; want %+v, %d",
+				c.name, rep.Prefetch, rep.DRAM.PrefReads, c.want, c.want.Issued)
+		}
 	}
 }
 
@@ -311,36 +359,6 @@ func TestChannelRouting(t *testing.T) {
 	}
 	if rep.DemandReads != 4 {
 		t.Fatalf("total demand reads %d", rep.DemandReads)
-	}
-}
-
-func TestThrottleOutstanding(t *testing.T) {
-	// Next-line degree 8 on back-to-back misses floods the pending set;
-	// a throttle of 4 must bound outstanding prefetches.
-	run := func(throttle int) uint64 {
-		cfg := smallConfig()
-		cfg.ThrottleOutstanding = throttle
-		cfg.PrefetchLatency = 1 << 40 // fills never land: pending only grows
-		cfg.NewPrefetcher = func(int) prefetch.Prefetcher { return prefetch.NewNextLine(8) }
-		eng := New(cfg)
-		var tr trace.Trace
-		for i := 0; i < 40; i++ {
-			// Distinct pages, same channel (segment 0), all misses.
-			tr = append(tr, trace.Record{Addr: addr.PageNum(i * 5).Block(0).Addr(), Cycle: uint64(i * 100)})
-		}
-		rep, err := eng.RunStream(tr.Stream(), "throttle")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep.Prefetch.Issued
-	}
-	unthrottled := run(0)
-	throttled := run(4)
-	if throttled > 4 {
-		t.Fatalf("throttle of 4 let %d prefetches through", throttled)
-	}
-	if unthrottled <= throttled {
-		t.Fatalf("throttle had no effect: %d vs %d", unthrottled, throttled)
 	}
 }
 

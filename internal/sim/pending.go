@@ -17,10 +17,11 @@ type pendingFill struct {
 // slice's pop-front (`pending = pending[1:]`) forced a reallocation every
 // time append caught up with the shifted backing array, and the map cost a
 // hash insert/delete per prefetch. The ring reaches a steady state with
-// zero allocations, and lookups linear-scan the live entries — the queue's
-// in-flight dedup guarantees at most one live entry per block, and
-// profiles show the ring holding only the prefetches issued within the
-// last PrefetchLatency cycles (a handful), so the scan beats hashing.
+// zero allocations, and lookups linear-scan the live entries — the issue
+// filter never sends a block that find reports, so there is at most one
+// live entry per block, and profiles show the ring holding only the
+// prefetches issued within the last PrefetchLatency cycles (a handful), so
+// the scan beats hashing.
 type pendingRing struct {
 	buf  []pendingFill // len is a power of two (or zero before first push)
 	head int

@@ -43,7 +43,7 @@ var ErrUnsizedWarmup = errors.New("sim: warmup fraction requires a sized stream 
 func (e *Engine) Run(ctx context.Context, s trace.Stream, workload string, warmup float64) (metrics.Report, error) {
 	n := trace.StreamLen(s)
 	warmAt := int64(-1)
-	if warmup = clampWarmup(warmup); warmup > 0 {
+	if warmup = ClampWarmup(warmup); warmup > 0 {
 		if n < 0 {
 			// Nothing ran: no partial report to salvage.
 			return metrics.Report{}, ErrUnsizedWarmup
@@ -67,11 +67,11 @@ func (e *Engine) RunStream(s trace.Stream, workload string) (metrics.Report, err
 	return e.Run(context.Background(), s, workload, 0)
 }
 
-// clampWarmup maps a warmup fraction into [0, 0.9]; NaN and negatives
-// disable warmup (a NaN must not survive the clamp — every comparison
-// against it is false, so it would otherwise slip through and poison the
-// warmup boundary arithmetic).
-func clampWarmup(w float64) float64 {
+// ClampWarmup maps a warmup fraction into [0, 0.9], the range Run accepts;
+// NaN and negatives disable warmup (a NaN must not survive the clamp —
+// every comparison against it is false, so it would otherwise slip through
+// and poison the warmup boundary arithmetic).
+func ClampWarmup(w float64) float64 {
 	switch {
 	case math.IsNaN(w) || w < 0:
 		return 0

@@ -20,18 +20,10 @@ import (
 	"repro/internal/obs"
 )
 
-// manifestTemplate is the per-grid constant part of every checkpoint
-// manifest, captured once per Run (git describe is a subprocess).
-type manifestTemplate struct{ man obs.Manifest }
-
-func newManifest() manifestTemplate {
-	return manifestTemplate{man: obs.NewManifest("sweepfarm")}
-}
-
-// writeArtifact records one completed job at path; wallSec is the job's own
-// simulation time (the resume check ignores it).
-func writeArtifact(path string, t manifestTemplate, j Job, rep metrics.Report, wallSec float64) error {
-	man := t.man
+// writeArtifact records one completed job at path, filling the job's fields
+// into man, the grid's shared manifest; wallSec is the job's own simulation
+// time (the resume check ignores it).
+func writeArtifact(path string, man obs.Manifest, j Job, rep metrics.Report, wallSec float64) error {
 	man.Workload = j.Cell.App
 	man.Prefetcher = j.Cell.Prefetcher
 	man.Requests = j.Config.Requests

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -16,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
@@ -32,15 +32,10 @@ type Config struct {
 	SampleEvery uint64  // windowed time-series sampling period
 }
 
-// normalize clamps the warmup fraction the same way the engine would, so
+// normalize clamps the warmup fraction the same way the engine does, so
 // equal effective configurations hash equally.
 func (c Config) normalize() Config {
-	switch {
-	case math.IsNaN(c.Warmup) || c.Warmup < 0:
-		c.Warmup = 0
-	case c.Warmup > 0.9:
-		c.Warmup = 0.9
-	}
+	c.Warmup = sim.ClampWarmup(c.Warmup)
 	if c.Requests <= 0 {
 		c.Requests = 800_000
 	}
@@ -413,9 +408,9 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 		}
 	}
 
-	// The manifest template is built once: git describe is a subprocess
+	// The checkpoint manifest is built once: git describe is a subprocess
 	// and the environment fields are identical across the grid.
-	manTemplate := newManifest()
+	man := obs.NewManifest("sweepfarm")
 
 	workers := r.Workers
 	if workers <= 0 {
@@ -455,7 +450,8 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 				}
 				records.Add(uint64(pl.job.Config.Requests))
 				if r.ArtifactDir != "" {
-					if err := r.writeJobArtifact(manTemplate, pl.job, rep, wall); err != nil {
+					path := filepath.Join(r.ArtifactDir, pl.job.ArtifactName())
+					if err := writeArtifact(path, man, pl.job, rep, wall); err != nil {
 						errs[i] = fmt.Errorf("cell %s: %w", pl.job, err)
 						continue
 					}
@@ -525,10 +521,4 @@ func (r *Runner) logf(format string, args ...any) {
 	if r.Verbose != nil {
 		fmt.Fprintf(r.Verbose, "sweepfarm: "+format+"\n", args...)
 	}
-}
-
-// writeJobArtifact checkpoints one completed job that simulated for
-// wallSec seconds (see resume.go for the matching read side).
-func (r *Runner) writeJobArtifact(man manifestTemplate, j Job, rep metrics.Report, wallSec float64) error {
-	return writeArtifact(filepath.Join(r.ArtifactDir, j.ArtifactName()), man, j, rep, wallSec)
 }

@@ -183,7 +183,7 @@ func tournamentFactory(opts Options) (func(int) prefetch.Prefetcher, error) {
 
 // Prefetchers lists the built-in prefetcher names accepted by
 // Options.Prefetcher: none, nextline, stride, markov, accel, bop, spp,
-// planaria and the planaria-slp / planaria-tlp / planaria-serial /
+// spp-ghr, planaria and the planaria-slp / planaria-tlp / planaria-serial /
 // planaria-parallel / planaria-tournament variants.
 func Prefetchers() []string { return sim.PrefetcherNames() }
 
@@ -203,7 +203,7 @@ type Result struct {
 
 	DRAMTraffic    uint64  // total block transfers (reads + writes)
 	PrefetchReads  uint64  // prefetch-originated DRAM reads
-	PrefetchIssued uint64  // prefetches entering the queue
+	PrefetchIssued uint64  // prefetches sent to DRAM
 	EnergyPJ       float64 // memory-system energy, picojoules
 	AvgPowerMW     float64 // at the 1600 MHz controller clock
 	StorageBits    int     // prefetcher metadata across channels
