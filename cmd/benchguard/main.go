@@ -12,6 +12,10 @@
 // Benchmarks present in the baseline but missing from the bench output are
 // reported and fail the run (a silently-skipped guard is no guard);
 // benchmarks in the output but not in the baseline are informational only.
+// For the same reason a pinned metric with no samples fails: every entry
+// pins allocs/op, so its benchmark must print that column (-benchmem or
+// ReportAllocs), and a positive req/s pin or a relative_to pin needs the
+// req/s column. Only an entry whose req_per_s is 0 may print no req/s.
 //
 // A baseline entry may set "relative_to": "<OtherBenchmark>"; its req/s is
 // then gated against that benchmark's measured req/s in the same run rather
@@ -73,13 +77,16 @@ type baseline struct {
 // result is one benchmark's reduction across -count runs: the median point
 // estimate by default, or — under -repeats — the mean with its 95 %
 // confidence half-intervals (zero CI fields mean "point estimate", which
-// degrades every band gate to the exact point comparison).
+// degrades every band gate to the exact point comparison). reqN and
+// allocsN count each metric's samples; 0 means the column was missing, and
+// the metric's value is then meaningless.
 type result struct {
 	ReqPerS     float64
 	AllocsPerOp float64
 	ReqCI95     float64
 	AllocsCI95  float64
-	samples     int
+	reqN        int
+	allocsN     int
 }
 
 func main() {
@@ -135,6 +142,10 @@ func main() {
 // gates reduce to the plain comparisons. The allocation-free pin stays
 // strict either way — a zero-alloc path that allocates has regressed no
 // matter how noisy the timing was.
+//
+// A metric a gate needs but the output lacks fails instead of reading as
+// 0, which would pass every allocs/op pin. Each report line ends with the
+// sample count per metric.
 func compare(base baseline, results map[string]result, maxSlowdown, maxAllocGrowth float64) (lines, failures []string) {
 	names := make([]string, 0, len(base.Benchmarks))
 	for name := range base.Benchmarks {
@@ -158,6 +169,9 @@ func compare(base baseline, results map[string]result, maxSlowdown, maxAllocGrow
 			failures = append(failures, fmt.Sprintf("%s: req/s is NaN (measured %v, baseline %v)",
 				name, got.ReqPerS, want.ReqPerS))
 			status = "FAIL"
+		case got.reqN == 0 && (want.RelativeTo != "" || want.ReqPerS != 0):
+			failures = append(failures, fmt.Sprintf("%s: no req/s samples for a pinned req/s", name))
+			status = "FAIL"
 		case want.RelativeTo != "":
 			// Relative pin: compare against the referenced benchmark's
 			// measured req/s from the same run, so the gate expresses an
@@ -168,7 +182,7 @@ func compare(base baseline, results map[string]result, maxSlowdown, maxAllocGrow
 				failures = append(failures, fmt.Sprintf("%s: relative baseline %s missing from bench output",
 					name, want.RelativeTo))
 				status = "FAIL"
-			case math.IsNaN(ref.ReqPerS) || ref.ReqPerS == 0:
+			case ref.reqN == 0 || math.IsNaN(ref.ReqPerS) || ref.ReqPerS == 0:
 				failures = append(failures, fmt.Sprintf("%s: relative baseline %s has unusable req/s %v",
 					name, want.RelativeTo, ref.ReqPerS))
 				status = "FAIL"
@@ -191,6 +205,9 @@ func compare(base baseline, results map[string]result, maxSlowdown, maxAllocGrow
 			failures = append(failures, fmt.Sprintf("%s: allocs/op is NaN (measured %v, baseline %v)",
 				name, got.AllocsPerOp, want.AllocsPerOp))
 			status = "FAIL"
+		case got.allocsN == 0:
+			failures = append(failures, fmt.Sprintf("%s: no allocs/op samples for a pinned allocs/op (run with -benchmem)", name))
+			status = "FAIL"
 		case want.AllocsPerOp == 0 && got.AllocsPerOp > 0:
 			failures = append(failures, fmt.Sprintf("%s: allocs/op %.0f on a pinned allocation-free baseline",
 				name, got.AllocsPerOp))
@@ -200,8 +217,8 @@ func compare(base baseline, results map[string]result, maxSlowdown, maxAllocGrow
 				name, got.AllocsPerOp, bandSuffix(got.AllocsCI95), 100*(got.AllocsPerOp/want.AllocsPerOp-1), want.AllocsPerOp, 100*maxAllocGrowth))
 			status = "FAIL"
 		}
-		lines = append(lines, fmt.Sprintf("%-30s req/s %12.0f%s (base %12.0f)  allocs/op %8.0f (base %8.0f)  n=%d  %s",
-			name, got.ReqPerS, bandSuffix(got.ReqCI95), want.ReqPerS, got.AllocsPerOp, want.AllocsPerOp, got.samples, status))
+		lines = append(lines, fmt.Sprintf("%-30s req/s %12.0f%s (base %12.0f)  allocs/op %8.0f (base %8.0f)  n=%s  %s",
+			name, got.ReqPerS, bandSuffix(got.ReqCI95), want.ReqPerS, got.AllocsPerOp, want.AllocsPerOp, got.counts(), status))
 	}
 	extra := make([]string, 0, len(results))
 	for name := range results {
@@ -212,11 +229,14 @@ func compare(base baseline, results map[string]result, maxSlowdown, maxAllocGrow
 	sort.Strings(extra)
 	for _, name := range extra {
 		got := results[name]
-		lines = append(lines, fmt.Sprintf("%-30s req/s %12.0f                      allocs/op %8.0f            n=%d  (no baseline)",
-			name, got.ReqPerS, got.AllocsPerOp, got.samples))
+		lines = append(lines, fmt.Sprintf("%-30s req/s %12.0f                      allocs/op %8.0f            n=%s  (no baseline)",
+			name, got.ReqPerS, got.AllocsPerOp, got.counts()))
 	}
 	return lines, failures
 }
+
+// counts renders the per-metric sample counts of a report line.
+func (r result) counts() string { return fmt.Sprintf("req:%d,allocs:%d", r.reqN, r.allocsN) }
 
 func readBaseline(path string) (baseline, error) {
 	var b baseline
@@ -292,10 +312,13 @@ func parseBench(r interface{ Read([]byte) (int, error) }, banded bool) (map[stri
 			out[name] = result{
 				ReqPerS: req.Mean, ReqCI95: req.CI95,
 				AllocsPerOp: allocs.Mean, AllocsCI95: allocs.CI95,
-				samples: len(s.req),
+				reqN: len(s.req), allocsN: len(s.allocs),
 			}
 		} else {
-			out[name] = result{ReqPerS: median(s.req), AllocsPerOp: median(s.allocs), samples: len(s.req)}
+			out[name] = result{
+				ReqPerS: median(s.req), AllocsPerOp: median(s.allocs),
+				reqN: len(s.req), allocsN: len(s.allocs),
+			}
 		}
 	}
 	if len(out) == 0 {

@@ -32,11 +32,11 @@ func TestParseBenchMedians(t *testing.T) {
 	if step.AllocsPerOp != 15200 {
 		t.Errorf("median allocs/op = %v, want 15200", step.AllocsPerOp)
 	}
-	if step.samples != 3 {
-		t.Errorf("samples = %d, want 3", step.samples)
+	if step.reqN != 3 || step.allocsN != 3 {
+		t.Errorf("samples = %d req/s, %d allocs/op, want 3 each", step.reqN, step.allocsN)
 	}
 	par := res["EngineStepParallel"]
-	if par.ReqPerS != 2500000 || par.samples != 1 {
+	if par.ReqPerS != 2500000 || par.reqN != 1 {
 		t.Errorf("EngineStepParallel = %+v", par)
 	}
 }
@@ -84,31 +84,31 @@ func TestCompareBanded(t *testing.T) {
 	}}
 	// Mean 4% below the 10% floor, band wide enough to reach it: pass.
 	results := map[string]result{
-		"EngineStep": {ReqPerS: 1_730_000, ReqCI95: 100_000, AllocsPerOp: 100, samples: 5},
+		"EngineStep": {ReqPerS: 1_730_000, ReqCI95: 100_000, AllocsPerOp: 100, reqN: 5, allocsN: 5},
 	}
 	if _, failures := compare(base, results, 0.10, 0.15); len(failures) != 0 {
 		t.Fatalf("band overlapping the floor failed: %v", failures)
 	}
 	// Whole band below the floor: fail, and the message shows the band.
-	results["EngineStep"] = result{ReqPerS: 1_730_000, ReqCI95: 50_000, AllocsPerOp: 100, samples: 5}
+	results["EngineStep"] = result{ReqPerS: 1_730_000, ReqCI95: 50_000, AllocsPerOp: 100, reqN: 5, allocsN: 5}
 	_, failures := compare(base, results, 0.10, 0.15)
 	if len(failures) != 1 || !strings.Contains(failures[0], "±50000") {
 		t.Fatalf("band fully below the floor not caught: %v", failures)
 	}
 	// Allocs mean above the ceiling but band reaching under it: pass; band
 	// fully above: fail.
-	results["EngineStep"] = result{ReqPerS: 2_000_000, AllocsPerOp: 118, AllocsCI95: 5, samples: 5}
+	results["EngineStep"] = result{ReqPerS: 2_000_000, AllocsPerOp: 118, AllocsCI95: 5, reqN: 5, allocsN: 5}
 	if _, failures := compare(base, results, 0.10, 0.15); len(failures) != 0 {
 		t.Fatalf("alloc band overlapping the ceiling failed: %v", failures)
 	}
-	results["EngineStep"] = result{ReqPerS: 2_000_000, AllocsPerOp: 130, AllocsCI95: 5, samples: 5}
+	results["EngineStep"] = result{ReqPerS: 2_000_000, AllocsPerOp: 130, AllocsCI95: 5, reqN: 5, allocsN: 5}
 	if _, failures := compare(base, results, 0.10, 0.15); len(failures) != 1 {
 		t.Fatalf("alloc band fully above the ceiling not caught: %v", failures)
 	}
 	// Allocation-free pin stays strict under a band.
 	base.Benchmarks["HotPath"] = baselineEntry{AllocsPerOp: 0}
-	results["HotPath"] = result{AllocsPerOp: 1, AllocsCI95: 3, samples: 5}
-	results["EngineStep"] = result{ReqPerS: 2_000_000, AllocsPerOp: 100, samples: 5}
+	results["HotPath"] = result{AllocsPerOp: 1, AllocsCI95: 3, reqN: 5, allocsN: 5}
+	results["EngineStep"] = result{ReqPerS: 2_000_000, AllocsPerOp: 100, reqN: 5, allocsN: 5}
 	_, failures = compare(base, results, 0.10, 0.15)
 	if len(failures) != 1 || !strings.Contains(failures[0], "allocation-free") {
 		t.Fatalf("banded allocation-free violation not caught: %v", failures)
@@ -123,7 +123,7 @@ func TestCompareZeroBaselines(t *testing.T) {
 		"HotPath": {ReqPerS: 0, AllocsPerOp: 0},
 	}}
 	results := map[string]result{
-		"HotPath": {ReqPerS: 100, AllocsPerOp: 3, samples: 1},
+		"HotPath": {ReqPerS: 100, AllocsPerOp: 3, reqN: 1, allocsN: 1},
 	}
 	_, failures := compare(base, results, 0.10, 0.15)
 	if len(failures) != 1 {
@@ -135,7 +135,7 @@ func TestCompareZeroBaselines(t *testing.T) {
 
 	// Truly allocation-free output passes, and the zero req/s pin stays
 	// visible as unpinned instead of vanishing.
-	results["HotPath"] = result{ReqPerS: 100, AllocsPerOp: 0, samples: 1}
+	results["HotPath"] = result{ReqPerS: 100, AllocsPerOp: 0, reqN: 1, allocsN: 1}
 	lines, failures := compare(base, results, 0.10, 0.15)
 	if len(failures) != 0 {
 		t.Fatalf("clean allocation-free run failed: %v", failures)
@@ -151,7 +151,7 @@ func TestCompareRegression(t *testing.T) {
 		"EngineStep": {ReqPerS: 2_000_000, AllocsPerOp: 100},
 	}}
 	results := map[string]result{
-		"EngineStep": {ReqPerS: 1_500_000, AllocsPerOp: 130, samples: 3},
+		"EngineStep": {ReqPerS: 1_500_000, AllocsPerOp: 130, reqN: 3, allocsN: 3},
 	}
 	_, failures := compare(base, results, 0.10, 0.15)
 	if len(failures) != 2 {
@@ -171,7 +171,7 @@ func TestCompareNaN(t *testing.T) {
 		"EngineStep": {ReqPerS: nan, AllocsPerOp: nan},
 	}}
 	results := map[string]result{
-		"EngineStep": {ReqPerS: 2_000_000, AllocsPerOp: 100, samples: 1},
+		"EngineStep": {ReqPerS: 2_000_000, AllocsPerOp: 100, reqN: 1, allocsN: 1},
 	}
 	_, failures := compare(base, results, 0.10, 0.15)
 	if len(failures) != 2 {
@@ -190,8 +190,8 @@ func TestCompareRelativeTo(t *testing.T) {
 	// traced run is within 10% of the untraced one: only the absolute pin
 	// may fire, and here the untraced run stays inside its own tolerance.
 	results := map[string]result{
-		"EngineStep":       {ReqPerS: 1_850_000, AllocsPerOp: 100, samples: 3},
-		"EngineStepTraced": {ReqPerS: 1_800_000, AllocsPerOp: 110, samples: 3},
+		"EngineStep":       {ReqPerS: 1_850_000, AllocsPerOp: 100, reqN: 3, allocsN: 3},
+		"EngineStepTraced": {ReqPerS: 1_800_000, AllocsPerOp: 110, reqN: 3, allocsN: 3},
 	}
 	lines, failures := compare(base, results, 0.10, 0.15)
 	if len(failures) != 0 {
@@ -209,8 +209,8 @@ func TestCompareRelativeTo(t *testing.T) {
 
 	// Traced falls more than 10% below untraced: the overhead gate fires
 	// even though the traced absolute pin alone would pass.
-	results["EngineStepTraced"] = result{ReqPerS: 1_600_000, AllocsPerOp: 110, samples: 3}
-	results["EngineStep"] = result{ReqPerS: 2_000_000, AllocsPerOp: 100, samples: 3}
+	results["EngineStepTraced"] = result{ReqPerS: 1_600_000, AllocsPerOp: 110, reqN: 3, allocsN: 3}
+	results["EngineStep"] = result{ReqPerS: 2_000_000, AllocsPerOp: 100, reqN: 3, allocsN: 3}
 	_, failures = compare(base, results, 0.10, 0.15)
 	if len(failures) != 1 || !strings.Contains(failures[0], "overhead limit") {
 		t.Fatalf("overhead regression not caught: %v", failures)
@@ -219,7 +219,7 @@ func TestCompareRelativeTo(t *testing.T) {
 	// The reference benchmark missing from the run is a hard failure — an
 	// unanchored relative pin guards nothing.
 	delete(results, "EngineStep")
-	results["EngineStepTraced"] = result{ReqPerS: 1_900_000, AllocsPerOp: 110, samples: 3}
+	results["EngineStepTraced"] = result{ReqPerS: 1_900_000, AllocsPerOp: 110, reqN: 3, allocsN: 3}
 	_, failures = compare(base, results, 0.10, 0.15)
 	foundMissing := false
 	for _, f := range failures {
@@ -246,22 +246,22 @@ func TestCompareTolerance(t *testing.T) {
 	// Tournament at 60% of EngineStep: inside its widened 45% gate, far
 	// outside the default 10% one.
 	results := map[string]result{
-		"EngineStep":           {ReqPerS: 2_000_000, AllocsPerOp: 100, samples: 3},
-		"EngineStepTournament": {ReqPerS: 1_200_000, AllocsPerOp: 150, samples: 3},
+		"EngineStep":           {ReqPerS: 2_000_000, AllocsPerOp: 100, reqN: 3, allocsN: 3},
+		"EngineStepTournament": {ReqPerS: 1_200_000, AllocsPerOp: 150, reqN: 3, allocsN: 3},
 	}
 	if _, failures := compare(base, results, 0.10, 0.15); len(failures) != 0 {
 		t.Fatalf("within-tolerance run failed: %v", failures)
 	}
 	// Below the widened gate it still fires.
-	results["EngineStepTournament"] = result{ReqPerS: 1_000_000, AllocsPerOp: 150, samples: 3}
+	results["EngineStepTournament"] = result{ReqPerS: 1_000_000, AllocsPerOp: 150, reqN: 3, allocsN: 3}
 	_, failures := compare(base, results, 0.10, 0.15)
 	if len(failures) != 1 || !strings.Contains(failures[0], "overhead limit 45%") {
 		t.Fatalf("tolerance gate did not fire: %v", failures)
 	}
 	// The per-entry tolerance never leaks onto other entries: the sibling
 	// absolute pin keeps the global fraction.
-	results["EngineStepTournament"] = result{ReqPerS: 1_200_000, AllocsPerOp: 150, samples: 3}
-	results["EngineStep"] = result{ReqPerS: 1_700_000, AllocsPerOp: 100, samples: 3}
+	results["EngineStepTournament"] = result{ReqPerS: 1_200_000, AllocsPerOp: 150, reqN: 3, allocsN: 3}
+	results["EngineStep"] = result{ReqPerS: 1_700_000, AllocsPerOp: 100, reqN: 3, allocsN: 3}
 	_, failures = compare(base, results, 0.10, 0.15)
 	if len(failures) != 1 || !strings.Contains(failures[0], "EngineStep: req/s") {
 		t.Fatalf("global gate lost: %v", failures)
@@ -277,5 +277,100 @@ func TestMedian(t *testing.T) {
 	}
 	if m := median(nil); m != 0 {
 		t.Errorf("empty median = %v", m)
+	}
+}
+
+// microOut is micro-benchmark output: the allocs/op column but no req/s.
+const microOut = `BenchmarkCacheAccessHit-2   	25666430	        46.79 ns/op	       0 B/op	       0 allocs/op
+BenchmarkCacheAccessHit-2   	25666430	        45.10 ns/op	       0 B/op	       0 allocs/op
+BenchmarkCacheAccessHit-2   	25666430	        47.02 ns/op	       0 B/op	       0 allocs/op
+`
+
+// TestCompareMissingAllocs: an allocs/op pin, allocation-free or positive,
+// fails when the output has no allocs/op column (a run without -benchmem),
+// instead of reading the missing column as 0 allocations.
+func TestCompareMissingAllocs(t *testing.T) {
+	res, err := parseBench(strings.NewReader("BenchmarkEngineStep-2  30  45108086 ns/op  2200000 req/s\n"+
+		"BenchmarkCacheAccessHit-2  25666430  46.79 ns/op\n"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := baseline{Benchmarks: map[string]baselineEntry{
+		"EngineStep":     {ReqPerS: 2_000_000, AllocsPerOp: 340},
+		"CacheAccessHit": {AllocsPerOp: 0},
+	}}
+	_, failures := compare(base, res, 0.10, 0.15)
+	if len(failures) != 2 {
+		t.Fatalf("failures = %v, want both allocs pins failed", failures)
+	}
+	for _, f := range failures {
+		if !strings.Contains(f, "no allocs/op samples") {
+			t.Errorf("failure %q does not name the missing allocs/op column", f)
+		}
+	}
+}
+
+// TestCompareMissingReqPerS: a positive req/s pin and a relative_to pin
+// fail when the benchmark printed no req/s, while a micro-benchmark whose
+// req/s pin is 0 passes without the column.
+func TestCompareMissingReqPerS(t *testing.T) {
+	base := baseline{Benchmarks: map[string]baselineEntry{
+		"EngineStep":       {ReqPerS: 2_000_000, AllocsPerOp: 100},
+		"EngineStepTraced": {ReqPerS: 1_900_000, AllocsPerOp: 110, RelativeTo: "EngineStep"},
+		"CacheAccessHit":   {AllocsPerOp: 0},
+	}}
+	results := map[string]result{
+		"EngineStep":       {AllocsPerOp: 100, allocsN: 3},
+		"EngineStepTraced": {AllocsPerOp: 110, allocsN: 3},
+		"CacheAccessHit":   {AllocsPerOp: 0, allocsN: 3},
+	}
+	_, failures := compare(base, results, 0.10, 0.15)
+	if len(failures) != 2 {
+		t.Fatalf("failures = %v, want the absolute and the relative req/s pins failed", failures)
+	}
+	for _, f := range failures {
+		if !strings.Contains(f, "no req/s samples") {
+			t.Errorf("failure %q does not name the missing req/s column", f)
+		}
+	}
+	// With the untraced run's req/s present, the relative pin still fails
+	// on its own missing column, and the reference's column is not enough.
+	results["EngineStep"] = result{ReqPerS: 2_000_000, AllocsPerOp: 100, reqN: 3, allocsN: 3}
+	_, failures = compare(base, results, 0.10, 0.15)
+	if len(failures) != 1 || !strings.HasPrefix(failures[0], "EngineStepTraced: no req/s samples") {
+		t.Fatalf("failures = %v, want only the relative pin failed", failures)
+	}
+	// A reference with no req/s samples cannot anchor a relative pin.
+	results["EngineStep"] = result{AllocsPerOp: 100, allocsN: 3}
+	results["EngineStepTraced"] = result{ReqPerS: 1_900_000, AllocsPerOp: 110, reqN: 3, allocsN: 3}
+	_, failures = compare(base, results, 0.10, 0.15)
+	found := false
+	for _, f := range failures {
+		found = found || strings.Contains(f, "relative baseline EngineStep has unusable req/s")
+	}
+	if !found {
+		t.Fatalf("failures = %v, want the unanchored relative pin reported", failures)
+	}
+}
+
+// TestCompareMicroWithoutReqPerS: micro-benchmark output parses to zero
+// req/s samples and three allocs/op samples, passes its allocation-free
+// pin with no req/s pin, and its report line counts each metric's samples.
+func TestCompareMicroWithoutReqPerS(t *testing.T) {
+	res, err := parseBench(strings.NewReader(microOut), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := res["CacheAccessHit"]
+	if got.reqN != 0 || got.allocsN != 3 {
+		t.Fatalf("samples = %d req/s, %d allocs/op, want 0 and 3", got.reqN, got.allocsN)
+	}
+	base := baseline{Benchmarks: map[string]baselineEntry{"CacheAccessHit": {AllocsPerOp: 0}}}
+	lines, failures := compare(base, res, 0.10, 0.15)
+	if len(failures) != 0 {
+		t.Fatalf("micro-benchmark without req/s failed: %v", failures)
+	}
+	if len(lines) != 1 || !strings.Contains(lines[0], "n=req:0,allocs:3") || !strings.Contains(lines[0], "no req/s pin") {
+		t.Errorf("lines = %v, want per-metric sample counts and the unpinned req/s", lines)
 	}
 }

@@ -45,8 +45,9 @@ func fullCache() (*Cache, []addr.BlockNum) {
 }
 
 // BenchmarkCacheAccessHit measures the hit path: packed tag-lane scan plus
-// the hot replacement-state touch (LRU stamp), no eviction. Must stay
-// allocation-free (pinned in BENCH_baseline.json).
+// the hot replacement-state touch (moving the way to the MRU end of its
+// set's LRU list), no eviction. Must stay allocation-free (pinned in
+// BENCH_baseline.json).
 func BenchmarkCacheAccessHit(b *testing.B) {
 	c, blocks := fullCache()
 	mask := len(blocks) - 1
@@ -85,6 +86,26 @@ func BenchmarkCacheContains(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if !c.Contains(blocks[i&mask]) {
 			b.Fatal("expected resident")
+		}
+	}
+}
+
+// BenchmarkCacheFillEvict measures the eviction path: a miss, then a fill
+// into a full 16-way LRU set, so every op picks the LRU victim and evicts
+// it. Blocks above every resident tag are each used once, so every op
+// misses. Must stay allocation-free (pinned in BENCH_baseline.json).
+func BenchmarkCacheFillEvict(b *testing.B) {
+	c, _ := fullCache()
+	first := uint64(c.ways+1) << c.tagShift
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		blk := addr.BlockNum(first + uint64(i))
+		if c.Access(blk, false) {
+			b.Fatal("expected miss")
+		}
+		if !c.Fill(blk, false, false).Valid {
+			b.Fatal("expected eviction")
 		}
 	}
 }

@@ -14,11 +14,12 @@
 // structs: the tag of every way lives in one contiguous packed lane
 // ([]uint64) scanned by a branch-light unrolled loop, the valid/dirty/
 // prefetched flags are per-set 64-bit way masks, and the cold per-line
-// fields (replacement state, prefetch origin) sit in parallel arrays that
-// are touched only on a hit or a fill. A demand access therefore reads
-// exactly ways×8 bytes of tag lane plus one mask word — the whole probe for
-// a 16-way set is two cache lines — instead of walking 40-byte line structs.
-// See docs/PERFORMANCE.md, "Hot path anatomy".
+// bytes (the LRU recency links or the RRIP predictions, and the prefetch
+// origin) sit in parallel arrays that are touched only on a hit, a fill or
+// an eviction. A demand access therefore reads exactly ways×8 bytes of tag
+// lane plus one mask word — the whole probe for a 16-way set is two cache
+// lines — instead of walking 40-byte line structs. See docs/PERFORMANCE.md,
+// "Hot path anatomy".
 package cache
 
 import (
@@ -112,6 +113,9 @@ func (c Config) Validate() error {
 
 const maxRRPV = 3 // 2-bit SRRIP
 
+// noWay ends an LRU recency list (ways are below 64).
+const noWay = 0xFF
+
 // Stats accumulates cache events. All counters are monotonically increasing.
 type Stats struct {
 	DemandAccesses   uint64 `json:"demand_accesses"`
@@ -153,7 +157,6 @@ type Cache struct {
 	nsets    int
 	setMask  uint64
 	tagShift uint // log2(set count), precomputed: tag = block >> tagShift
-	clock    uint64
 	rng      *rand.Rand
 	stats    Stats
 
@@ -168,9 +171,17 @@ type Cache struct {
 	pref  []uint64 // len nsets; bit w = way w is an un-demanded prefetch
 
 	// Cold lanes, parallel to tags: replacement state and prefetch origin.
-	stamp  []uint64 // LRU recency stamps
-	rrpv   []uint8  // SRRIP/DRRIP re-reference predictions
-	origin []uint8  // opaque caller origin tag of prefetched lines (0 = untagged)
+	rrpv   []uint8 // SRRIP/DRRIP re-reference predictions
+	origin []uint8 // opaque caller origin tag of prefetched lines (0 = untagged)
+
+	// LRU only: each set's valid ways form a doubly linked recency list.
+	// older/newer hold a way's neighbours (set-relative way numbers, noWay
+	// at the ends) and are parallel to tags; mru/lru hold each set's
+	// newest and oldest way. A hit or a fill moves the way to the MRU end,
+	// so the LRU end is the victim without a scan. nil under other
+	// policies.
+	older, newer []uint8
+	mru, lru     []uint8
 
 	// fillAt is the optional fill-timestamp lane behind the telemetry
 	// first-use-gap histogram: nil unless EnableFillStamps was called (so
@@ -204,17 +215,29 @@ func New(cfg Config) *Cache {
 		rng:      rand.New(rand.NewSource(cfg.Seed + 1)),
 	}
 	// Two backing allocations for the whole cache: one uint64 arena for
-	// the tag lane, stamps and the three mask lanes, one uint8 arena for
-	// the byte lanes. Keeps construction cost flat (the engine builds
-	// 4 × SubShards caches per run) and the hot lanes contiguous.
-	u64 := make([]uint64, 2*blocks+3*nsets)
+	// the tag lane and the three mask lanes, one uint8 arena for the byte
+	// lanes. Keeps construction cost flat (the engine builds 4 × SubShards
+	// caches per run) and the hot lanes contiguous.
+	u64 := make([]uint64, blocks+3*nsets)
 	c.tags, u64 = u64[:blocks:blocks], u64[blocks:]
-	c.stamp, u64 = u64[:blocks:blocks], u64[blocks:]
 	c.valid, u64 = u64[:nsets:nsets], u64[nsets:]
 	c.dirty, u64 = u64[:nsets:nsets], u64[nsets:]
 	c.pref = u64[:nsets:nsets]
-	u8 := make([]uint8, 2*blocks)
-	c.rrpv, c.origin = u8[:blocks:blocks], u8[blocks:]
+	n8 := 2 * blocks
+	if cfg.Policy == LRU {
+		n8 += 2*blocks + 2*nsets
+	}
+	u8 := make([]uint8, n8)
+	c.rrpv, u8 = u8[:blocks:blocks], u8[blocks:]
+	c.origin, u8 = u8[:blocks:blocks], u8[blocks:]
+	if cfg.Policy == LRU {
+		c.older, u8 = u8[:blocks:blocks], u8[blocks:]
+		c.newer, u8 = u8[:blocks:blocks], u8[blocks:]
+		c.mru, c.lru = u8[:nsets:nsets], u8[nsets:]
+		for i := range c.mru {
+			c.mru[i], c.lru[i] = noWay, noWay
+		}
+	}
 	return c
 }
 
@@ -346,7 +369,6 @@ func (c *Cache) AccessInfo(b addr.BlockNum, write bool) (hit, firstUse bool) {
 // prefetched line: when firstUse is true, origin carries the tag the line
 // was filled with (see FillOrigin); it is 0 otherwise.
 func (c *Cache) AccessOrigin(b addr.BlockNum, write bool) (hit, firstUse bool, origin uint8) {
-	c.clock++
 	c.stats.DemandAccesses++
 	set, tag := c.index(b)
 	base := int(set) * c.ways
@@ -363,7 +385,7 @@ func (c *Cache) AccessOrigin(b addr.BlockNum, write bool) (hit, firstUse bool, o
 		if write {
 			c.dirty[set] |= bit
 		}
-		c.promote(base + w)
+		c.promote(set, base, w)
 		return true, firstUse, origin
 	}
 	c.stats.DemandMisses++
@@ -411,7 +433,6 @@ func (c *Cache) Fill(b addr.BlockNum, prefetch, write bool) EvictInfo {
 // tag in the line, and the tag comes back from AccessOrigin when the line
 // is demanded for the first time. Demand fills ignore the tag.
 func (c *Cache) FillOrigin(b addr.BlockNum, prefetch, write bool, origin uint8) EvictInfo {
-	c.clock++
 	set, tag := c.index(b)
 	base := int(set) * c.ways
 	vmask := c.valid[set]
@@ -457,7 +478,12 @@ func (c *Cache) FillOrigin(b addr.BlockNum, prefetch, write bool, origin uint8) 
 		c.dirty[set] &^= bit
 	}
 	c.origin[base+victim] = 0
-	c.stamp[base+victim] = c.clock // LRU treats fills uniformly
+	if c.cfg.Policy == LRU { // demand and prefetch fills both insert at MRU
+		if ev.Valid {
+			c.unlink(set, base, victim)
+		}
+		c.pushMRU(set, base, victim)
+	}
 	switch {
 	case prefetch:
 		c.pref[set] |= bit
@@ -514,11 +540,13 @@ func (c *Cache) Invalidate(b addr.BlockNum) (wasDirty bool) {
 	c.dirty[set] &^= bit
 	c.pref[set] &^= bit
 	c.tags[base+w] = 0
-	c.stamp[base+w] = 0
 	c.rrpv[base+w] = 0
 	c.origin[base+w] = 0
 	if c.fillAt != nil {
 		c.fillAt[base+w] = 0
+	}
+	if c.cfg.Policy == LRU {
+		c.unlink(set, base, w)
 	}
 	return wasDirty
 }
@@ -530,33 +558,57 @@ func (c *Cache) reconstruct(incoming addr.BlockNum, tag uint64) addr.BlockNum {
 	return addr.BlockNum(tag<<c.tagShift | idx)
 }
 
-// promote refreshes the replacement state of the line at lane index w
-// (set base + way) after a demand hit.
-func (c *Cache) promote(w int) {
+// promote refreshes the replacement state of way w of set (lane index
+// base + w) after a demand hit.
+func (c *Cache) promote(set uint64, base, w int) {
 	switch c.cfg.Policy {
-	case LRU, Random:
-		c.stamp[w] = c.clock
+	case LRU:
+		if c.mru[set] != uint8(w) {
+			c.unlink(set, base, w)
+			c.pushMRU(set, base, w)
+		}
 	case SRRIP, DRRIP:
-		c.rrpv[w] = 0
+		c.rrpv[base+w] = 0
 	}
 }
 
+// unlink removes valid way w from set's LRU recency list.
+func (c *Cache) unlink(set uint64, base, w int) {
+	o, n := c.older[base+w], c.newer[base+w]
+	if o == noWay {
+		c.lru[set] = n
+	} else {
+		c.newer[base+int(o)] = n
+	}
+	if n == noWay {
+		c.mru[set] = o
+	} else {
+		c.older[base+int(n)] = o
+	}
+}
+
+// pushMRU links way w, not in the list, at the MRU end of set's list.
+func (c *Cache) pushMRU(set uint64, base, w int) {
+	m := c.mru[set]
+	c.older[base+w], c.newer[base+w] = m, noWay
+	if m == noWay {
+		c.lru[set] = uint8(w)
+	} else {
+		c.newer[base+int(m)] = uint8(w)
+	}
+	c.mru[set] = uint8(w)
+}
+
 // victim picks the way to evict from a full set under the active policy.
-// Tie-breaks replicate the legacy AoS scans exactly: LRU takes the lowest
-// way among minimal stamps, SRRIP/DRRIP the lowest way at maxRRPV (ageing
-// every way until one reaches it), Random consumes the seeded RNG in the
-// same sequence.
+// Each choice equals the AoS reference's scan exactly. LRU takes the LRU
+// end of the recency list: the reference stamps every hit and fill with a
+// fresh access count, so its stamps are unique and the list order is their
+// order. SRRIP/DRRIP take the lowest way at maxRRPV (ageing every way until
+// one reaches it), and Random consumes the seeded RNG in the same sequence.
 func (c *Cache) victim(set uint64, base int) int {
 	switch c.cfg.Policy {
 	case LRU:
-		stamps := c.stamp[base : base+c.ways : base+c.ways]
-		best := 0
-		for i := 1; i < len(stamps); i++ {
-			if stamps[i] < stamps[best] {
-				best = i
-			}
-		}
-		return best
+		return int(c.lru[set])
 	case SRRIP, DRRIP:
 		rr := c.rrpv[base : base+c.ways : base+c.ways]
 		for {

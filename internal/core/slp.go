@@ -13,7 +13,6 @@ import (
 	"repro/internal/addr"
 	"repro/internal/bitmap"
 	"repro/internal/events"
-	"repro/internal/hashidx"
 	"repro/internal/prefetch"
 )
 
@@ -30,20 +29,6 @@ type SLPConfig struct {
 // (345.2 KB across four channels, dominated by the pattern history table).
 func DefaultSLPConfig() SLPConfig {
 	return SLPConfig{FTEntries: 64, ATEntries: 128, PTEntries: 16384, FTPromote: 3, Timeout: 50000}
-}
-
-type ftEntry struct {
-	page  addr.PageNum
-	bits  bitmap.Seg16
-	last  uint64
-	valid bool
-}
-
-type atEntry struct {
-	page  addr.PageNum
-	bits  bitmap.Seg16
-	last  uint64
-	valid bool
 }
 
 type ptEntry struct {
@@ -64,18 +49,10 @@ type ptEntry struct {
 // snapshot (step 5). The page number is the only signature — no PC.
 type SLP struct {
 	cfg    SLPConfig
-	ft     []ftEntry
-	at     []atEntry
+	ft, at pageTable
 	pt     []ptEntry
 	ptMask uint64
 	sweep  int // round-robin AT timeout scan position
-
-	// Software indices emulating the hardware CAM lookups in O(1). The FT
-	// and AT entry arrays above are the pre-allocated slabs; these
-	// open-addressing indices (allocation-free under churn, unlike Go
-	// maps) find a page's slab slot, so a warm SLP never allocates.
-	ftIdx *hashidx.U64
-	atIdx *hashidx.U64
 
 	// statistics
 	promotions uint64 // FT→AT
@@ -112,14 +89,13 @@ func NewSLP(cfg SLPConfig) *SLP {
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 50000
 	}
+	arena := newPageArena(cfg.FTEntries, cfg.ATEntries)
 	return &SLP{
 		cfg:    cfg,
-		ft:     make([]ftEntry, cfg.FTEntries),
-		at:     make([]atEntry, cfg.ATEntries),
+		ft:     arena.table(cfg.FTEntries),
+		at:     arena.table(cfg.ATEntries),
 		pt:     make([]ptEntry, n),
 		ptMask: uint64(n - 1),
-		ftIdx:  hashidx.New(cfg.FTEntries),
-		atIdx:  hashidx.New(cfg.ATEntries),
 	}
 }
 
@@ -128,98 +104,55 @@ func (s *SLP) Name() string { return "slp" }
 
 // Reset implements prefetch.Prefetcher.
 func (s *SLP) Reset() {
-	for i := range s.ft {
-		s.ft[i] = ftEntry{}
-	}
-	for i := range s.at {
-		s.at[i] = atEntry{}
-	}
-	for i := range s.pt {
-		s.pt[i] = ptEntry{}
-	}
+	s.ft.reset()
+	s.at.reset()
+	clear(s.pt)
 	s.sweep, s.promotions, s.snapshots, s.issues = 0, 0, 0, 0
-	s.ftIdx.Reset()
-	s.atIdx.Reset()
 }
 
 // Train implements prefetch.Prefetcher (the SLP learning phase).
 func (s *SLP) Train(a prefetch.Access) {
 	s.expire(a.Cycle)
-	p := a.Page()
+	p := uint64(a.Page())
 	off := a.Block.SegOffset()
 
 	// Step 1: accumulate into an existing AT entry.
-	if i, ok := s.atIdx.Get(uint64(p)); ok {
-		e := &s.at[i]
-		e.bits = e.bits.Set(off)
-		e.last = a.Cycle
+	if i, ok := s.at.idx.Get(p); ok {
+		s.at.touch(int(i), off, a.Cycle)
 		return
 	}
 
 	// Step 2/3: filter table.
-	if i, ok := s.ftIdx.Get(uint64(p)); ok {
-		e := &s.ft[i]
-		e.bits = e.bits.Set(off)
-		e.last = a.Cycle
-		if e.bits.Count() >= s.cfg.FTPromote {
+	if i, ok := s.ft.idx.Get(p); ok {
+		s.ft.touch(int(i), off, a.Cycle)
+		if s.ft.bits[i].Count() >= s.cfg.FTPromote {
 			s.promote(int(i), a.Cycle)
 		}
 		return
 	}
-	ftIdx := -1
-	for i := range s.ft {
-		if !s.ft[i].valid {
-			ftIdx = i
-			break
-		}
-	}
-	if ftIdx == -1 {
-		// Evict the stalest FT entry; sub-threshold snapshots are
-		// dropped (that is the FT's filtering job).
-		ftIdx = 0
-		for i := 1; i < len(s.ft); i++ {
-			if s.ft[i].last < s.ft[ftIdx].last {
-				ftIdx = i
-			}
-		}
-		s.ftIdx.Delete(uint64(s.ft[ftIdx].page))
-	}
-	s.ft[ftIdx] = ftEntry{page: p, bits: bitmap.Seg16(0).Set(off), last: a.Cycle, valid: true}
-	s.ftIdx.Put(uint64(p), int32(ftIdx))
+	// A full FT evicts its stalest entry; sub-threshold snapshots are
+	// dropped (that is the FT's filtering job).
+	i, _ := s.ft.slot()
+	s.ft.put(i, p, bitmap.Seg16(0).Set(off), a.Cycle)
 }
 
 // promote moves FT entry i into the AT (step 3), evicting the stalest AT
 // entry into PT if the AT is full.
 func (s *SLP) promote(i int, now uint64) {
-	f := s.ft[i]
-	s.ft[i] = ftEntry{}
-	s.ftIdx.Delete(uint64(f.page))
+	p, b := s.ft.pages[i], s.ft.bits[i]
+	s.ft.drop(i)
 	s.promotions++
 	if s.sink != nil {
 		s.sink.Emit(events.Event{
-			Kind: events.KindSLPPromote, Cycle: now, Aux: uint64(f.page),
-			Origin: events.OriginSLP, N: uint16(f.bits.Count()),
+			Kind: events.KindSLPPromote, Cycle: now, Aux: p,
+			Origin: events.OriginSLP, N: uint16(b.Count()),
 		})
 	}
-	atIdx := -1
-	for j := range s.at {
-		if !s.at[j].valid {
-			atIdx = j
-			break
-		}
+	j, evict := s.at.slot()
+	if evict {
+		s.capture(j)
 	}
-	if atIdx == -1 {
-		atIdx = 0
-		for j := 1; j < len(s.at); j++ {
-			if s.at[j].last < s.at[atIdx].last {
-				atIdx = j
-			}
-		}
-		s.capture(s.at[atIdx])
-		s.atIdx.Delete(uint64(s.at[atIdx].page))
-	}
-	s.at[atIdx] = atEntry{page: f.page, bits: f.bits, last: now, valid: true}
-	s.atIdx.Put(uint64(f.page), int32(atIdx))
+	s.at.put(j, p, b, now)
 }
 
 // expire scans a few AT entries per call (a hardware-realistic round-robin
@@ -227,30 +160,27 @@ func (s *SLP) promote(i int, now uint64) {
 func (s *SLP) expire(now uint64) {
 	const perCall = 4
 	for k := 0; k < perCall; k++ {
-		e := &s.at[s.sweep]
-		if s.sweep++; s.sweep == len(s.at) {
+		i := s.sweep
+		if s.sweep++; s.sweep == len(s.at.pages) {
 			s.sweep = 0
 		}
-		if e.valid && now > e.last && now-e.last > s.cfg.Timeout {
-			s.capture(*e)
-			s.atIdx.Delete(uint64(e.page))
-			*e = atEntry{}
+		if s.at.live(i) && now > s.at.last[i] && now-s.at.last[i] > s.cfg.Timeout {
+			s.capture(i)
+			s.at.drop(i)
 		}
 	}
 }
 
-// capture writes a completed snapshot into the PT (step 4).
-func (s *SLP) capture(e atEntry) {
-	if !e.valid || e.bits.Count() == 0 {
-		return
-	}
+// capture writes the snapshot of live AT slot i into the PT (step 4). AT
+// entries come from FT promotions, so every snapshot has at least one bit.
+func (s *SLP) capture(i int) {
+	p, b := s.at.pages[i], s.at.bits[i]
 	s.snapshots++
-	idx := uint64(e.page) & s.ptMask
-	s.pt[idx] = ptEntry{tag: uint64(e.page), bits: e.bits, valid: true}
+	s.pt[p&s.ptMask] = ptEntry{tag: p, bits: b, valid: true}
 	if s.sink != nil {
 		s.sink.Emit(events.Event{
-			Kind: events.KindSLPSnapshot, Cycle: e.last, Aux: uint64(e.page),
-			Origin: events.OriginSLP, N: uint16(e.bits.Count()),
+			Kind: events.KindSLPSnapshot, Cycle: s.at.last[i], Aux: p,
+			Origin: events.OriginSLP, N: uint16(b.Count()),
 		})
 	}
 }
@@ -315,8 +245,8 @@ func (s *SLP) StorageBits() int {
 	if ptTag < 0 {
 		ptTag = 0
 	}
-	return len(s.ft)*(36+16+16+1) +
-		len(s.at)*(36+16+16+1) +
+	return len(s.ft.pages)*(36+16+16+1) +
+		len(s.at.pages)*(36+16+16+1) +
 		len(s.pt)*(ptTag+16+1)
 }
 

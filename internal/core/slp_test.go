@@ -24,7 +24,7 @@ func trainSnapshot(s *SLP, p addr.PageNum, offs []int, start uint64) uint64 {
 	// sweep sees the expiry.
 	cycle += s.cfg.Timeout + 1
 	other := p + 100000
-	for i := 0; i < len(s.at)+4; i++ {
+	for i := 0; i < s.cfg.ATEntries+4; i++ {
 		s.Train(acc(other, 0, i%16, cycle, true))
 		cycle++
 	}
@@ -158,7 +158,7 @@ func TestSLPTimeoutSeparatesEpochs(t *testing.T) {
 	s.Train(acc(p, 0, 3, 10, true))
 	// Let it expire via sweep traffic.
 	c := uint64(500)
-	for i := 0; i < len(s.at)+4; i++ {
+	for i := 0; i < s.cfg.ATEntries+4; i++ {
 		s.Train(acc(addr.PageNum(90000), 0, i%16, c, true))
 		c++
 	}

@@ -6,7 +6,6 @@ import (
 	"repro/internal/addr"
 	"repro/internal/bitmap"
 	"repro/internal/events"
-	"repro/internal/hashidx"
 	"repro/internal/prefetch"
 )
 
@@ -47,16 +46,10 @@ type TLP struct {
 	cfg    TLPConfig
 	window uint64 // DistThreshold capped at maxWindow
 
-	// The RPT as struct-of-arrays lanes: slot i holds pages[i], its
-	// footprint bits[i] and the cycle of its last access last[i]. Slots fill
-	// in order and only Reset empties them, so slot i is valid iff i < used.
-	pages []addr.PageNum
-	bits  []bitmap.Seg16
-	last  []uint64
-	used  int
-	// idx is the page → RPT-slot index; open addressing keeps the lookup
-	// allocation-free under entry churn.
-	idx *hashidx.U64
+	// rpt is the Recent Page Table. A new page takes the first free slot,
+	// and only Reset frees slots, so slot i is valid iff i < used.
+	rpt  pageTable
+	used int
 
 	issues uint64
 
@@ -80,14 +73,11 @@ func NewTLP(cfg TLPConfig) *TLP {
 	if cfg.MinCommon <= 0 {
 		cfg.MinCommon = def.MinCommon
 	}
-	n := cfg.RPTEntries
+	arena := newPageArena(cfg.RPTEntries)
 	return &TLP{
 		cfg:    cfg,
 		window: min(cfg.DistThreshold, maxWindow),
-		pages:  make([]addr.PageNum, n),
-		bits:   make([]bitmap.Seg16, n),
-		last:   make([]uint64, n),
-		idx:    hashidx.New(n),
+		rpt:    arena.table(cfg.RPTEntries),
 	}
 }
 
@@ -96,74 +86,68 @@ func (t *TLP) Name() string { return "tlp" }
 
 // Reset implements prefetch.Prefetcher.
 func (t *TLP) Reset() {
-	t.used, t.issues = 0, 0 // allocation overwrites every lane of a reused slot
-	t.idx.Reset()
+	t.used, t.issues = 0, 0
+	t.rpt.reset()
 }
 
 // Train implements prefetch.Prefetcher (the TLP learning phase): record the
 // block in the page's RPT footprint, allocating an entry on first sight.
 func (t *TLP) Train(a prefetch.Access) {
-	p := a.Page()
+	p := uint64(a.Page())
 	off := a.Block.SegOffset()
-	if i, ok := t.idx.Get(uint64(p)); ok {
-		t.bits[i] = t.bits[i].Set(off)
-		t.last[i] = a.Cycle
+	if i, ok := t.rpt.idx.Get(p); ok {
+		t.rpt.touch(int(i), off, a.Cycle)
 		return
 	}
-	i := t.allocate()
-	t.pages[i] = p
-	t.bits[i] = bitmap.Seg16(0).Set(off)
-	t.last[i] = a.Cycle
-	t.idx.Put(uint64(p), int32(i))
-}
-
-// allocate returns the RPT slot for a new page: the next unused slot while
-// the table fills, otherwise the least recently used (lowest index on ties),
-// whose page it unindexes.
-func (t *TLP) allocate() int {
-	if t.used < len(t.pages) {
+	// A full RPT evicts its least recently used entry.
+	i, evict := t.rpt.slot()
+	if !evict {
 		t.used++
-		return t.used - 1
 	}
-	lru := 0
-	for i, l := range t.last {
-		if l < t.last[lru] {
-			lru = i
-		}
-	}
-	t.idx.Delete(uint64(t.pages[lru]))
-	return lru
+	t.rpt.put(i, p, bitmap.Seg16(0).Set(off), a.Cycle)
 }
 
 // BestNeighbor returns the most similar flagged neighbour entry of page p
 // and the blocks it would transfer (neighbour minus self), or ok=false.
+//
+// A neighbour shares at most popcount(self) bits with p, which gives the
+// scan two exact exits: a page with fewer than MinCommon bits has no
+// neighbour, and a neighbour sharing every bit of self cannot be beaten by
+// a later slot under the strict ">".
 func (t *TLP) BestNeighbor(p addr.PageNum) (neighbor addr.PageNum, transfer bitmap.Seg16, ok bool) {
-	i, exists := t.idx.Get(uint64(p))
+	i, exists := t.rpt.idx.Get(uint64(p))
 	if !exists {
 		return 0, 0, false
 	}
-	self := t.bits[i]
+	self := t.rpt.bits[i]
+	all := self.Count()
+	if all < t.cfg.MinCommon {
+		return 0, 0, false
+	}
 	// Ref(p, q) ⇔ |p−q| ≤ window ⇔ q − (p−window) ≤ 2·window in wrapping
 	// unsigned arithmetic, exact while pages < 2^58 and window ≤ 2^62.
 	lo, span := uint64(p)-t.window, 2*t.window
 	best, bestCommon := -1, t.cfg.MinCommon-1
-	for j, q := range t.pages[:t.used] {
-		if uint64(q)-lo > span || j == int(i) {
+	for j, q := range t.rpt.pages[:t.used] {
+		if q-lo > span || j == int(i) {
 			continue
 		}
-		if c := self.Common(t.bits[j]); c > bestCommon {
+		if c := self.Common(t.rpt.bits[j]); c > bestCommon {
 			bestCommon = c
 			best = j
+			if c == all {
+				break
+			}
 		}
 	}
 	if best == -1 {
 		return 0, 0, false
 	}
-	tr := t.bits[best].Minus(self)
+	tr := t.rpt.bits[best].Minus(self)
 	if tr == 0 {
 		return 0, 0, false
 	}
-	return t.pages[best], tr, true
+	return addr.PageNum(t.rpt.pages[best]), tr, true
 }
 
 // Issue implements prefetch.Prefetcher (the TLP issuing phase): on a demand
@@ -206,6 +190,6 @@ func (t *TLP) Issues() uint64 { return t.issues }
 // useful Ref bits (Section 4.2). The simulator derives the Ref bits from
 // the tags, but the modelled hardware stores them, so they count here.
 func (t *TLP) StorageBits() int {
-	n := len(t.pages)
+	n := len(t.rpt.pages)
 	return n * (36 + 16 + 16 + 1 + (n - 1))
 }

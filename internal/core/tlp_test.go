@@ -127,12 +127,12 @@ func TestTLPEvictionRecyclesLRU(t *testing.T) {
 		trainPage(tl, addr.PageNum(0x100+i), []int{1, 2, 3, 4, 8 + i}, uint64(i*100))
 	}
 	// The first two pages were evicted; their index entries must be gone.
-	if _, ok := tl.idx.Get(0x100); ok {
+	if _, ok := tl.rpt.idx.Get(0x100); ok {
 		t.Fatal("evicted page still indexed")
 	}
 	// The last four are resident.
 	for i := 2; i < 6; i++ {
-		if _, ok := tl.idx.Get(uint64(0x100 + i)); !ok {
+		if _, ok := tl.rpt.idx.Get(uint64(0x100 + i)); !ok {
 			t.Fatalf("recent page 0x%x missing", 0x100+i)
 		}
 	}
