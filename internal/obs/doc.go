@@ -4,10 +4,11 @@
 //
 // An artifact is one JSON document with three parts:
 //
-//   - a Manifest recording how the run was produced (tool, workload,
+//   - a Manifest recording how the run was produced: tool, workload,
 //     prefetcher, trace length, warmup fraction, sampling cadence, seed,
-//     git describe output, Go version, platform and wall time), so any
-//     number in the artifact can be traced back to a reproducible
+//     provenance (the binary's VCS stamp, else git describe of the
+//     working directory), Go version, platform and wall time. Any number
+//     in the artifact can thus be traced back to a reproducible
 //     invocation;
 //   - an optional metrics.Report (with its windowed TimeSeries when
 //     sampling was enabled) for single-run tools, or a list of Cells —

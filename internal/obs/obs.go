@@ -9,7 +9,9 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/events"
@@ -55,6 +57,9 @@ type Manifest struct {
 	Repeat     int    `json:"repeat,omitempty"`
 	ConfigHash string `json:"config_hash,omitempty"`
 
+	// GitDescribe names the code that produced the run (see GitDescribe):
+	// the binary's VCS stamp, else `git describe` of the working
+	// directory; omitted when neither is available.
 	GitDescribe string    `json:"git_describe,omitempty"`
 	GoVersion   string    `json:"go_version"`
 	OS          string    `json:"os"`
@@ -88,7 +93,8 @@ func (m *Manifest) RecordFailure(err error, rep *metrics.Report) {
 }
 
 // NewManifest builds a manifest for the named tool with the environment
-// fields (git describe, Go version, platform, start time) filled in.
+// fields (provenance from GitDescribe, Go version, platform, start time)
+// filled in.
 func NewManifest(tool string) Manifest {
 	return Manifest{
 		SchemaVersion: SchemaVersion,
@@ -211,13 +217,77 @@ func ReadFile(path string) (Artifact, error) {
 	return Decode(f)
 }
 
-// GitDescribe returns `git describe --always --dirty` for the working
-// directory, or "" when git or the repository is unavailable. Best-effort
+// GitDescribe returns the provenance of the running binary, resolved once
+// per process. A binary built by `go build` in a checkout carries its VCS
+// stamp: the first 12 hex digits of the commit, plus "-dirty" when the
+// tree had uncommitted changes. An unstamped binary (`go run`, `go test`)
+// falls back to `git describe --always --dirty` for the working directory,
+// which is "" when git or the repository is unavailable. Best-effort
 // provenance only — artifacts stay valid without it.
-func GitDescribe() string {
+func GitDescribe() string { return provenanceOnce() }
+
+var provenanceOnce = sync.OnceValue(func() string {
+	var settings []debug.BuildSetting
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		settings = bi.Settings
+	}
+	return provenance(settings, gitDescribe)
+})
+
+// provenance formats the VCS stamp in a binary's build settings: the first
+// 12 digits of vcs.revision, with "-dirty" appended when vcs.modified is
+// "true". Settings without a revision yield fallback().
+func provenance(settings []debug.BuildSetting, fallback func() string) string {
+	var rev string
+	dirty := false
+	for _, s := range settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value
+		case "vcs.modified":
+			dirty = s.Value == "true"
+		}
+	}
+	if rev == "" {
+		return fallback()
+	}
+	if len(rev) > 12 {
+		rev = rev[:12]
+	}
+	if dirty {
+		rev += "-dirty"
+	}
+	return rev
+}
+
+// gitDescribe returns `git describe --always --dirty` for the working
+// directory, or "" when git or the repository is unavailable. Git finds
+// its repository through GIT_DIR or a .git entry in the working directory
+// or above it; with neither, the subprocess could only fail, so it is not
+// started.
+func gitDescribe() string {
+	if wd, err := os.Getwd(); err == nil && os.Getenv("GIT_DIR") == "" && !underGit(wd) {
+		return ""
+	}
 	out, err := exec.Command("git", "describe", "--always", "--dirty").Output()
 	if err != nil {
 		return ""
 	}
 	return strings.TrimSpace(string(out))
+}
+
+// underGit reports whether dir or one of its parents holds a .git entry:
+// a repository's directory, or the file a linked worktree or submodule
+// keeps in its place.
+func underGit(dir string) bool {
+	for {
+		if _, err := os.Stat(filepath.Join(dir, ".git")); err == nil {
+			return true
+		}
+		parent := filepath.Dir(dir)
+		if parent == dir {
+			return false
+		}
+		dir = parent
+	}
 }

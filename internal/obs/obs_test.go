@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -51,6 +52,65 @@ func TestManifestEnvironmentFields(t *testing.T) {
 	}
 	if man.StartTime.IsZero() {
 		t.Fatal("start time not set")
+	}
+}
+
+// TestProvenance pins how a binary's VCS stamp becomes the manifest's
+// git_describe, and that only a stamp without a revision falls back to
+// `git describe`.
+func TestProvenance(t *testing.T) {
+	const rev = "0123456789abcdef0123456789abcdef01234567"
+	stamp := func(kv ...string) []debug.BuildSetting {
+		s := []debug.BuildSetting{{Key: "-compiler", Value: "gc"}, {Key: "GOOS", Value: "linux"}}
+		for i := 0; i < len(kv); i += 2 {
+			s = append(s, debug.BuildSetting{Key: kv[i], Value: kv[i+1]})
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		name     string
+		settings []debug.BuildSetting
+		want     string
+	}{
+		{"modified", stamp("vcs", "git", "vcs.revision", rev, "vcs.modified", "true"), "0123456789ab-dirty"},
+		{"clean", stamp("vcs", "git", "vcs.revision", rev, "vcs.modified", "false"), "0123456789ab"},
+		{"short revision", stamp("vcs.revision", "abc1234", "vcs.modified", "false"), "abc1234"},
+		{"no vcs.modified", stamp("vcs.revision", rev), "0123456789ab"},
+		{"no vcs.revision", stamp(), "described"},
+		{"no build info", nil, "described"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := provenance(tc.settings, func() string { return "described" }); got != tc.want {
+				t.Fatalf("provenance = %q, want %q", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestUnderGit: a .git directory, or the .git file of a linked worktree,
+// in a directory or any parent marks a repository that git describe may
+// find; a tree without one answers as its parents do.
+func TestUnderGit(t *testing.T) {
+	root := t.TempDir()
+	outside := underGit(root)
+	for _, dir := range []string{"repo/a/b", "worktree/a"} {
+		if err := os.MkdirAll(filepath.Join(root, dir), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := underGit(filepath.Join(root, "repo/a/b")); got != outside {
+		t.Fatalf("underGit without .git = %v, want %v as for %s", got, outside, root)
+	}
+	if err := os.Mkdir(filepath.Join(root, "repo/.git"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "worktree/.git"), []byte("gitdir: ../repo/.git\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{"repo", "repo/a/b", "worktree/a"} {
+		if !underGit(filepath.Join(root, dir)) {
+			t.Errorf("underGit(%s) = false, want true", dir)
+		}
 	}
 }
 

@@ -408,8 +408,8 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 		}
 	}
 
-	// The checkpoint manifest is built once: git describe is a subprocess
-	// and the environment fields are identical across the grid.
+	// The checkpoint manifest is built once: its environment fields are
+	// identical across the grid.
 	man := obs.NewManifest("sweepfarm")
 
 	workers := r.Workers
