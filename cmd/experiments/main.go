@@ -56,27 +56,31 @@ import (
 // usable for flag-validation errors that fire before the replacement.
 var logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 
+// The command line. Package-level so that tests read the same defaults.
+var (
+	n               = flag.Int("n", 800_000, "requests per application trace")
+	warmup          = flag.Float64("warmup", 0.2, "fraction of each trace run before statistics start (0 < w < 0.9; negative disables)")
+	subshards       = flag.Int("subshards", 1, "address-hashed sub-shards per channel for every run (power of two; 1 or less is the unsharded paper geometry; values > 1 change the simulated geometry and scale each run past 4 workers)")
+	run             = flag.String("run", "all", "experiment id (all, fig2, fig4, fig5, fig7, fig8, fig9, fig9b, fig10, tab-ipc, tab-traffic, tab-storage, cache-study, abl-coord, abl-dist, abl-pt, csv)")
+	jsonPath        = flag.String("json", "", "write a combined JSON run artifact to this path")
+	artifactDir     = flag.String("artifact-dir", "", "write one JSON artifact per (app, prefetcher) sweep cell into this directory")
+	sampleEvery     = flag.Uint64("sample-every", 0, "emit a windowed time-series sample every N requests inside each run (0 disables)")
+	cpuprofile      = flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this path")
+	memprofile      = flag.String("memprofile", "", "write a heap profile (runtime/pprof) to this path")
+	validate        = flag.String("validate-artifact", "", "read and validate the JSON artifact at this path, then exit (CI smoke check)")
+	validateTrace   = flag.String("validate-trace", "", "read and validate the Chrome trace-event JSON at this path, then exit (CI smoke check)")
+	validateMetrics = flag.String("validate-metrics", "", "read and validate the Prometheus text exposition at this path (a saved /metrics scrape), then exit (CI smoke check)")
+	debugAddr       = flag.String("debug-addr", "", "serve live sweep introspection (progress, metrics, pprof) on this address, e.g. localhost:6060")
+	extraPF         = flag.String("extra-pf", "", "comma-separated extra prefetchers added to the fig7/csv sweep set, e.g. planaria-tournament (see sim.PrefetcherNames)")
+	repeats         = flag.Int("repeats", 1, "seeded repeats per sweep cell; values > 1 run the resumable sweep farm and report mean ± 95% CI (see EXPERIMENTS.md)")
+	gridPath        = flag.String("grid", "", "JSON grid spec (apps × prefetchers × variants × repeats) run on the sweep farm; overrides -run")
+	csvOut          = flag.String("csv", "", "farm mode: write the grouped statistics CSV (mean/std/ci95 per metric) to this path")
+	latexOut        = flag.String("latex", "", "farm mode: write LaTeX hit-rate and AMAT tables to this path")
+	logLevel        = flag.String("log-level", "info", "minimum structured-log level on stderr: debug, info, warn or error")
+	logJSON         = flag.Bool("log-json", false, "emit structured logs as JSON lines instead of key=value text")
+)
+
 func main() {
-	n := flag.Int("n", 800_000, "requests per application trace")
-	warmup := flag.Float64("warmup", 0.2, "fraction of each trace run before statistics start (0 < w < 0.9; negative disables)")
-	subshards := flag.Int("subshards", 0, "address-hashed sub-shards per channel for every run (power of two; 0 = auto from GOMAXPROCS, 1 = the unsharded paper geometry; values > 1 change the simulated geometry and scale each run past 4 workers)")
-	run := flag.String("run", "all", "experiment id (all, fig2, fig4, fig5, fig7, fig8, fig9, fig9b, fig10, tab-ipc, tab-traffic, tab-storage, cache-study, abl-coord, abl-dist, abl-pt, csv)")
-	jsonPath := flag.String("json", "", "write a combined JSON run artifact to this path")
-	artifactDir := flag.String("artifact-dir", "", "write one JSON artifact per (app, prefetcher) sweep cell into this directory")
-	sampleEvery := flag.Uint64("sample-every", 0, "emit a windowed time-series sample every N requests inside each run (0 disables)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this path")
-	memprofile := flag.String("memprofile", "", "write a heap profile (runtime/pprof) to this path")
-	validate := flag.String("validate-artifact", "", "read and validate the JSON artifact at this path, then exit (CI smoke check)")
-	validateTrace := flag.String("validate-trace", "", "read and validate the Chrome trace-event JSON at this path, then exit (CI smoke check)")
-	validateMetrics := flag.String("validate-metrics", "", "read and validate the Prometheus text exposition at this path (a saved /metrics scrape), then exit (CI smoke check)")
-	debugAddr := flag.String("debug-addr", "", "serve live sweep introspection (progress, metrics, pprof) on this address, e.g. localhost:6060")
-	extraPF := flag.String("extra-pf", "", "comma-separated extra prefetchers added to the fig7/csv sweep set, e.g. planaria-tournament (see sim.PrefetcherNames)")
-	repeats := flag.Int("repeats", 1, "seeded repeats per sweep cell; values > 1 run the resumable sweep farm and report mean ± 95% CI (see EXPERIMENTS.md)")
-	gridPath := flag.String("grid", "", "JSON grid spec (apps × prefetchers × variants × repeats) run on the sweep farm; overrides -run")
-	csvOut := flag.String("csv", "", "farm mode: write the grouped statistics CSV (mean/std/ci95 per metric) to this path")
-	latexOut := flag.String("latex", "", "farm mode: write LaTeX hit-rate and AMAT tables to this path")
-	logLevel := flag.String("log-level", "info", "minimum structured-log level on stderr: debug, info, warn or error")
-	logJSON := flag.Bool("log-json", false, "emit structured logs as JSON lines instead of key=value text")
 	flag.Parse()
 
 	level, lerr := telemetry.ParseLevel(*logLevel)
@@ -86,18 +90,9 @@ func main() {
 	logger = telemetry.NewLogger(os.Stderr, level, *logJSON).
 		With("tool", "experiments", "run_id", telemetry.NewRunID())
 
-	var extras []string
-	if *extraPF != "" {
-		for _, pf := range strings.Split(*extraPF, ",") {
-			pf = strings.TrimSpace(pf)
-			if pf == "" {
-				continue
-			}
-			if _, err := sim.NamedPrefetcher(pf); err != nil {
-				fail(err)
-			}
-			extras = append(extras, pf)
-		}
+	opts, oerr := runOptions()
+	if oerr != nil {
+		fail(oerr)
 	}
 
 	if *validate != "" {
@@ -145,17 +140,6 @@ func main() {
 		defer stop()
 	}
 
-	if *subshards == 0 {
-		*subshards = sim.AutoSubShards()
-	}
-	opts := experiments.Options{
-		Requests:         *n,
-		Warmup:           *warmup,
-		SampleEvery:      *sampleEvery,
-		ArtifactDir:      *artifactDir,
-		SubShards:        *subshards,
-		ExtraPrefetchers: extras,
-	}
 	if *debugAddr != "" {
 		opts.Progress = telemetry.NewRegistry()
 		d, derr := obs.StartDebugServer(*debugAddr, obs.DebugConfig{
@@ -299,6 +283,32 @@ func main() {
 			fail(err)
 		}
 	}
+}
+
+// runOptions builds the experiment options the flags select, without the
+// -debug-addr progress registry.
+func runOptions() (experiments.Options, error) {
+	var extras []string
+	if *extraPF != "" {
+		for _, pf := range strings.Split(*extraPF, ",") {
+			pf = strings.TrimSpace(pf)
+			if pf == "" {
+				continue
+			}
+			if _, err := sim.NamedPrefetcher(pf); err != nil {
+				return experiments.Options{}, err
+			}
+			extras = append(extras, pf)
+		}
+	}
+	return experiments.Options{
+		Requests:         *n,
+		Warmup:           *warmup,
+		SampleEvery:      *sampleEvery,
+		ArtifactDir:      *artifactDir,
+		SubShards:        *subshards,
+		ExtraPrefetchers: extras,
+	}, nil
 }
 
 // runFarm executes the sweep-farm path: a grid loaded from -grid (or the

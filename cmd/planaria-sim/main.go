@@ -50,28 +50,32 @@ import (
 // usable for flag-validation errors that fire before the replacement.
 var logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 
+// The command line. Package-level so that tests read the same defaults.
+var (
+	app          = flag.String("app", "CFM", "catalog application abbreviation (see Table 2)")
+	traceFile    = flag.String("trace", "", "binary trace file (overrides -app)")
+	pf           = flag.String("pf", "planaria", fmt.Sprintf("prefetcher %v", sim.PrefetcherNames()))
+	tournament   = flag.Bool("tournament", false, "shorthand for -pf planaria-tournament: the composite plus the stride/markov/accel components under the set-dueling meta-predictor (docs/PREFETCHERS.md)")
+	n            = flag.Int("n", 800_000, "requests to generate when using -app")
+	verbose      = flag.Bool("v", false, "print detailed DRAM/cache counters")
+	warmup       = flag.Float64("warmup", 0, "fraction of the trace run before statistics start (0 disables)")
+	subshards    = flag.Int("subshards", 1, "address-hashed sub-shards per channel (power of two; 1 or less is the unsharded paper geometry; values > 1 change the simulated geometry — see the report's parallel: line — and scale a run past 4 workers)")
+	useMmap      = flag.Bool("mmap", true, "memory-map the -trace file and decode records straight from the mapping (falls back to buffered reads when mapping is unavailable; -mmap=false forces the buffered reader)")
+	jsonPath     = flag.String("json", "", "write a JSON run artifact (manifest + report + time series) to this path")
+	sampleEvery  = flag.Uint64("sample-every", 0, "emit a windowed time-series sample every N requests (0 disables)")
+	sampleCycles = flag.Uint64("sample-cycles", 0, "emit a windowed time-series sample every N trace cycles (0 disables)")
+	cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this path")
+	memprofile   = flag.String("memprofile", "", "write a heap profile (runtime/pprof) to this path")
+	traceOut     = flag.String("trace-out", "", "record decision events and write a Chrome trace-event JSON (Perfetto-loadable) to this path")
+	attrib       = flag.Bool("attrib", false, "record decision events and print the per-prefetcher attribution table")
+	debugAddr    = flag.String("debug-addr", "", "serve live run introspection (progress, attribution, metrics, pprof) on this address, e.g. localhost:6060")
+	progress     = flag.Bool("progress", false, "print a one-line progress report to stderr every second")
+	telemetryOn  = flag.Bool("telemetry", false, "enable live metrics instruments (latency histograms, per-component counters); implied by -debug-addr and -progress; adds the telemetry summary to reports and -json artifacts (docs/OBSERVABILITY.md)")
+	logLevel     = flag.String("log-level", "info", "minimum structured-log level on stderr: debug, info, warn or error")
+	logJSON      = flag.Bool("log-json", false, "emit structured logs as JSON lines instead of key=value text")
+)
+
 func main() {
-	app := flag.String("app", "CFM", "catalog application abbreviation (see Table 2)")
-	traceFile := flag.String("trace", "", "binary trace file (overrides -app)")
-	pf := flag.String("pf", "planaria", fmt.Sprintf("prefetcher %v", sim.PrefetcherNames()))
-	tournament := flag.Bool("tournament", false, "shorthand for -pf planaria-tournament: the composite plus the stride/markov/accel components under the set-dueling meta-predictor (docs/PREFETCHERS.md)")
-	n := flag.Int("n", 800_000, "requests to generate when using -app")
-	verbose := flag.Bool("v", false, "print detailed DRAM/cache counters")
-	warmup := flag.Float64("warmup", 0, "fraction of the trace run before statistics start (0 disables)")
-	subshards := flag.Int("subshards", 0, "address-hashed sub-shards per channel (power of two; 0 = auto from GOMAXPROCS, 1 = the unsharded paper geometry; values > 1 change the simulated geometry — see the report's parallel: line — and scale a run past 4 workers)")
-	useMmap := flag.Bool("mmap", true, "memory-map the -trace file and decode records straight from the mapping (falls back to buffered reads when mapping is unavailable; -mmap=false forces the buffered reader)")
-	jsonPath := flag.String("json", "", "write a JSON run artifact (manifest + report + time series) to this path")
-	sampleEvery := flag.Uint64("sample-every", 0, "emit a windowed time-series sample every N requests (0 disables)")
-	sampleCycles := flag.Uint64("sample-cycles", 0, "emit a windowed time-series sample every N trace cycles (0 disables)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this path")
-	memprofile := flag.String("memprofile", "", "write a heap profile (runtime/pprof) to this path")
-	traceOut := flag.String("trace-out", "", "record decision events and write a Chrome trace-event JSON (Perfetto-loadable) to this path")
-	attrib := flag.Bool("attrib", false, "record decision events and print the per-prefetcher attribution table")
-	debugAddr := flag.String("debug-addr", "", "serve live run introspection (progress, attribution, metrics, pprof) on this address, e.g. localhost:6060")
-	progress := flag.Bool("progress", false, "print a one-line progress report to stderr every second")
-	telemetryOn := flag.Bool("telemetry", false, "enable live metrics instruments (latency histograms, per-component counters); implied by -debug-addr and -progress; adds the telemetry summary to reports and -json artifacts (docs/OBSERVABILITY.md)")
-	logLevel := flag.String("log-level", "info", "minimum structured-log level on stderr: debug, info, warn or error")
-	logJSON := flag.Bool("log-json", false, "emit structured logs as JSON lines instead of key=value text")
 	flag.Parse()
 
 	level, lerr := telemetry.ParseLevel(*logLevel)
@@ -132,35 +136,11 @@ func main() {
 		s = p.Stream(*n)
 	}
 
-	if *tournament {
-		*pf = "planaria-tournament"
-	}
-	factory, err := sim.NamedPrefetcher(*pf)
+	cfg, err := engineConfig()
 	if err != nil {
 		fatal(err)
 	}
-	cfg := sim.DefaultConfig()
-	cfg.NewPrefetcher = factory
-	cfg.SampleEvery = *sampleEvery
-	cfg.SampleEveryCycles = *sampleCycles
-	if *subshards == 0 {
-		*subshards = sim.AutoSubShards()
-	}
-	cfg.SubShards = *subshards
-	// Event tracing: -trace-out needs the per-channel rings; -attrib and
-	// -debug-addr only need the attribution counters (ring size 0).
-	if *traceOut != "" {
-		cfg.Events = &events.Config{RingSize: events.DefaultRingSize}
-	} else if *attrib || *debugAddr != "" {
-		cfg.Events = &events.Config{}
-	}
-	// Run progress is a pair of registry series, so -progress and
-	// -debug-addr always build the registry.
-	var reg *telemetry.Registry
-	if *telemetryOn || *debugAddr != "" || *progress {
-		reg = telemetry.NewRegistry()
-		cfg.Telemetry = reg
-	}
+	reg := cfg.Telemetry
 	eng := sim.New(cfg)
 
 	var debug *obs.DebugServer
@@ -283,6 +263,36 @@ func main() {
 		}
 		os.Exit(1)
 	}
+}
+
+// engineConfig builds the engine configuration the flags select.
+func engineConfig() (sim.Config, error) {
+	name := *pf
+	if *tournament {
+		name = "planaria-tournament"
+	}
+	factory, err := sim.NamedPrefetcher(name)
+	if err != nil {
+		return sim.Config{}, err
+	}
+	cfg := sim.DefaultConfig()
+	cfg.NewPrefetcher = factory
+	cfg.SampleEvery = *sampleEvery
+	cfg.SampleEveryCycles = *sampleCycles
+	cfg.SubShards = *subshards
+	// Event tracing: -trace-out needs the per-channel rings; -attrib and
+	// -debug-addr only need the attribution counters (ring size 0).
+	if *traceOut != "" {
+		cfg.Events = &events.Config{RingSize: events.DefaultRingSize}
+	} else if *attrib || *debugAddr != "" {
+		cfg.Events = &events.Config{}
+	}
+	// Run progress is a pair of registry series, so -progress and
+	// -debug-addr always build the registry.
+	if *telemetryOn || *debugAddr != "" || *progress {
+		cfg.Telemetry = telemetry.NewRegistry()
+	}
+	return cfg, nil
 }
 
 // startProgressPrinter logs a one-line progress report every second: records

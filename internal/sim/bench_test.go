@@ -143,14 +143,12 @@ func BenchmarkEngineStepTournament(b *testing.B) {
 
 // BenchmarkEngineStepSubshard is the intra-channel scaling guard: the
 // parallel engine at SubShards = 2, i.e. eight worker units (4 channels ×
-// 2 sub-shards) instead of four. The shard count is fixed rather than
-// AutoSubShards() so allocs/op is host-independent. BENCH_baseline.json
-// pins it with "relative_to": "EngineStep" and a wide tolerance: on a
-// single-core host the eight goroutines only add scheduling overhead, so
-// the gate asserts the sub-sharded run never falls below the pinned
-// fraction of the serial engine, while on multi-core hosts the ratio
-// exceeds 1 and the pin is trivially met (see docs/PERFORMANCE.md,
-// "Intra-channel sub-sharding").
+// 2 sub-shards) instead of four. BENCH_baseline.json pins it with
+// "relative_to": "EngineStep" and a wide tolerance: on a single-core host
+// the eight goroutines only add scheduling overhead, so the gate asserts
+// the sub-sharded run never falls below the pinned fraction of the serial
+// engine, while on multi-core hosts the ratio exceeds 1 and the pin is
+// trivially met (see docs/PERFORMANCE.md, "Intra-channel sub-sharding").
 func BenchmarkEngineStepSubshard(b *testing.B) {
 	p := workloads.Catalog()[0]
 	tr := p.Generate(100_000)

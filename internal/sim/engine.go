@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"strconv"
 
@@ -470,23 +469,6 @@ func New(cfg Config) *Engine {
 		e.sampler = metrics.NewSampler(cfg.SampleEvery, cfg.SampleEveryCycles)
 	}
 	return e
-}
-
-// AutoSubShards returns the sub-shard count the CLIs' "-subshards 0"
-// (auto) resolves to on this host: the smallest power of two M such that
-// channels × M covers GOMAXPROCS workers, capped at 8 — the deepest
-// slicing the default 1 MB per-channel cache supports. A host with at most
-// one worker per channel resolves to 1, i.e. the unsharded paper geometry.
-// Note sub-sharding is a simulated-geometry choice, not just an execution
-// knob: absolute numbers at M > 1 differ from M = 1, and the report header
-// records the geometry so runs are always comparable knowingly.
-func AutoSubShards() int {
-	p := runtime.GOMAXPROCS(0)
-	m := 1
-	for m < 8 && addr.Channels*m < p {
-		m <<= 1
-	}
-	return m
 }
 
 // unitIndex routes a block to its execution unit: the owning channel when
