@@ -60,7 +60,7 @@ var (
 	verbose      = flag.Bool("v", false, "print detailed DRAM/cache counters")
 	warmup       = flag.Float64("warmup", 0, "fraction of the trace run before statistics start (0 disables)")
 	subshards    = flag.Int("subshards", 1, "address-hashed sub-shards per channel (power of two; 1 or less is the unsharded paper geometry; values > 1 change the simulated geometry — see the report's parallel: line — and scale a run past 4 workers)")
-	useMmap      = flag.Bool("mmap", true, "memory-map the -trace file and decode records straight from the mapping (falls back to buffered reads when mapping is unavailable; -mmap=false forces the buffered reader)")
+	_            = flag.Bool("mmap", true, "deprecated and ignored: -trace files are always streamed through one buffered reader; kept so -mmap and -mmap=false still parse")
 	jsonPath     = flag.String("json", "", "write a JSON run artifact (manifest + report + time series) to this path")
 	sampleEvery  = flag.Uint64("sample-every", 0, "emit a windowed time-series sample every N requests (0 disables)")
 	sampleCycles = flag.Uint64("sample-cycles", 0, "emit a windowed time-series sample every N trace cycles (0 disables)")
@@ -95,38 +95,16 @@ func main() {
 		records int
 	)
 	if *traceFile != "" {
-		name = *traceFile
-		if *useMmap {
-			// Memory-mapped replay: records decode straight from the
-			// mapped file (OpenMapped falls back to buffered reads by
-			// itself when the platform cannot map).
-			mt, err := trace.OpenMapped(*traceFile)
-			if err != nil {
-				fatal(err)
-			}
-			defer mt.Close()
-			ms, err := mt.Stream()
-			if err != nil {
-				fatal(err)
-			}
-			s, records = ms, mt.Len()
-		} else {
-			f, err := os.Open(*traceFile)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			rs := trace.NewReader(f).Stream()
-			fi, err := f.Stat()
-			if err != nil {
-				fatal(err)
-			}
-			if rc := trace.RecordCount(fi.Size()); rc >= 0 {
-				rs.WithLen(rc)
-				records = rc
-			}
-			s = rs
+		tf, err := trace.Open(*traceFile)
+		if err != nil {
+			fatal(err)
 		}
+		defer tf.Close()
+		ts, err := tf.Stream()
+		if err != nil {
+			fatal(err)
+		}
+		name, s, records = *traceFile, ts, tf.Len()
 	} else {
 		p, ok := workloads.ByAbbr(*app)
 		if !ok {

@@ -15,6 +15,7 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -73,24 +74,18 @@ func main() {
 		return
 	}
 
-	var w io.Writer = os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
-		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-		}()
-		w = f
-	}
-	var err error
+	write := func(w io.Writer) error { return trace.WriteAll(w, t) }
 	if *text {
-		err = trace.WriteText(w, t)
+		write = func(w io.Writer) error { return trace.WriteText(w, t) }
+	}
+	// A file output is renamed into place only once complete, so a failed
+	// or killed tracegen never leaves a torn trace, and a replay already
+	// reading the old file keeps reading it.
+	var err error
+	if *out == "-" {
+		err = write(os.Stdout)
 	} else {
-		err = trace.WriteAll(w, t)
+		err = obs.WriteAtomic(*out, write)
 	}
 	if err != nil {
 		fatal(err)

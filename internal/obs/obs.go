@@ -173,14 +173,21 @@ func Decode(r io.Reader) (Artifact, error) {
 	return a, nil
 }
 
-// WriteFile writes the artifact to path (mode 0644), creating parent
-// directories as needed. The JSON goes to a temporary ".<base>.tmp*" file in
-// the same directory — a name no "*.json" scan matches — that is renamed
-// over path only once encoding succeeded, so an encode error or a kill
-// mid-write never leaves a torn artifact behind. There is no fsync: the
-// rename guards against torn writes, not against power loss, and sweeps
-// write dozens of artifacts per run.
+// WriteFile writes the artifact to path through WriteAtomic, so an encode
+// error or a kill mid-write never leaves a torn artifact behind.
 func WriteFile(path string, a Artifact) error {
+	return WriteAtomic(path, func(w io.Writer) error { return Encode(w, a) })
+}
+
+// WriteAtomic writes a file at path (mode 0644) through write, creating
+// parent directories as needed. The bytes go to a temporary ".<base>.tmp*"
+// file in the same directory — a name no "*.json" or "*.bin" scan matches —
+// that is renamed over path only once write returned nil and the file closed
+// cleanly, so a failed write or a kill mid-write never leaves a torn file
+// behind, and a reader that already has path open keeps the file it
+// opened. There is no fsync: the rename guards against torn writes, not
+// against power loss, and sweeps write dozens of artifacts per run.
+func WriteAtomic(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("obs: %w", err)
@@ -194,7 +201,7 @@ func WriteFile(path string, a Artifact) error {
 		f.Close()
 		return fmt.Errorf("obs: %w", err)
 	}
-	if err := Encode(f, a); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}

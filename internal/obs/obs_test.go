@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -192,9 +193,10 @@ func TestWriteReadFile(t *testing.T) {
 	}
 }
 
-// TestWriteFileKeepsPreviousOnError: an artifact that fails to encode (JSON
-// has no NaN) must leave the previous file byte-identical and no temporary
-// file behind.
+// TestWriteFileKeepsPreviousOnError: a write that fails — an artifact that
+// cannot encode (JSON has no NaN), or a WriteAtomic write func that errors
+// after it has written bytes — must leave the previous file byte-identical
+// and no temporary file behind.
 func TestWriteFileKeepsPreviousOnError(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "cell.json")
@@ -209,6 +211,16 @@ func TestWriteFileKeepsPreviousOnError(t *testing.T) {
 	bad.Report.AMAT = math.NaN()
 	if err := WriteFile(path, bad); err == nil {
 		t.Fatal("NaN report encoded without error")
+	}
+	errMidWrite := errors.New("write failed mid-file")
+	partial := func(w io.Writer) error {
+		if _, err := w.Write(before[:len(before)/2]); err != nil {
+			return err
+		}
+		return errMidWrite
+	}
+	if err := WriteAtomic(path, partial); !errors.Is(err, errMidWrite) {
+		t.Fatalf("WriteAtomic = %v, want the write func's error", err)
 	}
 	after, err := os.ReadFile(path)
 	if err != nil {

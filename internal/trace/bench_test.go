@@ -6,16 +6,15 @@ import "testing"
 // elide the decode loop.
 var benchSink Record
 
-// BenchmarkMappedBatchDecode measures the batch decode path behind
-// MappedStream.NextChunk: one engine chunk (ChunkSize records) decoded per
-// op straight from an in-memory image of a mapped file, exactly the shape
-// NextChunk sees over the mmap (the mapping is just bytes — the kernel page
-// cache is not part of what this measures, and one chunk stays far below
-// the release window). Must stay allocation-free (pinned in
-// BENCH_baseline.json); SetBytes makes the MB/s column the decode rate.
-func BenchmarkMappedBatchDecode(b *testing.B) {
+// BenchmarkBatchDecode measures the batch decode behind
+// ReaderStream.NextChunk: one engine chunk (ChunkSize records) decoded per
+// op through decodeBatch from an in-memory buffer, the shape NextChunk hands
+// it after each read (the file read itself is not part of what this
+// measures). Must stay allocation-free (pinned in BENCH_baseline.json);
+// SetBytes makes the MB/s column the decode rate.
+func BenchmarkBatchDecode(b *testing.B) {
 	const n = ChunkSize
-	src := make([]byte, headerBytes+n*recordBytes)
+	src := make([]byte, n*recordBytes)
 	for i := range src {
 		src[i] = byte(i * 2654435761)
 	}
@@ -24,10 +23,7 @@ func BenchmarkMappedBatchDecode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := MappedStream{data: src, n: n}
-		if got := s.NextChunk(dst); got != n {
-			b.Fatalf("NextChunk = %d records, want %d", got, n)
-		}
+		decodeBatch(dst, src)
 	}
 	benchSink = dst[n-1]
 }

@@ -118,8 +118,8 @@ func (s *SliceStream) Len() int { return len(s.t) - s.pos }
 
 // ReaderStream adapts a binary trace Reader to the Stream interface:
 // streaming file replay without ReadAll's whole-trace materialisation. The
-// record count is unknown (Len returns -1) unless declared with WithLen —
-// use RecordCount on the file size for regular binary trace files.
+// record count is unknown (Len returns -1) unless declared with WithLen;
+// File.Stream declares it from the file size.
 type ReaderStream struct {
 	r        *Reader
 	buf      []byte // NextChunk's read buffer, ChunkSize records long once allocated
@@ -230,7 +230,7 @@ func (s *ReaderStream) Len() int {
 
 // RecordCount returns the number of records in a binary trace file of the
 // given size, or -1 when the size cannot be a whole header plus whole
-// records (the stream will surface the decode error on read).
+// records (Open rejects such a file).
 func RecordCount(fileSize int64) int {
 	if fileSize < headerBytes || (fileSize-headerBytes)%recordBytes != 0 {
 		return -1

@@ -325,30 +325,30 @@ func TestReaderChunkParityLong(t *testing.T) {
 	checkReaderChunkParity(t, buf.Bytes()[:buf.Len()-7], sizes)
 }
 
-// TestNextChunkAllocs pins both file paths' NextChunk allocation-free after
-// the first call: the mapped stream across several release windows, and the
-// buffered stream once its read buffer exists.
+// TestNextChunkAllocs pins NextChunk allocation-free after the first call,
+// both on a File's stream, which reads the file at its own offset, and on a
+// stream over an in-memory reader, once each has its read buffer.
 func TestNextChunkAllocs(t *testing.T) {
-	tr := streamTrace(3 * releaseWindow / recordBytes)
+	tr := streamTrace(8 * ChunkSize)
 	var buf bytes.Buffer
 	if err := WriteAll(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	m, err := OpenMapped(writeTempFile(t, buf.Bytes()))
+	f, err := Open(writeTempFile(t, buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
-	mapped, err := m.Stream()
+	defer f.Close()
+	file, err := f.Stream()
 	if err != nil {
 		t.Fatal(err)
 	}
-	buffered := NewReader(bytes.NewReader(buf.Bytes())).Stream().WithLen(len(tr))
+	inMemory := NewReader(bytes.NewReader(buf.Bytes())).Stream().WithLen(len(tr))
 	// Every measured call delivers a whole chunk, so one allocation per call
 	// cannot vanish in AllocsPerRun's integer average.
 	runs := len(tr)/ChunkSize - 1
 	dst := make([]Record, ChunkSize)
-	for name, s := range map[string]Stream{"mapped": mapped, "buffered": buffered} {
+	for name, s := range map[string]Stream{"file": file, "in-memory": inMemory} {
 		n := 0
 		if a := testing.AllocsPerRun(runs, func() { n += ReadChunk(s, dst) }); a != 0 {
 			t.Errorf("%s NextChunk: %v allocs per call, want 0", name, a)

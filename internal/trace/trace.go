@@ -209,17 +209,25 @@ func (r *Reader) readHeader() error {
 	if r.header {
 		return nil
 	}
-	var h [8]byte
+	var h [headerBytes]byte
 	if _, err := io.ReadFull(r.r, h[:]); err != nil {
 		return err
 	}
+	if err := checkHeader(h); err != nil {
+		return err
+	}
+	r.header = true
+	return nil
+}
+
+// checkHeader validates a binary trace header's magic and version.
+func checkHeader(h [headerBytes]byte) error {
 	if [4]byte{h[0], h[1], h[2], h[3]} != magic {
 		return ErrBadMagic
 	}
 	if h[4] != binVersion {
 		return fmt.Errorf("trace: unsupported version %d", h[4])
 	}
-	r.header = true
 	return nil
 }
 
@@ -240,6 +248,31 @@ func (r *Reader) Read() (Record, error) {
 	var rec [1]Record
 	decodeBatch(rec[:], r.buf[:])
 	return rec[0], nil
+}
+
+// decodeBatch decodes len(dst) records from src into dst. It is the one
+// decoder of the binary record format: ReaderStream.NextChunk hands it
+// whole chunks, and Reader.Read one record. One up-front bounds assertion
+// covers the whole batch, and each record is then two word-at-a-time
+// little-endian loads plus two byte loads from a constant-size sub-slice —
+// no per-record slice-header arithmetic the bounds checker has to re-prove.
+// src must hold at least len(dst)*recordBytes bytes.
+func decodeBatch(dst []Record, src []byte) {
+	if len(dst) == 0 {
+		return
+	}
+	_ = src[len(dst)*recordBytes-1] // one bounds assertion for the batch
+	off := 0
+	for k := range dst {
+		b := src[off : off+recordBytes : off+recordBytes]
+		dst[k] = Record{
+			Addr:   addr.Addr(binary.LittleEndian.Uint64(b[0:8])),
+			Cycle:  binary.LittleEndian.Uint64(b[8:16]),
+			Device: Device(b[16]),
+			Write:  b[17]&1 != 0,
+		}
+		off += recordBytes
+	}
 }
 
 // ReadAll drains the reader into memory.
