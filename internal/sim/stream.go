@@ -20,8 +20,8 @@ import (
 
 // ErrUnsizedWarmup reports a warmup fraction applied to a stream of unknown
 // length: the engine cannot place the warmup boundary without a total
-// record count. Wrap the stream with a known length (trace.Sized — e.g.
-// ReaderStream.WithLen with trace.RecordCount of the file size) or run
+// record count. Use a stream of known length (trace.Sized — e.g. the
+// stream of a file opened with trace.Open, or ReaderStream.WithLen) or run
 // without warmup.
 var ErrUnsizedWarmup = errors.New("sim: warmup fraction requires a sized stream (trace.Sized)")
 
