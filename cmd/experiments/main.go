@@ -352,7 +352,7 @@ func runFarm(w io.Writer, gridPath string, repeats int, opts experiments.Options
 		fmt.Fprintf(w, "\nfarm: %d jobs executed, %d resumed, %d failed\n",
 			res.Executed, res.Resumed, res.Failed)
 		if csvOut != "" {
-			if err := writeFarmFile(csvOut, func(f io.Writer) error {
+			if err := obs.WriteAtomic(csvOut, func(f io.Writer) error {
 				return sweepfarm.WriteGroupedCSV(f, res)
 			}); err != nil {
 				return err
@@ -360,7 +360,7 @@ func runFarm(w io.Writer, gridPath string, repeats int, opts experiments.Options
 			fmt.Fprintf(w, "wrote %s\n", csvOut)
 		}
 		if latexOut != "" {
-			if err := writeFarmFile(latexOut, func(f io.Writer) error {
+			if err := obs.WriteAtomic(latexOut, func(f io.Writer) error {
 				if err := sweepfarm.WriteLaTeX(f, res, "hit_rate"); err != nil {
 					return err
 				}
@@ -372,18 +372,6 @@ func runFarm(w io.Writer, gridPath string, repeats int, opts experiments.Options
 		}
 	}
 	return runErr
-}
-
-func writeFarmFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fail(err error) {

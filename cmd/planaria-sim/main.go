@@ -30,6 +30,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"os/signal"
@@ -347,18 +348,13 @@ func printAttrib(s *events.AttribSnapshot) {
 	}
 }
 
-// writeChromeTrace exports the engine's event rings to path.
+// writeChromeTrace exports the engine's event rings to path through
+// obs.WriteAtomic, so a failed export leaves any earlier file intact.
 func writeChromeTrace(path string, eng *sim.Engine, workload string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
 	meta := events.TraceMeta{Tool: "planaria-sim", Workload: workload, Prefetcher: eng.PrefetcherName()}
-	if err := events.WriteChromeTrace(f, eng.Events(), meta); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return obs.WriteAtomic(path, func(w io.Writer) error {
+		return events.WriteChromeTrace(w, eng.Events(), meta)
+	})
 }
 
 func fatal(err error) {

@@ -4,9 +4,12 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
+	"repro/internal/events"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -45,5 +48,29 @@ func TestDefaultGeometryIgnoresHost(t *testing.T) {
 		} else if got != want {
 			t.Errorf("GOMAXPROCS %d: report digest %x, want %x (GOMAXPROCS 1)", procs, got[:6], want[:6])
 		}
+	}
+}
+
+// TestWriteChromeTraceKeepsFileOnFailure exports from an engine whose
+// recorder keeps attribution but no event rings, which the exporter
+// rejects: the export must fail and leave the file already at the path as
+// it was.
+func TestWriteChromeTraceKeepsFileOnFailure(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	const old = `{"traceEvents":[]}`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.DefaultConfig()
+	cfg.Events = &events.Config{RingSize: 0}
+	if err := writeChromeTrace(path, sim.New(cfg), "CFM"); err == nil {
+		t.Fatal("export without event rings succeeded")
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != old {
+		t.Fatalf("failed export changed the file to %q", got)
 	}
 }

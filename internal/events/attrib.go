@@ -27,7 +27,7 @@ type attribCell struct {
 // atomic increments never contend across workers; Recorder sums channels at
 // snapshot time.
 type attrib struct {
-	cells    [numOrigins][PageBuckets]attribCell
+	cells    [NumOrigins][PageBuckets]attribCell
 	suppress [numReasons]atomic.Uint64
 
 	demand       atomic.Uint64
@@ -118,7 +118,8 @@ type AttribSnapshot struct {
 	PageBuckets int `json:"page_buckets"`
 
 	// Origins lists the lifecycle attribution per sub-prefetcher, in
-	// enum order (untagged, slp, tlp, other); all-zero rows are omitted.
+	// enum order (untagged, slp, tlp, stride, markov, accel, nextline,
+	// other); all-zero rows are omitted.
 	Origins []OriginAttrib `json:"origins"`
 
 	// Suppression histograms the coordinator's arbitration outcomes by

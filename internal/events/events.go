@@ -93,10 +93,11 @@ func (k Kind) String() string {
 type Origin uint8
 
 // Origins. OriginNone covers untagged prefetches (every prefetch of a
-// non-composite prefetcher such as BOP or SPP); OriginStride, OriginMarkov
-// and OriginAccel are the tournament's PC-free delta-family components
+// non-composite prefetcher such as BOP or SPP); OriginStride, OriginMarkov,
+// OriginAccel and OriginNextLine are the built-in tournament components
 // (docs/PREFETCHERS.md); OriginOther covers tagged origins that are none of
-// the above (custom composites and custom tournament components).
+// the above (custom composites and custom tournament components). The
+// engine counts, stores and reports prefetch origins in this enum alone.
 const (
 	OriginNone Origin = iota
 	OriginSLP
@@ -104,12 +105,14 @@ const (
 	OriginStride
 	OriginMarkov
 	OriginAccel
+	OriginNextLine
 	OriginOther
 
-	numOrigins
+	// NumOrigins is the number of origins, for origin-indexed arrays.
+	NumOrigins = iota
 )
 
-var originNames = [numOrigins]string{"untagged", "slp", "tlp", "stride", "markov", "accel", "other"}
+var originNames = [NumOrigins]string{"untagged", "slp", "tlp", "stride", "markov", "accel", "nextline", "other"}
 
 // String returns the origin mnemonic.
 func (o Origin) String() string {
@@ -135,6 +138,8 @@ func OriginFromName(name string) Origin {
 		return OriginMarkov
 	case "accel":
 		return OriginAccel
+	case "nextline":
+		return OriginNextLine
 	}
 	return OriginOther
 }

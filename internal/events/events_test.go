@@ -158,6 +158,11 @@ func TestOriginFromName(t *testing.T) {
 	cases := map[string]Origin{
 		"": OriginNone, "slp": OriginSLP, "tlp": OriginTLP, "custom": OriginOther,
 	}
+	// Every tagged origin's name maps back to it, so a name the engine
+	// reports is the name the attribution table and the Chrome trace show.
+	for o := OriginSLP; o < NumOrigins; o++ {
+		cases[o.String()] = o
+	}
 	for name, want := range cases {
 		if got := OriginFromName(name); got != want {
 			t.Errorf("OriginFromName(%q) = %v, want %v", name, got, want)

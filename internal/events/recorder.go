@@ -82,7 +82,7 @@ func (r *Recorder) ResetAttrib() {
 // to call while the run is still in progress.
 func (r *Recorder) Attrib() *AttribSnapshot {
 	snap := &AttribSnapshot{PageBuckets: PageBuckets}
-	var cells [numOrigins][PageBuckets]BucketAttrib
+	var cells [NumOrigins][PageBuckets]BucketAttrib
 	var suppress [numReasons]uint64
 	for _, s := range r.sinks {
 		a := &s.at

@@ -34,7 +34,9 @@ type Report struct {
 
 	// UsefulByOrigin attributes useful prefetches (including late hits)
 	// to the issuing sub-prefetcher for composite prefetchers that report
-	// an origin ("slp"/"tlp" for Planaria). Empty for other prefetchers.
+	// an origin, keyed by events.Origin name: "slp"/"tlp" for Planaria,
+	// the component name for the tournament's built-in components, "other"
+	// for any other name. Empty for other prefetchers.
 	UsefulByOrigin map[string]uint64 `json:"useful_by_origin,omitempty"`
 
 	// LateByOrigin attributes the LatePrefetchHits above to the issuing

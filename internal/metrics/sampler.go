@@ -11,39 +11,25 @@ package metrics
 // the hot counters themselves (the engine only snapshots at window
 // boundaries).
 
-// Snapshot is a cumulative counter snapshot of one run at a point in time,
-// summed over all channels. The engine produces one per window boundary;
-// the Sampler diffs consecutive snapshots into Samples. All fields are
-// monotonically non-decreasing between statistics resets.
+// Snapshot is a cumulative counter snapshot of one run at a point in time:
+// the report's counters summed over all execution units, plus the trace
+// clock, the record count and the AMAT numerator. The engine builds every
+// report from one final Snapshot and closes every window on one, so a
+// window is the difference of two snapshots and the series sums to the
+// report by construction. Counters are monotonically non-decreasing between
+// statistics resets.
 type Snapshot struct {
 	Cycle    uint64 // trace clock at the snapshot
 	Requests uint64 // records processed since the last statistics reset
-
-	DemandReads  uint64
-	DemandWrites uint64
-	DemandHits   uint64
-	DemandMisses uint64
-
-	PrefetchFills    uint64
-	UsefulPrefetches uint64
-	LatePrefetchHits uint64
-	Issued           uint64
-
-	DRAMReads  uint64
-	DRAMWrites uint64
-	PrefReads  uint64
 
 	// ReadLatency is the accumulated demand-read latency (the AMAT
 	// numerator): hit latency, late-prefetch wait time, and lookup plus
 	// DRAM service time for true read misses.
 	ReadLatency uint64
 
-	// UsefulByOrigin is the cumulative per-origin useful-prefetch
-	// attribution ("slp"/"tlp" for Planaria); nil for other prefetchers.
-	UsefulByOrigin map[string]uint64
-	// LateByOrigin is the cumulative per-origin late-prefetch-hit
-	// attribution (a subset of UsefulByOrigin's late-hit credits).
-	LateByOrigin map[string]uint64
+	// Report holds the summed counters. The run's labels, AMAT, series
+	// and telemetry are set only on the report the engine returns.
+	Report
 }
 
 // Sample is one window of a run: the delta between two consecutive
@@ -147,14 +133,6 @@ func NewSampler(everyRequests, everyCycles uint64) *Sampler {
 	return &Sampler{everyRequests: everyRequests, everyCycles: everyCycles}
 }
 
-// Base returns the cumulative request count and trace cycle at the start
-// of the currently open window. The parallel engine uses it to precompute
-// window boundaries from the trace alone, so its barrier-merged samples
-// close at exactly the records the serial engine's Due checks fire on.
-func (s *Sampler) Base() (requests, cycle uint64) {
-	return s.base.Requests, s.base.Cycle
-}
-
 // Due reports whether the current window should close, given the
 // cumulative request count and the trace clock.
 func (s *Sampler) Due(requests, cycle uint64) bool {
@@ -209,34 +187,35 @@ func delta(base, cur Snapshot) Sample {
 		Requests:         cur.Requests - base.Requests,
 		DemandReads:      cur.DemandReads - base.DemandReads,
 		DemandWrites:     cur.DemandWrites - base.DemandWrites,
-		DemandHits:       cur.DemandHits - base.DemandHits,
-		DemandMisses:     cur.DemandMisses - base.DemandMisses,
-		PrefetchFills:    cur.PrefetchFills - base.PrefetchFills,
-		UsefulPrefetches: cur.UsefulPrefetches - base.UsefulPrefetches,
+		DemandHits:       cur.Cache.DemandHits - base.Cache.DemandHits,
+		DemandMisses:     cur.Cache.DemandMisses - base.Cache.DemandMisses,
+		PrefetchFills:    cur.Cache.PrefetchFills - base.Cache.PrefetchFills,
+		UsefulPrefetches: cur.Cache.UsefulPrefetches - base.Cache.UsefulPrefetches,
 		LatePrefetchHits: cur.LatePrefetchHits - base.LatePrefetchHits,
-		Issued:           cur.Issued - base.Issued,
-		DRAMReads:        cur.DRAMReads - base.DRAMReads,
-		DRAMWrites:       cur.DRAMWrites - base.DRAMWrites,
-		PrefReads:        cur.PrefReads - base.PrefReads,
+		Issued:           cur.Prefetch.Issued - base.Prefetch.Issued,
+		DRAMReads:        cur.DRAM.Reads - base.DRAM.Reads,
+		DRAMWrites:       cur.DRAM.Writes - base.DRAM.Writes,
+		PrefReads:        cur.DRAM.PrefReads - base.DRAM.PrefReads,
 		ReadLatency:      cur.ReadLatency - base.ReadLatency,
-	}
-	for o, n := range cur.UsefulByOrigin {
-		if dn := n - base.UsefulByOrigin[o]; dn > 0 {
-			if d.UsefulByOrigin == nil {
-				d.UsefulByOrigin = make(map[string]uint64)
-			}
-			d.UsefulByOrigin[o] = dn
-		}
-	}
-	for o, n := range cur.LateByOrigin {
-		if dn := n - base.LateByOrigin[o]; dn > 0 {
-			if d.LateByOrigin == nil {
-				d.LateByOrigin = make(map[string]uint64)
-			}
-			d.LateByOrigin[o] = dn
-		}
+		UsefulByOrigin:   diffByOrigin(base.UsefulByOrigin, cur.UsefulByOrigin),
+		LateByOrigin:     diffByOrigin(base.LateByOrigin, cur.LateByOrigin),
 	}
 	d.fillRatios()
+	return d
+}
+
+// diffByOrigin returns the non-zero per-origin increments from base to cur,
+// or nil when there are none.
+func diffByOrigin(base, cur map[string]uint64) map[string]uint64 {
+	var d map[string]uint64
+	for o, n := range cur {
+		if dn := n - base[o]; dn > 0 {
+			if d == nil {
+				d = make(map[string]uint64)
+			}
+			d[o] = dn
+		}
+	}
 	return d
 }
 

@@ -4,18 +4,21 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+
+	"repro/internal/cache"
 )
 
 // snap builds a cumulative snapshot with the counters most window tests
 // care about; latency is 100 cycles per read so AMAT is easy to predict.
 func snap(cycle, requests, reads, hits, misses uint64) Snapshot {
 	return Snapshot{
-		Cycle:        cycle,
-		Requests:     requests,
-		DemandReads:  reads,
-		DemandHits:   hits,
-		DemandMisses: misses,
-		ReadLatency:  reads * 100,
+		Cycle:       cycle,
+		Requests:    requests,
+		ReadLatency: reads * 100,
+		Report: Report{
+			DemandReads: reads,
+			Cache:       cache.Stats{DemandHits: hits, DemandMisses: misses},
+		},
 	}
 }
 

@@ -163,10 +163,14 @@ func (b *BOP) endRound() {
 // Issue implements prefetch.Prefetcher: on a miss, prefetch X + k·D for
 // k = 1..Degree while the learning phase has a confident offset.
 func (b *BOP) Issue(a prefetch.Access) []addr.BlockNum {
+	return b.IssueTo(a, nil)
+}
+
+// IssueTo implements prefetch.BufferedIssuer.
+func (b *BOP) IssueTo(a prefetch.Access, dst []addr.BlockNum) []addr.BlockNum {
 	if !a.Miss || !b.prefetchOn {
-		return nil
+		return dst
 	}
-	out := make([]addr.BlockNum, 0, b.cfg.Degree)
 	dense := addr.DenseIndex(a.Block)
 	ch := a.Block.Channel()
 	for k := 1; k <= b.cfg.Degree; k++ {
@@ -174,9 +178,9 @@ func (b *BOP) Issue(a prefetch.Access) []addr.BlockNum {
 		if t < 0 {
 			break
 		}
-		out = append(out, addr.FromDense(ch, uint64(t)))
+		dst = append(dst, addr.FromDense(ch, uint64(t)))
 	}
-	return out
+	return dst
 }
 
 // Best returns the currently selected offset and whether prefetching is on

@@ -155,3 +155,18 @@ func TestName(t *testing.T) {
 		t.Fatal("name")
 	}
 }
+
+// BenchmarkBOPTrainIssue drives BOP the way the engine does — Train, then
+// IssueTo into one reused buffer — over a stride-3 miss stream, so the
+// learned offset is live and triggers issue. BENCH_baseline.json pins it
+// allocation-free.
+func BenchmarkBOPTrainIssue(b *testing.B) {
+	pf := New(DefaultConfig())
+	dst := make([]addr.BlockNum, 0, 64)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		a := miss(uint64(i&(1<<16-1)) * 3)
+		pf.Train(a)
+		dst = pf.IssueTo(a, dst[:0])
+	}
+}

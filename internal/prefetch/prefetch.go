@@ -74,7 +74,10 @@ func (None) Name() string { return "none" }
 func (None) Train(Access) {}
 
 // Issue implements Prefetcher.
-func (None) Issue(Access) []addr.BlockNum { return nil }
+func (n None) Issue(a Access) []addr.BlockNum { return n.IssueTo(a, nil) }
+
+// IssueTo implements BufferedIssuer.
+func (None) IssueTo(_ Access, dst []addr.BlockNum) []addr.BlockNum { return dst }
 
 // StorageBits implements Prefetcher.
 func (None) StorageBits() int { return 0 }

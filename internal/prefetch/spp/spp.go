@@ -183,12 +183,16 @@ func (s *SPP) learn(sig uint16, delta int) {
 // Issue implements prefetch.Prefetcher: walk the signature path, compounding
 // confidence, and emit prefetches within the channel segment.
 func (s *SPP) Issue(a prefetch.Access) []addr.BlockNum {
+	return s.IssueTo(a, nil)
+}
+
+// IssueTo implements prefetch.BufferedIssuer.
+func (s *SPP) IssueTo(a prefetch.Access, dst []addr.BlockNum) []addr.BlockNum {
 	p := a.Page()
 	e := s.stSlot(p)
 	if !e.valid || e.tag != uint64(p) {
-		return nil
+		return dst
 	}
-	var out []addr.BlockNum
 	sig := e.sig
 	off := a.Block.SegOffset()
 	conf := 1.0
@@ -224,10 +228,10 @@ func (s *SPP) Issue(a prefetch.Access) []addr.BlockNum {
 			s.recordBoundary(sig, conf, prevOff, int(d.delta))
 			break
 		}
-		out = append(out, p.Block(addr.OffsetOf(ch, off)))
+		dst = append(dst, p.Block(addr.OffsetOf(ch, off)))
 		sig = sigUpdate(sig, int(d.delta))
 	}
-	return out
+	return dst
 }
 
 // StorageBits implements prefetch.Prefetcher: ST entry = tag 36 + lastOff 4 +

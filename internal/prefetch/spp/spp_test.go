@@ -187,3 +187,26 @@ func TestStorageBits(t *testing.T) {
 		t.Fatal("name")
 	}
 }
+
+// BenchmarkSPPTrainIssue drives SPP the way the engine does — Train, then
+// IssueTo into one reused buffer — over page walks of delta 1 and delta 2,
+// so signature paths build confidence and triggers issue lookahead
+// prefetches. BENCH_baseline.json pins it allocation-free.
+func BenchmarkSPPTrainIssue(b *testing.B) {
+	var accs []prefetch.Access
+	for p := addr.PageNum(0); p < 1024; p++ {
+		d := 1 + int(p)%2
+		for off := 0; off < addr.SegmentBlocks; off += d {
+			accs = append(accs, access(p, int(p)%addr.Channels, off, true))
+		}
+	}
+	pf := New(DefaultConfig())
+	dst := make([]addr.BlockNum, 0, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := accs[i%len(accs)]
+		pf.Train(a)
+		dst = pf.IssueTo(a, dst[:0])
+	}
+}

@@ -38,13 +38,13 @@ func stepSlices(t *testing.T, eng *Engine, tr trace.Trace, warm int) float64 {
 
 // TestEngineStepSteadyStateAllocs pins the tentpole allocation property:
 // once the engine is warm — tables populated, rings grown, the candidate
-// buffer sized — stepping a record allocates nothing, for the composite
-// and for the tournament path. Warm-up is the only allocating phase; see
+// buffer sized — stepping a record allocates nothing, for every named
+// prefetcher. Warm-up is the only allocating phase; see
 // docs/PERFORMANCE.md ("Allocation behaviour").
 func TestEngineStepSteadyStateAllocs(t *testing.T) {
 	p := workloads.Catalog()[0]
 	tr := p.Generate(120_000)
-	for _, pf := range []string{"planaria", "planaria-tournament"} {
+	for _, pf := range PrefetcherNames() {
 		factory, err := NamedPrefetcher(pf)
 		if err != nil {
 			t.Fatal(err)

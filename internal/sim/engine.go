@@ -216,7 +216,9 @@ type channelState struct {
 	shards int
 
 	// tracker is pf's origin interface, resolved once at construction so
-	// the hot path pays no type assertion.
+	// the hot path pays no type assertion. A trigger's origin is
+	// events.OriginFromName of the name it reports, so the report, the
+	// attribution table and the Chrome trace share one origin namespace.
 	tracker originTracker
 
 	// issuer is pf's buffered-issue interface (nil when pf only implements
@@ -235,23 +237,14 @@ type channelState struct {
 	// In-flight prefetches, FIFO by readiness (constant latency).
 	pending pendingRing
 
-	// Origin interning: sub-prefetcher names ("slp", "tlp") are mapped to
-	// small dense ids once, and the hot path deals only in ids —
-	// usefulOrigin is indexed by id, and the id of a resident prefetched
-	// line rides in the cache line itself (cache.FillOrigin), so there is
-	// no per-block side map to maintain.
-	originIDs    map[string]uint8
-	originNames  []string // id → name; index 0 is the empty origin
-	usefulOrigin []uint64 // useful-prefetch counts by origin id
-	lateOrigin   []uint64 // late-prefetch-hit counts by origin id
-	lastOrigin   string   // memoised last interned name (origins repeat)
-	lastOriginID uint8
+	// Useful-prefetch and late-hit counts by the issuing trigger's origin.
+	// The origin rides in the pending fill and in the cache line's origin
+	// byte (cache.FillOrigin), so there is no per-block side map.
+	usefulOrigin [events.NumOrigins]uint64
+	lateOrigin   [events.NumOrigins]uint64
 
 	// ev is this channel's event sink; nil when tracing is disabled.
-	// originEv maps interned origin ids to the event-level Origin enum so
-	// emission never re-parses names.
-	ev       *events.ChannelSink
-	originEv []events.Origin
+	ev *events.ChannelSink
 
 	// tel holds this unit's telemetry instruments; nil when telemetry is
 	// disabled (Config.Telemetry), in which case every recording site
@@ -261,14 +254,20 @@ type channelState struct {
 	metaEvents uint64 // prefetcher table touches for the power model
 	scEvents   uint64 // SC lookups + fills
 
-	hitLatency   uint64 // accumulated demand-read hit latency
-	lateLatency  uint64 // accumulated latency of late-prefetch read hits
+	readLatency  uint64 // demand-read latency spent in the SC: hits and late-prefetch waits
 	lateHits     uint64 // demand reads served by an in-flight prefetch
 	demandReads  uint64
 	demandWrites uint64
 	lastCycle    uint64
 
 	statsFrom uint64 // cycle of the last ResetStats (wall-clock baseline)
+
+	// Each unit is its own allocation, and units sit side by side in one
+	// size-class span. The pad keeps the counters above, which this unit's
+	// worker writes on every record, off the cache line holding the next
+	// unit's first fields, which that unit's worker reads on every record
+	// (docs/PERFORMANCE.md, "Unit layout: the 64-byte pad").
+	_ [64]byte
 }
 
 // originTracker is implemented by composite prefetchers (Planaria) that can
@@ -428,18 +427,13 @@ func New(cfg Config) *Engine {
 		ccfg.Seed += int64(u)    // equals the old per-channel seeding when shards == 1
 		pf := cfg.NewPrefetcher(ch)
 		cs := &channelState{
-			cfg:          &e.cfg,
-			cache:        cache.New(ccfg),
-			dram:         dram.NewController(cfg.DRAM),
-			pf:           pf,
-			kept:         make([]addr.BlockNum, 0, prefetchQueueCap),
-			unit:         u,
-			shards:       shards,
-			originIDs:    make(map[string]uint8),
-			originNames:  []string{""},
-			usefulOrigin: []uint64{0},
-			lateOrigin:   []uint64{0},
-			originEv:     []events.Origin{events.OriginNone},
+			cfg:    &e.cfg,
+			cache:  cache.New(ccfg),
+			dram:   dram.NewController(cfg.DRAM),
+			pf:     pf,
+			kept:   make([]addr.BlockNum, 0, prefetchQueueCap),
+			unit:   u,
+			shards: shards,
 		}
 		cs.tracker, _ = pf.(originTracker)
 		cs.issuer, _ = pf.(prefetch.BufferedIssuer)
@@ -522,17 +516,12 @@ func (e *Engine) ResetStats() {
 		cs.pstats = prefetch.Stats{}
 		cs.metaEvents = 0
 		cs.scEvents = 0
-		cs.hitLatency = 0
-		cs.lateLatency = 0
+		cs.readLatency = 0
 		cs.lateHits = 0
 		cs.demandReads = 0
 		cs.demandWrites = 0
-		for i := range cs.usefulOrigin {
-			cs.usefulOrigin[i] = 0
-		}
-		for i := range cs.lateOrigin {
-			cs.lateOrigin[i] = 0
-		}
+		cs.usefulOrigin = [events.NumOrigins]uint64{}
+		cs.lateOrigin = [events.NumOrigins]uint64{}
 		cs.statsFrom = cs.lastCycle
 	}
 	if e.recorder != nil {
@@ -553,32 +542,6 @@ func (e *Engine) ResetStats() {
 	}
 }
 
-// internOrigin maps a sub-prefetcher name to its per-channel dense id,
-// growing the id space on first sight. Id 0 is the empty origin; an
-// (implausible) 256th distinct origin degrades to untracked.
-func (cs *channelState) internOrigin(name string) uint8 {
-	if name == "" {
-		return 0
-	}
-	if name == cs.lastOrigin {
-		return cs.lastOriginID
-	}
-	id, ok := cs.originIDs[name]
-	if !ok {
-		if len(cs.originNames) > 255 {
-			return 0
-		}
-		id = uint8(len(cs.originNames))
-		cs.originNames = append(cs.originNames, name)
-		cs.usefulOrigin = append(cs.usefulOrigin, 0)
-		cs.lateOrigin = append(cs.lateOrigin, 0)
-		cs.originEv = append(cs.originEv, events.OriginFromName(name))
-		cs.originIDs[name] = id
-	}
-	cs.lastOrigin, cs.lastOriginID = name, id
-	return id
-}
-
 // commitPending lands every in-flight prefetch whose latency has elapsed.
 func (cs *channelState) commitPending(now uint64) error {
 	for cs.pending.size() > 0 && cs.pending.front().ready <= now {
@@ -586,7 +549,7 @@ func (cs *channelState) commitPending(now uint64) error {
 		cs.pending.pop()
 		// A fill whose demand already waited on it arrives "pre-used":
 		// the usefulness credit was given as a late hit.
-		ev := cs.cache.FillOrigin(p.block, !p.usedLate, false, p.origin)
+		ev := cs.cache.FillOrigin(p.block, !p.usedLate, false, uint8(p.origin))
 		if err := cs.writeback(ev, now); err != nil {
 			return err
 		}
@@ -596,7 +559,7 @@ func (cs *channelState) commitPending(now uint64) error {
 			// fill→use gap (pre-used fills were already credited late).
 			cs.cache.StampFill(p.block, p.ready)
 		}
-		if p.origin != 0 && p.usedLate {
+		if p.usedLate {
 			cs.usefulOrigin[p.origin]++
 		}
 		if cs.ev != nil {
@@ -609,20 +572,12 @@ func (cs *channelState) commitPending(now uint64) error {
 			}
 			cs.ev.Emit(events.Event{
 				Kind: events.KindFill, Cycle: p.ready, Block: p.block,
-				Origin: cs.evOrigin(p.origin), Flags: fl,
+				Origin: p.origin, Flags: fl,
 			})
 		}
 		cs.scEvents++
 	}
 	return nil
-}
-
-// evOrigin maps an interned origin id to the event-level Origin enum.
-func (cs *channelState) evOrigin(id uint8) events.Origin {
-	if int(id) < len(cs.originEv) {
-		return cs.originEv[id]
-	}
-	return events.OriginNone
 }
 
 // noteEvict emits the evicted-unused terminal event when a fill's victim was
@@ -633,7 +588,7 @@ func (cs *channelState) noteEvict(ev cache.EvictInfo, cycle uint64) {
 	}
 	cs.ev.Emit(events.Event{
 		Kind: events.KindEvictUnused, Cycle: cycle, Block: ev.Block,
-		Origin: cs.evOrigin(ev.Origin),
+		Origin: events.Origin(ev.Origin),
 	})
 }
 
@@ -649,15 +604,13 @@ func (cs *channelState) step(rec trace.Record) error {
 	}
 	cs.scEvents++
 
-	hit, firstUse, originID := cs.cache.AccessOrigin(blk, rec.Write)
+	hit, firstUse, usedOrigin := cs.cache.AccessOrigin(blk, rec.Write)
 	if firstUse {
-		if originID != 0 {
-			cs.usefulOrigin[originID]++
-		}
+		cs.usefulOrigin[usedOrigin]++
 		if cs.ev != nil {
 			cs.ev.Emit(events.Event{
 				Kind: events.KindUsed, Cycle: rec.Cycle, Block: blk,
-				Origin: cs.evOrigin(originID),
+				Origin: events.Origin(usedOrigin),
 			})
 		}
 		if cs.tel != nil {
@@ -703,16 +656,16 @@ func (cs *channelState) step(rec trace.Record) error {
 		cs.demandReads++
 		switch {
 		case hit:
-			cs.hitLatency += cs.cfg.SCHitLatency
+			cs.readLatency += cs.cfg.SCHitLatency
 		case late != nil:
 			// Late prefetch: wait out the remaining fill time.
 			cs.lateHits++
 			cs.lateOrigin[late.origin]++
-			cs.lateLatency += cs.cfg.SCHitLatency + (late.ready - rec.Cycle)
+			cs.readLatency += cs.cfg.SCHitLatency + (late.ready - rec.Cycle)
 			if cs.ev != nil {
 				cs.ev.Emit(events.Event{
 					Kind: events.KindLateHit, Cycle: rec.Cycle, Block: blk,
-					Aux: late.ready, Origin: cs.evOrigin(late.origin),
+					Aux: late.ready, Origin: late.origin,
 				})
 			}
 			if cs.tel != nil {
@@ -767,10 +720,10 @@ func (cs *channelState) step(rec trace.Record) error {
 	} else {
 		cands = cs.pf.Issue(a)
 	}
-	var originID2 uint8
+	origin := events.OriginNone
 	if len(cands) > 0 {
 		if cs.tracker != nil {
-			originID2 = cs.internOrigin(cs.tracker.Origin())
+			origin = events.OriginFromName(cs.tracker.Origin())
 		}
 		cs.metaEvents++
 	}
@@ -807,7 +760,7 @@ func (cs *channelState) step(rec trace.Record) error {
 		cs.pending.push(pendingFill{
 			block:  c,
 			ready:  rec.Cycle + cs.cfg.PrefetchLatency,
-			origin: originID2,
+			origin: origin,
 		})
 		if cs.tel != nil {
 			cs.tel.prefIssued.Inc()
@@ -816,7 +769,7 @@ func (cs *channelState) step(rec trace.Record) error {
 			cs.ev.Emit(events.Event{
 				Kind: events.KindIssue, Cycle: rec.Cycle, Block: c,
 				Aux:    rec.Cycle + cs.cfg.PrefetchLatency,
-				Origin: cs.evOrigin(originID2),
+				Origin: origin,
 			})
 		}
 	}
@@ -835,31 +788,17 @@ func (cs *channelState) writeback(ev cache.EvictInfo, cycle uint64) error {
 	return cs.dram.Enqueue(req)
 }
 
-// addUsefulByOrigin folds this channel's per-id useful counts into a
-// by-name map, allocating the map only when a count exists.
-func (cs *channelState) addUsefulByOrigin(dst map[string]uint64) map[string]uint64 {
-	for id, n := range cs.usefulOrigin {
-		if id == 0 || n == 0 {
+// addByOrigin folds per-origin counts into a by-name map, allocating the
+// map only when a count exists. Untagged prefetches have no origin to name.
+func addByOrigin(dst map[string]uint64, counts *[events.NumOrigins]uint64) map[string]uint64 {
+	for o, n := range counts {
+		if o == int(events.OriginNone) || n == 0 {
 			continue
 		}
 		if dst == nil {
 			dst = make(map[string]uint64)
 		}
-		dst[cs.originNames[id]] += n
-	}
-	return dst
-}
-
-// addLateByOrigin folds this channel's per-id late-hit counts the same way.
-func (cs *channelState) addLateByOrigin(dst map[string]uint64) map[string]uint64 {
-	for id, n := range cs.lateOrigin {
-		if id == 0 || n == 0 {
-			continue
-		}
-		if dst == nil {
-			dst = make(map[string]uint64)
-		}
-		dst[cs.originNames[id]] += n
+		dst[events.Origin(o).String()] += n
 	}
 	return dst
 }
@@ -879,97 +818,71 @@ func (e *Engine) Step(rec trace.Record) error {
 	return nil
 }
 
-// snapshot sums the live counters of every channel into one cumulative
-// metrics snapshot; ReadLatency mirrors the AMAT numerator of Finish.
+// snapshot sums every unit's counters into one cumulative snapshot at the
+// given trace cycle. It is the only place unit counters are summed: the
+// sampler closes windows on snapshots, and Finish builds the report from
+// its final one.
 func (e *Engine) snapshot(cycle uint64) metrics.Snapshot {
 	s := metrics.Snapshot{Cycle: cycle, Requests: e.requests}
 	for _, cs := range e.units {
-		cstats := cs.cache.Stats()
 		dstats := cs.dram.Stats()
 		s.DemandReads += cs.demandReads
 		s.DemandWrites += cs.demandWrites
-		s.DemandHits += cstats.DemandHits
-		s.DemandMisses += cstats.DemandMisses
-		s.PrefetchFills += cstats.PrefetchFills
-		s.UsefulPrefetches += cstats.UsefulPrefetches
+		addCache(&s.Cache, cs.cache.Stats())
+		addDRAM(&s.DRAM, dstats)
+		addPF(&s.Prefetch, cs.pstats)
+		s.StorageBits += cs.pf.StorageBits()
 		s.LatePrefetchHits += cs.lateHits
-		s.Issued += cs.pstats.Issued
-		s.DRAMReads += dstats.Reads
-		s.DRAMWrites += dstats.Writes
-		s.PrefReads += dstats.PrefReads
-		s.ReadLatency += cs.hitLatency + cs.lateLatency +
-			dstats.DemandReads*e.cfg.SCHitLatency +
+		s.UsefulByOrigin = addByOrigin(s.UsefulByOrigin, &cs.usefulOrigin)
+		s.LateByOrigin = addByOrigin(s.LateByOrigin, &cs.lateOrigin)
+		// Read AMAT numerator: SC time of hits and late-prefetch waits,
+		// plus lookup latency and DRAM service for true read misses (one
+		// demand DRAM read per such miss).
+		s.ReadLatency += cs.readLatency + dstats.DemandReads*e.cfg.SCHitLatency +
 			dstats.TotalDemandReadLat
-		s.UsefulByOrigin = cs.addUsefulByOrigin(s.UsefulByOrigin)
-		s.LateByOrigin = cs.addLateByOrigin(s.LateByOrigin)
+		if end := cs.end(); end > cs.statsFrom {
+			s.Cycles = max(s.Cycles, end-cs.statsFrom)
+		}
+	}
+	pm := power.New(e.cfg.Power)
+	for _, cs := range e.units {
+		s.Energy = power.Add(s.Energy,
+			pm.Account(cs.dram.Stats(), cs.scEvents, cs.metaEvents,
+				uint64(cs.pf.StorageBits()), s.Cycles))
 	}
 	return s
 }
 
-// Finish flushes the DRAM controllers and builds the report.
+// end is the last cycle this unit's trace clock or DRAM controller reached.
+func (cs *channelState) end() uint64 {
+	return max(cs.lastCycle, cs.dram.Stats().LastDone)
+}
+
+// Finish flushes the DRAM controllers and builds the report from one final
+// snapshot, on which it also closes the sampler's last window.
 func (e *Engine) Finish(workload string) metrics.Report {
-	rep := metrics.Report{
-		Workload:       workload,
-		Prefetcher:     e.pfName,
-		Channels:       addr.Channels,
-		SubShards:      e.shards,
-		SCHitLatency:   e.cfg.SCHitLatency,
-		UsefulByOrigin: make(map[string]uint64),
-	}
-	pm := power.New(e.cfg.Power)
-	var totalReadLat, cycles, lastEnd uint64
+	var end uint64
 	for _, cs := range e.units {
 		// Land any still-in-flight prefetches so accounting is complete.
 		_ = cs.commitPending(^uint64(0))
 		cs.dram.Flush()
-		cstats := cs.cache.Stats()
-		dstats := cs.dram.Stats()
-
-		rep.DemandReads += cs.demandReads
-		rep.DemandWrites += cs.demandWrites
-		addCache(&rep.Cache, cstats)
-		addDRAM(&rep.DRAM, dstats)
-		addPF(&rep.Prefetch, cs.pstats)
-		rep.StorageBits += cs.pf.StorageBits()
-
-		// Read AMAT components: hit latency for read hits, late-
-		// prefetch wait time, and lookup latency plus DRAM service for
-		// true read misses (one demand DRAM read per such miss).
-		totalReadLat += cs.hitLatency + cs.lateLatency +
-			dstats.DemandReads*e.cfg.SCHitLatency +
-			dstats.TotalDemandReadLat
-		rep.LatePrefetchHits += cs.lateHits
-		rep.UsefulByOrigin = cs.addUsefulByOrigin(rep.UsefulByOrigin)
-		rep.LateByOrigin = cs.addLateByOrigin(rep.LateByOrigin)
-		end := cs.lastCycle
-		if dstats.LastDone > end {
-			end = dstats.LastDone
-		}
-		if end > lastEnd {
-			lastEnd = end
-		}
-		span := uint64(0)
-		if end > cs.statsFrom {
-			span = end - cs.statsFrom
-		}
-		if span > cycles {
-			cycles = span
-		}
+		end = max(end, cs.end())
 	}
-	rep.Cycles = cycles
-	if e.sampler != nil {
-		// Close the final (partial) window only now, after in-flight
-		// prefetches landed and the controllers flushed, so the series
-		// totals equal the report aggregates exactly.
-		rep.Series = e.sampler.Finish(e.snapshot(lastEnd))
-	}
-	for _, cs := range e.units {
-		rep.Energy = power.Add(rep.Energy,
-			pm.Account(cs.dram.Stats(), cs.scEvents, cs.metaEvents,
-				uint64(cs.pf.StorageBits()), cycles))
+	snap := e.snapshot(end)
+	rep := snap.Report
+	rep.Workload = workload
+	rep.Prefetcher = e.pfName
+	rep.Channels = addr.Channels
+	rep.SubShards = e.shards
+	rep.SCHitLatency = e.cfg.SCHitLatency
+	if rep.UsefulByOrigin == nil {
+		rep.UsefulByOrigin = make(map[string]uint64)
 	}
 	if rep.DemandReads > 0 {
-		rep.AMAT = float64(totalReadLat) / float64(rep.DemandReads)
+		rep.AMAT = float64(snap.ReadLatency) / float64(rep.DemandReads)
+	}
+	if e.sampler != nil {
+		rep.Series = e.sampler.Finish(snap)
 	}
 	// Telemetry summary (nil when disabled, so the report JSON — and with
 	// it the golden digests — is bit-identical to a telemetry-free run).

@@ -3,10 +3,12 @@ package sim
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"repro/internal/events"
 	"repro/internal/metrics"
+	"repro/internal/prefetch"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -19,6 +21,12 @@ func runTraced(t *testing.T, pf string, tr trace.Trace, name string, evCfg *even
 	if err != nil {
 		t.Fatal(err)
 	}
+	return runTracedWith(t, factory, tr, name, evCfg, par, warmup)
+}
+
+// runTracedWith is runTraced for a prefetcher factory that has no name.
+func runTracedWith(t *testing.T, factory func(int) prefetch.Prefetcher, tr trace.Trace, name string, evCfg *events.Config, par bool, warmup float64) (metrics.Report, *Engine) {
+	t.Helper()
 	cfg := DefaultConfig()
 	cfg.NewPrefetcher = factory
 	cfg.ParallelChannels = par
@@ -83,36 +91,40 @@ func TestAttribReconcilesWithReport(t *testing.T) {
 		tr := p.Generate(40_000)
 		for _, par := range []bool{false, true} {
 			rep, eng := runTraced(t, "planaria", tr, p.Abbr, &events.Config{}, par, 0.25)
-			snap := eng.Events().Attrib()
-			useful := snap.UsefulByOrigin()
-			if len(rep.UsefulByOrigin) == 0 {
-				t.Fatalf("%s: no useful prefetches at all — workload too small to test", p.Abbr)
-			}
-			for origin, want := range rep.UsefulByOrigin {
-				if got := useful[origin]; got != want {
-					t.Errorf("%s parallel=%v origin %q: attrib used+late = %d, report useful = %d",
-						p.Abbr, par, origin, got, want)
-				}
-			}
-			// No phantom origins: every event-level row matching a report
-			// origin was checked above; rows with useful credit but no
-			// report entry would be attribution leaks.
-			for origin, got := range useful {
-				if got != 0 && rep.UsefulByOrigin[origin] == 0 {
-					t.Errorf("%s parallel=%v: origin %q has %d event-level useful but no report entry",
-						p.Abbr, par, origin, got)
-				}
-			}
-			// Issue events and the prefetch queue count the same thing.
-			var issued uint64
-			for _, o := range snap.Origins {
-				issued += o.Issued
-			}
-			if issued != rep.Prefetch.Issued {
-				t.Errorf("%s parallel=%v: event-level issued %d != queue issued %d",
-					p.Abbr, par, issued, rep.Prefetch.Issued)
-			}
+			checkAttribReconciles(t, fmt.Sprintf("%s parallel=%v", p.Abbr, par), rep, eng.Events().Attrib())
 		}
+	}
+}
+
+// checkAttribReconciles requires the report and the attribution table to
+// credit the same useful prefetches to the same origin names, and the issue
+// events to count the issued prefetches.
+func checkAttribReconciles(t *testing.T, run string, rep metrics.Report, snap *events.AttribSnapshot) {
+	t.Helper()
+	useful := snap.UsefulByOrigin()
+	if len(rep.UsefulByOrigin) == 0 {
+		t.Fatalf("%s: no useful prefetches at all — workload too small to test", run)
+	}
+	for origin, want := range rep.UsefulByOrigin {
+		if got := useful[origin]; got != want {
+			t.Errorf("%s origin %q: attrib used+late = %d, report useful = %d", run, origin, got, want)
+		}
+	}
+	// No phantom origins: every event-level row matching a report origin
+	// was checked above; rows with useful credit but no report entry would
+	// be attribution leaks.
+	for origin, got := range useful {
+		if got != 0 && rep.UsefulByOrigin[origin] == 0 {
+			t.Errorf("%s: origin %q has %d event-level useful but no report entry", run, origin, got)
+		}
+	}
+	// Issue events and the prefetch queue count the same thing.
+	var issued uint64
+	for _, o := range snap.Origins {
+		issued += o.Issued
+	}
+	if issued != rep.Prefetch.Issued {
+		t.Errorf("%s: event-level issued %d != queue issued %d", run, issued, rep.Prefetch.Issued)
 	}
 }
 

@@ -14,11 +14,10 @@ package sim
 // to the serial engine's state at position i, because channels share
 // nothing. The only cross-channel coupling is the metrics sampler, whose
 // window boundaries depend on the global record stream — the splitter sees
-// that global order, so it plans boundaries on the fly by replaying
-// metrics.Sampler.Due's exact arithmetic (the same computation the retired
-// slice-based planWindows did up front), and all channels barrier at each
-// boundary before the merged snapshot is taken. Reports are bit-identical
-// to serial runs.
+// that global order, so it counts records and asks metrics.Sampler.Due at
+// each one, exactly as the serial Step does, and all channels barrier at
+// each boundary before the merged snapshot is taken. Reports are
+// bit-identical to serial runs.
 //
 // Failure contract (docs/PERFORMANCE.md, "Failure model"): a worker that
 // errors — or panics; panics are recovered into errors — never stops
@@ -182,14 +181,6 @@ func (e *Engine) runParallelStream(ctx context.Context, s trace.Stream, warmAt i
 		return func() { close(b.resume) }
 	}
 
-	sampling := e.sampler != nil
-	everyReq, everyCyc := e.cfg.SampleEvery, e.cfg.SampleEveryCycles
-	var baseReq, baseCyc, req uint64
-	if sampling {
-		baseReq, baseCyc = e.sampler.Base()
-		req = e.requests
-	}
-
 	in := make([]trace.Record, trace.ChunkSize)
 	var global int64
 	var cause error // cancellation, recorded at the splitter's position
@@ -213,10 +204,6 @@ splitting:
 			if global == warmAt {
 				resume := quiesce()
 				e.ResetStats()
-				if sampling {
-					baseReq, baseCyc = e.sampler.Base()
-					req = e.requests
-				}
 				resume()
 			}
 			u := unitIndex(rec.Block(), e.shards)
@@ -227,15 +214,12 @@ splitting:
 				flush(u)
 			}
 			global++
-			if sampling {
-				req++
-				if (everyReq > 0 && req-baseReq >= everyReq) ||
-					(everyCyc > 0 && rec.Cycle-baseCyc >= everyCyc) {
+			if e.sampler != nil {
+				e.requests++
+				if e.sampler.Due(e.requests, rec.Cycle) {
 					resume := quiesce()
-					e.requests = req
 					e.sampler.Record(e.snapshot(rec.Cycle))
 					resume()
-					baseReq, baseCyc = req, rec.Cycle
 				}
 			}
 		}
@@ -245,9 +229,6 @@ splitting:
 		// boundary never fired, but warmup semantics still reset.
 		resume := quiesce()
 		e.ResetStats()
-		if sampling {
-			req = e.requests
-		}
 		resume()
 	}
 	// Flush everything already read — even when aborting. Workers keep
@@ -260,11 +241,6 @@ splitting:
 		close(queues[u])
 	}
 	workers.Wait()
-	if sampling {
-		// Mirror the serial engine's per-step request counter; the final
-		// (partial) window closes in Finish.
-		e.requests = req
-	}
 	first := -1
 	for ch := range errs {
 		if errs[ch].err != nil && (first < 0 || errs[ch].global < errs[first].global) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/addr"
+	"repro/internal/events"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -68,7 +69,9 @@ func TestSerialParallelEquivalence(t *testing.T) {
 
 // TestSerialParallelEquivalenceAllPrefetchers sweeps every registered
 // prefetcher name on one app, with both sampling cadences exercised at
-// once (request- and cycle-triggered windows interleave).
+// once (request- and cycle-triggered windows interleave). Every origin the
+// report names must be an events.Origin name, so the report, the
+// attribution table and the Chrome trace can agree on it.
 func TestSerialParallelEquivalenceAllPrefetchers(t *testing.T) {
 	p := workloads.Catalog()[0]
 	tr := p.Generate(20_000)
@@ -77,6 +80,13 @@ func TestSerialParallelEquivalenceAllPrefetchers(t *testing.T) {
 		sj, pj := reportJSON(t, serial), reportJSON(t, parallel)
 		if sj != pj {
 			t.Errorf("%s: serial and parallel reports differ\nserial:   %s\nparallel: %s", pf, sj, pj)
+		}
+		for _, byOrigin := range []map[string]uint64{serial.UsefulByOrigin, serial.LateByOrigin} {
+			for origin := range byOrigin {
+				if events.OriginFromName(origin).String() != origin {
+					t.Errorf("%s: report origin %q is not an events.Origin name", pf, origin)
+				}
+			}
 		}
 	}
 }

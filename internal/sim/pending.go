@@ -1,6 +1,9 @@
 package sim
 
-import "repro/internal/addr"
+import (
+	"repro/internal/addr"
+	"repro/internal/events"
+)
 
 // pendingFill is one in-flight prefetch: issued to DRAM, not yet usable in
 // the SC. Entries are FIFO by readiness because the fill latency is
@@ -8,8 +11,8 @@ import "repro/internal/addr"
 type pendingFill struct {
 	block    addr.BlockNum
 	ready    uint64
-	usedLate bool  // a demand already waited on this fill
-	origin   uint8 // issuing sub-prefetcher id (0 when unknown)
+	usedLate bool          // a demand already waited on this fill
+	origin   events.Origin // the issuing trigger's origin
 }
 
 // pendingRing is a growable power-of-two circular buffer of in-flight

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -62,37 +63,32 @@ func TestTournamentTransparency(t *testing.T) {
 // invariant to the tournament: per-component event-level used+late totals
 // must equal the aggregate report's UsefulByOrigin exactly, and issue events
 // must match the queue counter — the per-component accuracy/coverage rows in
-// the attribution table are real, not estimates.
+// the attribution table are real, not estimates. The nextline case pins that
+// a built-in component outside the default tournament keeps its own name in
+// both views.
 func TestTournamentAttribReconciles(t *testing.T) {
-	for _, p := range workloads.Catalog()[:3] {
-		tr := p.Generate(40_000)
-		for _, par := range []bool{false, true} {
-			rep, eng := runTraced(t, "planaria-tournament", tr, p.Abbr, &events.Config{}, par, 0.25)
-			snap := eng.Events().Attrib()
-			useful := snap.UsefulByOrigin()
-			if len(rep.UsefulByOrigin) == 0 {
-				t.Fatalf("%s: no useful prefetches at all — workload too small to test", p.Abbr)
+	withNextLine := func(int) prefetch.Prefetcher {
+		return prefetch.NewTournament(prefetch.TournamentConfig{},
+			core.New(core.DefaultConfig()), prefetch.NewNextLine(2))
+	}
+	for _, tc := range []struct {
+		name    string
+		factory func(int) prefetch.Prefetcher
+	}{
+		{"planaria-tournament", TournamentPrefetcher()},
+		{"planaria+nextline", withNextLine},
+	} {
+		var nextline uint64
+		for _, p := range workloads.Catalog()[:3] {
+			tr := p.Generate(40_000)
+			for _, par := range []bool{false, true} {
+				rep, eng := runTracedWith(t, tc.factory, tr, p.Abbr, &events.Config{}, par, 0.25)
+				checkAttribReconciles(t, fmt.Sprintf("%s %s parallel=%v", tc.name, p.Abbr, par), rep, eng.Events().Attrib())
+				nextline += rep.UsefulByOrigin["nextline"]
 			}
-			for origin, want := range rep.UsefulByOrigin {
-				if got := useful[origin]; got != want {
-					t.Errorf("%s parallel=%v origin %q: attrib used+late = %d, report useful = %d",
-						p.Abbr, par, origin, got, want)
-				}
-			}
-			for origin, got := range useful {
-				if got != 0 && rep.UsefulByOrigin[origin] == 0 {
-					t.Errorf("%s parallel=%v: origin %q has %d event-level useful but no report entry",
-						p.Abbr, par, origin, got)
-				}
-			}
-			var issued uint64
-			for _, o := range snap.Origins {
-				issued += o.Issued
-			}
-			if issued != rep.Prefetch.Issued {
-				t.Errorf("%s parallel=%v: event-level issued %d != queue issued %d",
-					p.Abbr, par, issued, rep.Prefetch.Issued)
-			}
+		}
+		if tc.name == "planaria+nextline" && nextline == 0 {
+			t.Errorf("%s: the nextline component earned no useful prefetches — the case tested nothing", tc.name)
 		}
 	}
 }
