@@ -60,7 +60,6 @@ var logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 var (
 	n               = flag.Int("n", 800_000, "requests per application trace")
 	warmup          = flag.Float64("warmup", 0.2, "fraction of each trace run before statistics start (0 < w < 0.9; negative disables)")
-	subshards       = flag.Int("subshards", 1, "address-hashed sub-shards per channel for every run (power of two; 1 or less is the unsharded paper geometry; values > 1 change the simulated geometry and scale each run past 4 workers)")
 	run             = flag.String("run", "all", "experiment id (all, fig2, fig4, fig5, fig7, fig8, fig9, fig9b, fig10, tab-ipc, tab-traffic, tab-storage, cache-study, abl-coord, abl-dist, abl-pt, csv)")
 	jsonPath        = flag.String("json", "", "write a combined JSON run artifact to this path")
 	artifactDir     = flag.String("artifact-dir", "", "write one JSON artifact per (app, prefetcher) sweep cell into this directory")
@@ -78,6 +77,8 @@ var (
 	latexOut        = flag.String("latex", "", "farm mode: write LaTeX hit-rate and AMAT tables to this path")
 	logLevel        = flag.String("log-level", "info", "minimum structured-log level on stderr: debug, info, warn or error")
 	logJSON         = flag.Bool("log-json", false, "emit structured logs as JSON lines instead of key=value text")
+	// Deprecated: -subshards must be 0 or 1; runOptions refuses more.
+	subshards = flag.Int("subshards", 1, "deprecated: must be 0 or 1, kept so -subshards 1 still parses; the engine runs one unit per channel")
 )
 
 func main() {
@@ -288,6 +289,9 @@ func main() {
 // runOptions builds the experiment options the flags select, without the
 // -debug-addr progress registry.
 func runOptions() (experiments.Options, error) {
+	if *subshards > 1 {
+		return experiments.Options{}, fmt.Errorf("-subshards %d: sub-sharding was removed; the engine runs one unit per channel", *subshards)
+	}
 	var extras []string
 	if *extraPF != "" {
 		for _, pf := range strings.Split(*extraPF, ",") {
@@ -306,7 +310,6 @@ func runOptions() (experiments.Options, error) {
 		Warmup:           *warmup,
 		SampleEvery:      *sampleEvery,
 		ArtifactDir:      *artifactDir,
-		SubShards:        *subshards,
 		ExtraPrefetchers: extras,
 	}, nil
 }

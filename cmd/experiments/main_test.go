@@ -12,9 +12,8 @@ import (
 
 // TestDefaultGeometryIgnoresHost runs one cell under the options the
 // default flags select at several GOMAXPROCS values: the host's core count
-// must not choose the simulated system, so every run keeps one sub-shard
-// per channel and reports the same bytes. Only the record count is cut, to
-// keep the test short.
+// must not choose the simulated system, so every run reports the same
+// bytes. Only the record count is cut, to keep the test short.
 func TestDefaultGeometryIgnoresHost(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	p := workloads.Catalog()[0]
@@ -30,9 +29,6 @@ func TestDefaultGeometryIgnoresHost(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep.SubShards != 1 {
-			t.Errorf("GOMAXPROCS %d: %d sub-shards per channel, want 1", procs, rep.SubShards)
-		}
 		b, err := json.Marshal(rep)
 		if err != nil {
 			t.Fatal(err)
@@ -41,6 +37,21 @@ func TestDefaultGeometryIgnoresHost(t *testing.T) {
 			want = got
 		} else if got != want {
 			t.Errorf("GOMAXPROCS %d: report digest %x, want %x (GOMAXPROCS 1)", procs, got[:6], want[:6])
+		}
+	}
+}
+
+// TestSubShardsFlagRefusesSharding: the deprecated -subshards flag accepts
+// 0 and 1, and runOptions refuses any larger value.
+func TestSubShardsFlagRefusesSharding(t *testing.T) {
+	defer func(v int) { *subshards = v }(*subshards)
+	for _, c := range []struct {
+		value int
+		ok    bool
+	}{{0, true}, {1, true}, {2, false}} {
+		*subshards = c.value
+		if _, err := runOptions(); (err == nil) != c.ok {
+			t.Errorf("-subshards %d: error %v, want ok=%v", c.value, err, c.ok)
 		}
 	}
 }

@@ -60,7 +60,6 @@ var (
 	n            = flag.Int("n", 800_000, "requests to generate when using -app")
 	verbose      = flag.Bool("v", false, "print detailed DRAM/cache counters")
 	warmup       = flag.Float64("warmup", 0, "fraction of the trace run before statistics start (0 disables)")
-	subshards    = flag.Int("subshards", 1, "address-hashed sub-shards per channel (power of two; 1 or less is the unsharded paper geometry; values > 1 change the simulated geometry — see the report's parallel: line — and scale a run past 4 workers)")
 	_            = flag.Bool("mmap", true, "deprecated and ignored: -trace files are always streamed through one buffered reader; kept so -mmap and -mmap=false still parse")
 	jsonPath     = flag.String("json", "", "write a JSON run artifact (manifest + report + time series) to this path")
 	sampleEvery  = flag.Uint64("sample-every", 0, "emit a windowed time-series sample every N requests (0 disables)")
@@ -74,6 +73,8 @@ var (
 	telemetryOn  = flag.Bool("telemetry", false, "enable live metrics instruments (latency histograms, per-component counters); implied by -debug-addr and -progress; adds the telemetry summary to reports and -json artifacts (docs/OBSERVABILITY.md)")
 	logLevel     = flag.String("log-level", "info", "minimum structured-log level on stderr: debug, info, warn or error")
 	logJSON      = flag.Bool("log-json", false, "emit structured logs as JSON lines instead of key=value text")
+	// Deprecated: -subshards must be 0 or 1; engineConfig refuses more.
+	subshards = flag.Int("subshards", 1, "deprecated: must be 0 or 1, kept so -subshards 1 still parses; the engine runs one unit per channel")
 )
 
 func main() {
@@ -254,11 +255,13 @@ func engineConfig() (sim.Config, error) {
 	if err != nil {
 		return sim.Config{}, err
 	}
+	if *subshards > 1 {
+		return sim.Config{}, fmt.Errorf("-subshards %d: sub-sharding was removed; the engine runs one unit per channel", *subshards)
+	}
 	cfg := sim.DefaultConfig()
 	cfg.NewPrefetcher = factory
 	cfg.SampleEvery = *sampleEvery
 	cfg.SampleEveryCycles = *sampleCycles
-	cfg.SubShards = *subshards
 	// Event tracing: -trace-out needs the per-channel rings; -attrib and
 	// -debug-addr only need the attribution counters (ring size 0).
 	if *traceOut != "" {

@@ -216,8 +216,8 @@ func New(cfg Config) *Cache {
 	}
 	// Two backing allocations for the whole cache: one uint64 arena for
 	// the tag lane and the three mask lanes, one uint8 arena for the byte
-	// lanes. Keeps construction cost flat (the engine builds 4 × SubShards
-	// caches per run) and the hot lanes contiguous.
+	// lanes. Keeps construction cost flat (the engine builds one cache per
+	// channel per run) and the hot lanes contiguous.
 	u64 := make([]uint64, blocks+3*nsets)
 	c.tags, u64 = u64[:blocks:blocks], u64[blocks:]
 	c.valid, u64 = u64[:nsets:nsets], u64[nsets:]

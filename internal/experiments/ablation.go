@@ -17,7 +17,6 @@ func RunOneWith(p workloads.Profile, factory func(int) prefetch.Prefetcher, opts
 	cfg := sim.DefaultConfig()
 	cfg.NewPrefetcher = factory
 	cfg.SampleEvery = opts.SampleEvery
-	cfg.SubShards = opts.SubShards
 	return runProfile(sim.New(cfg), p, opts)
 }
 

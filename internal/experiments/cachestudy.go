@@ -58,7 +58,6 @@ func CacheStudy(w io.Writer, opts Options, variants []CacheVariant) (map[string]
 			cfg.Cache.SizeBytes = v.SizeBytes
 			cfg.Cache.Policy = v.Policy
 			cfg.NewPrefetcher = factory
-			cfg.SubShards = opts.SubShards
 			rep, err := runProfile(sim.New(cfg), p, opts)
 			if err != nil {
 				return nil, err

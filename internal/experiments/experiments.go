@@ -24,13 +24,6 @@ type Options struct {
 	// selects the default of 0.2).
 	Warmup float64
 
-	// SubShards splits each channel of every simulated run into this
-	// many address-hashed execution units (sim.Config.SubShards). Zero
-	// and one mean the unsharded paper geometry; values above one change
-	// the simulated geometry (reports record it) and let a parallel run
-	// scale past one worker per channel.
-	SubShards int
-
 	// SampleEvery enables windowed time-series sampling inside every
 	// simulated run: one metrics sample per N trace records (zero
 	// disables). Reports then carry a Series, and JSON artifacts include
@@ -102,7 +95,6 @@ func (o Options) FarmConfig() sweepfarm.Config {
 	return sweepfarm.Config{
 		Requests:    o.requests(),
 		Warmup:      o.warmup(),
-		SubShards:   o.SubShards,
 		SampleEvery: o.SampleEvery,
 	}
 }

@@ -163,7 +163,7 @@ func TestRunAllPartialOnFig9bFailure(t *testing.T) {
 // first — records equal expected, so /progress never passes fraction 1.
 func TestProgressSweepThenFig9b(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	opts := Options{Requests: 2000, SubShards: 1, Progress: reg}
+	opts := Options{Requests: 2000, Progress: reg}
 	if _, err := Sweep(EvalPrefetchers, opts); err != nil {
 		t.Fatal(err)
 	}

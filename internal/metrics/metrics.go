@@ -45,14 +45,12 @@ type Report struct {
 	// prefetchers that report no origin.
 	LateByOrigin map[string]uint64 `json:"late_by_origin,omitempty"`
 
-	// Channels and SubShards record the simulated geometry that produced
-	// this report: Channels independent SC slices, each split into
-	// SubShards address-hashed execution units (sim.Config.SubShards).
-	// The geometry is a property of the simulated system, not of the
-	// execution mode, so serial and parallel runs of the same geometry
-	// produce byte-identical reports. Zero in reports from older runs.
-	Channels  int `json:"channels,omitempty"`
-	SubShards int `json:"sub_shards,omitempty"`
+	// Channels records the simulated geometry that produced this report:
+	// Channels independent SC slices, one execution unit each. The
+	// geometry is a property of the simulated system, not of the
+	// execution mode, so serial and parallel runs produce byte-identical
+	// reports. Zero in reports from older runs.
+	Channels int `json:"channels,omitempty"`
 
 	SCHitLatency uint64  `json:"sc_hit_latency"` // cycles charged for an SC hit
 	AMAT         float64 `json:"amat_cycles"`    // average memory access time for demand reads, cycles
@@ -121,9 +119,6 @@ func (r Report) PowerMW(clockMHz float64) float64 {
 func (r Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s / %s:\n", r.Workload, r.Prefetcher)
-	if r.SubShards > 0 {
-		fmt.Fprintf(&b, "  parallel: %d×%d (channels × sub-shards)\n", r.Channels, r.SubShards)
-	}
 	fmt.Fprintf(&b, "  demand: %d reads, %d writes\n", r.DemandReads, r.DemandWrites)
 	fmt.Fprintf(&b, "  SC hit rate: %.2f%%   AMAT: %.1f cycles\n", 100*r.HitRate(), r.AMAT)
 	fmt.Fprintf(&b, "  DRAM traffic: %d transfers (%d prefetch reads)\n", r.Traffic(), r.DRAM.PrefReads)

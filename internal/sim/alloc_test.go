@@ -57,19 +57,3 @@ func TestEngineStepSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
-
-// TestEngineStepSteadyStateAllocsSubsharded repeats the gate at SubShards
-// = 2: the per-unit scratch state must stay allocation-free when a channel
-// is split.
-func TestEngineStepSteadyStateAllocsSubsharded(t *testing.T) {
-	p := workloads.Catalog()[1]
-	tr := p.Generate(80_000)
-	factory, _ := NamedPrefetcher("planaria")
-	cfg := DefaultConfig()
-	cfg.NewPrefetcher = factory
-	cfg.ParallelChannels = false
-	cfg.SubShards = 2
-	if avg := stepSlices(t, New(cfg), tr, 60_000); avg != 0 {
-		t.Errorf("subsharded: %.2f allocs per 2k warm steps, want 0", avg)
-	}
-}

@@ -141,36 +141,6 @@ func BenchmarkEngineStepTournament(b *testing.B) {
 	b.ReportMetric(float64(len(tr)*b.N)/b.Elapsed().Seconds(), "req/s")
 }
 
-// BenchmarkEngineStepSubshard is the intra-channel scaling guard: the
-// parallel engine at SubShards = 2, i.e. eight worker units (4 channels ×
-// 2 sub-shards) instead of four. BENCH_baseline.json pins it with
-// "relative_to": "EngineStep" and a wide tolerance: on a single-core host
-// the eight goroutines only add scheduling overhead, so the gate asserts
-// the sub-sharded run never falls below the pinned fraction of the serial
-// engine, while on multi-core hosts the ratio exceeds 1 and the pin is
-// trivially met (see docs/PERFORMANCE.md, "Intra-channel sub-sharding").
-func BenchmarkEngineStepSubshard(b *testing.B) {
-	p := workloads.Catalog()[0]
-	tr := p.Generate(100_000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := DefaultConfig()
-		factory, err := NamedPrefetcher("planaria")
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg.NewPrefetcher = factory
-		cfg.ParallelChannels = true
-		cfg.SubShards = 2
-		eng := New(cfg)
-		if _, err := eng.RunStream(tr.Stream(), p.Abbr); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(tr)*b.N)/b.Elapsed().Seconds(), "req/s")
-}
-
 // benchEngineStream is the streaming pipeline end to end: records flow from
 // the workload generator through RunStream without ever materializing the
 // trace, so each iteration pays generation + simulation (the slice

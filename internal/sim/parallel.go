@@ -37,13 +37,6 @@ import (
 	"repro/internal/trace"
 )
 
-// parallelOK reports whether Run should use the sharded mode. The
-// worker count is the engine's unit count — channels × sub-shards — so
-// Config.SubShards scales a parallel run past one worker per channel.
-func (e *Engine) parallelOK() bool {
-	return e.cfg.ParallelChannels && len(e.units) > 1
-}
-
 // parcelQueueDepth bounds each channel's queue of in-flight chunks. With
 // the building buffer and the chunk a worker is processing, a channel holds
 // at most parcelQueueDepth+2 chunks at once — the memory bound of the
@@ -206,7 +199,7 @@ splitting:
 				e.ResetStats()
 				resume()
 			}
-			u := unitIndex(rec.Block(), e.shards)
+			u := rec.Block().Channel()
 			b := bufs[u]
 			b.recs = append(b.recs, rec)
 			b.idx = append(b.idx, global)

@@ -90,7 +90,7 @@ func ClampWarmup(w float64) float64 {
 // simulation errors, the records delivered for stream faults, the stop
 // position for cancellation. It is meaningless when err is nil.
 func (e *Engine) consumeStream(ctx context.Context, s trace.Stream, warmAt int64) (int64, error) {
-	if e.parallelOK() {
+	if e.cfg.ParallelChannels {
 		return e.runParallelStream(ctx, s, warmAt)
 	}
 	buf := make([]trace.Record, trace.ChunkSize)

@@ -28,8 +28,11 @@ import (
 type Config struct {
 	Requests    int     // trace length per run
 	Warmup      float64 // resolved warmup fraction in [0, 0.9] (no 0→default sentinel)
-	SubShards   int     // sim.Config.SubShards (simulated geometry)
 	SampleEvery uint64  // windowed time-series sampling period
+
+	// Deprecated: the engine runs one execution unit per channel.
+	// SubShards must be 0 or 1, Runner.Run refuses more, and Hash ignores it.
+	SubShards int
 }
 
 // normalize clamps the warmup fraction the same way the engine does, so
@@ -48,8 +51,8 @@ func (c Config) normalize() Config {
 func (c Config) Hash() string {
 	c = c.normalize()
 	h := fnv.New64a()
-	fmt.Fprintf(h, "requests=%d|warmup=%g|subshards=%d|sample=%d",
-		c.Requests, c.Warmup, c.SubShards, c.SampleEvery)
+	fmt.Fprintf(h, "requests=%d|warmup=%g|sample=%d",
+		c.Requests, c.Warmup, c.SampleEvery)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
@@ -60,7 +63,6 @@ type Variant struct {
 	Name        string   `json:"name"`
 	Requests    int      `json:"requests,omitempty"`
 	Warmup      *float64 `json:"warmup,omitempty"`
-	SubShards   *int     `json:"sub_shards,omitempty"`
 	SampleEvery *uint64  `json:"sample_every,omitempty"`
 }
 
@@ -71,9 +73,6 @@ func (v Variant) apply(base Config) Config {
 	}
 	if v.Warmup != nil {
 		base.Warmup = *v.Warmup
-	}
-	if v.SubShards != nil {
-		base.SubShards = *v.SubShards
 	}
 	if v.SampleEvery != nil {
 		base.SampleEvery = *v.SampleEvery
@@ -356,6 +355,9 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	if err := grid.validateStructure(); err != nil {
 		return nil, err
 	}
+	if r.Base.SubShards > 1 {
+		return nil, fmt.Errorf("sweepfarm: SubShards %d: sub-sharding was removed; the engine runs one unit per channel", r.Base.SubShards)
+	}
 
 	// Plan: deterministic order — app-major, then prefetcher, variant,
 	// repeat — so error lists, artifacts and outputs are stable.
@@ -513,7 +515,6 @@ func (r *Runner) runJob(ctx context.Context, j Job) (metrics.Report, error) {
 	cfg := sim.DefaultConfig()
 	cfg.NewPrefetcher = factory
 	cfg.SampleEvery = j.Config.SampleEvery
-	cfg.SubShards = j.Config.SubShards
 	return sim.New(cfg).Run(ctx, p.Stream(j.Config.Requests), p.Abbr, j.Config.Warmup)
 }
 

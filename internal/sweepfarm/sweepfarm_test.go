@@ -72,13 +72,18 @@ func TestConfigHashSensitivity(t *testing.T) {
 	mutations := []sweepfarm.Config{
 		{Requests: tinyRequests + 1, Warmup: 0.2},
 		{Requests: tinyRequests, Warmup: 0.3},
-		{Requests: tinyRequests, Warmup: 0.2, SubShards: 2},
 		{Requests: tinyRequests, Warmup: 0.2, SampleEvery: 500},
 	}
 	for i, m := range mutations {
 		if m.Hash() == h {
 			t.Fatalf("mutation %d did not change the hash", i)
 		}
+	}
+	// The deprecated SubShards field is not part of the fingerprint.
+	legacy := base
+	legacy.SubShards = 1
+	if legacy.Hash() != h {
+		t.Fatal("SubShards 1 changed the hash")
 	}
 	// Warmup clamping: NaN and negatives normalise to 0 before hashing.
 	nan := base
@@ -158,13 +163,19 @@ func TestLoadGrid(t *testing.T) {
 		t.Fatal("explicit zero warmup lost (pointer semantics broken)")
 	}
 
-	// A typoed knob must fail loudly, not run the default silently.
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"prefetchers":["none"],"repeat":3}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sweepfarm.LoadGrid(bad); err == nil {
-		t.Fatal("unknown grid field accepted")
+	// A typoed knob must fail loudly, not run the default silently, and so
+	// must the sub_shards variant knob, which no longer exists.
+	for _, spec := range []string{
+		`{"prefetchers":["none"],"repeat":3}`,
+		`{"prefetchers":["none"],"variants":[{"name":"wide","sub_shards":2}]}`,
+	} {
+		bad := filepath.Join(dir, "bad.json")
+		if err := os.WriteFile(bad, []byte(spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sweepfarm.LoadGrid(bad); err == nil {
+			t.Fatalf("unknown grid field accepted: %s", spec)
+		}
 	}
 	if _, err := sweepfarm.LoadGrid(filepath.Join(dir, "missing.json")); err == nil {
 		t.Fatal("missing grid file accepted")
@@ -366,6 +377,26 @@ func TestRunnerResumeStaleness(t *testing.T) {
 	}
 }
 
+// TestRunnerRefusesSubShards: the deprecated Config.SubShards runs at 1 and
+// fails the whole grid above 1, before any job runs.
+func TestRunnerRefusesSubShards(t *testing.T) {
+	for _, c := range []struct {
+		subShards int
+		ok        bool
+	}{{1, true}, {2, false}} {
+		base := tinyConfig()
+		base.SubShards = c.subShards
+		r := &sweepfarm.Runner{
+			Grid: sweepfarm.Grid{Apps: []string{"CFM"}, Prefetchers: []string{"none"}},
+			Base: base,
+		}
+		res, err := r.Run(context.Background())
+		if (err == nil) != c.ok || (res != nil) != c.ok {
+			t.Errorf("SubShards %d: result %v, error %v; want ok=%v", c.subShards, res != nil, err, c.ok)
+		}
+	}
+}
+
 // TestRunnerPartialOnUnresolvableCell: a grid naming an unknown prefetcher
 // degrades per cell — the resolvable cells complete and the joined error
 // names every failed job.
@@ -490,7 +521,7 @@ func TestRunnerArtifactSchema(t *testing.T) {
 // re-encode and re-load to an equal value.
 func FuzzLoadGrid(f *testing.F) {
 	f.Add([]byte(`{"apps":["CFM"],"prefetchers":["none","planaria"],` +
-		`"variants":[{"name":"fast","requests":1000,"warmup":0,"sub_shards":2,"sample_every":500}],"repeats":2}`))
+		`"variants":[{"name":"fast","requests":1000,"warmup":0,"sample_every":500}],"repeats":2}`))
 	f.Add([]byte(`{"prefetchers":["none"],"repeat":3}`))
 	f.Add([]byte(`{`))
 	f.Fuzz(func(t *testing.T, in []byte) {

@@ -36,10 +36,10 @@ type Summary struct {
 }
 
 // Summary snapshots the registry. Counter children with identical names
-// but different labels (per-channel shards) are summed into the unlabeled
-// name AND kept under their labeled key when the label is not a pure
-// shard label (channel/shard), so per-component counters stay visible
-// without 16 near-identical per-unit entries drowning the report.
+// but different labels (one per channel) are summed into the unlabeled
+// name AND kept under their labeled key when a label other than channel
+// is present, so per-component counters stay visible without four
+// near-identical per-channel entries drowning the report.
 // Returns nil on a nil registry (so the report field stays omitted).
 func (r *Registry) Summary() *Summary {
 	if r == nil {
@@ -107,15 +107,11 @@ func (r *Registry) Summary() *Summary {
 }
 
 // keepLabeledKey reports whether a counter child's labeled value is worth
-// keeping in the summary next to the family total. Pure execution-shard
-// labels (channel/shard) are aggregation detail; anything else (component,
-// origin) is semantic.
+// keeping in the summary next to the family total. The channel label is
+// aggregation detail; anything else (component, origin) is semantic.
 func keepLabeledKey(labels []Label) bool {
-	if len(labels) == 0 {
-		return false
-	}
 	for _, l := range labels {
-		if l.Key != "channel" && l.Key != "shard" {
+		if l.Key != "channel" {
 			return true
 		}
 	}

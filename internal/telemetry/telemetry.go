@@ -10,9 +10,9 @@
 // and record through lock-free atomics, and a disabled run holds nil —
 // every call site is gated by a single nil check, so the off path adds no
 // allocations and no measurable cost. Sharding is by registration: the
-// engine registers one child per execution unit (labels channel/shard),
-// so hot-path atomics are uncontended; exposition and summaries merge the
-// children, which is exact for log₂ buckets.
+// engine registers one child per channel (label channel), so hot-path
+// atomics are uncontended; exposition and summaries merge the children,
+// which is exact for log₂ buckets.
 //
 // Instrument methods are additionally nil-receiver-safe, so partially
 // wired components (a DRAM controller with telemetry off) degrade to
