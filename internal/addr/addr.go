@@ -88,9 +88,6 @@ func (p PageNum) Distance(q PageNum) uint64 {
 	return uint64(q - p)
 }
 
-// MakeBlock builds the block number for (page, in-page offset).
-func MakeBlock(p PageNum, offset int) BlockNum { return p.Block(offset) }
-
 // SegmentOf maps an in-page block offset to (channel, segment offset).
 func SegmentOf(offset int) (channel, segOffset int) {
 	return (offset >> SegmentShift) & ChannelMask, offset & SegOffsetMask

@@ -87,7 +87,7 @@ func TestPageDistance(t *testing.T) {
 func TestBlockRoundTripProperty(t *testing.T) {
 	f := func(raw uint64) bool {
 		b := BlockNum(raw >> 8) // keep addresses in a plausible range
-		return MakeBlock(b.Page(), b.Offset()) == b
+		return b.Page().Block(b.Offset()) == b
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -11,7 +11,6 @@ package bitmap
 
 import (
 	"math/bits"
-	"strconv"
 	"strings"
 )
 
@@ -42,9 +41,6 @@ func (b Seg16) Diff(o Seg16) int { return bits.OnesCount16(uint16(b ^ o)) }
 // Minus returns the blocks marked in b but not in o. TLP prefetches
 // neighbour.Minus(self): blocks the neighbour accessed that this page has not.
 func (b Seg16) Minus(o Seg16) Seg16 { return b &^ o }
-
-// Union returns the combined footprint.
-func (b Seg16) Union(o Seg16) Seg16 { return b | o }
 
 // Offsets returns the marked offsets in ascending order.
 func (b Seg16) Offsets() []int {
@@ -106,9 +102,6 @@ func (b Page64) Diff(o Page64) int { return bits.OnesCount64(uint64(b ^ o)) }
 // Minus returns the blocks marked in b but not in o.
 func (b Page64) Minus(o Page64) Page64 { return b &^ o }
 
-// Union returns the combined footprint.
-func (b Page64) Union(o Page64) Page64 { return b | o }
-
 // Offsets returns the marked offsets in ascending order.
 func (b Page64) Offsets() []int {
 	out := make([]int, 0, b.Count())
@@ -127,17 +120,6 @@ func (b Page64) OverlapRate(prev Page64) float64 {
 		return 1
 	}
 	return float64(b.Common(prev)) / float64(n)
-}
-
-// Segment extracts the 16-bit bitmap of channel segment ch (0..3).
-func (b Page64) Segment(ch int) Seg16 {
-	return Seg16(uint64(b) >> uint((ch&3)*16) & 0xFFFF)
-}
-
-// WithSegment returns b with channel segment ch replaced by s.
-func (b Page64) WithSegment(ch int, s Seg16) Page64 {
-	sh := uint((ch & 3) * 16)
-	return b&^(Page64(0xFFFF)<<sh) | Page64(s)<<sh
 }
 
 // FromOffsets builds a Page64 from in-page block offsets.
@@ -160,33 +142,4 @@ func (b Page64) String() string {
 		}
 	}
 	return sb.String()
-}
-
-// ParsePage64 parses the String form (LSB-first '0'/'1', up to 64 chars).
-func ParsePage64(s string) (Page64, error) {
-	var b Page64
-	for i, c := range s {
-		if i >= 64 {
-			break
-		}
-		switch c {
-		case '1':
-			b = b.Set(i)
-		case '0':
-		default:
-			return 0, &ParseError{Input: s, Pos: i}
-		}
-	}
-	return b, nil
-}
-
-// ParseError reports a malformed bitmap string.
-type ParseError struct {
-	Input string
-	Pos   int
-}
-
-// Error names the offending position and quotes the input.
-func (e *ParseError) Error() string {
-	return "bitmap: invalid character at position " + strconv.Itoa(e.Pos) + " in " + strconv.Quote(e.Input)
 }

@@ -241,9 +241,6 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // EnableFillStamps allocates the fill-timestamp lane read by FillStamp.
 // Idempotent; called once at engine construction when telemetry is
 // enabled. Without it, StampFill and FillStamp are no-ops.

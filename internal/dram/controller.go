@@ -279,9 +279,6 @@ func (c *Controller) NewRequest() *Request {
 // (used to discard warmup).
 func (c *Controller) ResetStats() { c.stats = Stats{} }
 
-// QueueLen returns the number of unserviced requests.
-func (c *Controller) QueueLen() int { return c.qlen }
-
 // qat returns the queued request at logical position i (0 = oldest).
 func (c *Controller) qat(i int) *Request {
 	return c.queue[(c.qhead+i)&(len(c.queue)-1)]

@@ -5,7 +5,6 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"repro/internal/cache"
@@ -176,22 +175,6 @@ func Reduction(base, new float64) float64 {
 		return 0
 	}
 	return (base - new) / base
-}
-
-// GeoMean returns the geometric mean of positive values (used for averaging
-// ratios across workloads, as architecture papers do).
-func GeoMean(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	logSum := 0.0
-	for _, v := range vs {
-		if v <= 0 {
-			return 0
-		}
-		logSum += math.Log(v)
-	}
-	return math.Exp(logSum / float64(len(vs)))
 }
 
 // Mean returns the arithmetic mean.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/cache"
 	"repro/internal/dram"
@@ -101,33 +100,11 @@ func TestImprovementReduction(t *testing.T) {
 	}
 }
 
-func TestMeanAndGeoMean(t *testing.T) {
-	if Mean(nil) != 0 || GeoMean(nil) != 0 {
-		t.Fatal("empty inputs")
+func TestMean(t *testing.T) {
+	if Mean(nil) != 0 {
+		t.Fatal("empty input")
 	}
 	if Mean([]float64{1, 2, 3}) != 2 {
 		t.Fatal("Mean")
-	}
-	if g := GeoMean([]float64{1, 4}); math.Abs(g-2) > 1e-12 {
-		t.Fatalf("GeoMean = %v", g)
-	}
-	if GeoMean([]float64{1, -1}) != 0 {
-		t.Fatal("non-positive input must yield 0")
-	}
-}
-
-func TestGeoMeanLeqMeanProperty(t *testing.T) {
-	f := func(raw []uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		vs := make([]float64, len(raw))
-		for i, v := range raw {
-			vs[i] = float64(v) + 1
-		}
-		return GeoMean(vs) <= Mean(vs)+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

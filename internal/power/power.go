@@ -63,57 +63,18 @@ func (b Breakdown) Total() float64 {
 	return b.Activate + b.Read + b.Write + b.Refresh + b.Background + b.SysCache + b.Metadata
 }
 
-// Model accumulates energy over DRAM statistics and cache/prefetcher event
-// counts.
-type Model struct {
-	params Params
-}
-
-// New builds a power model; zero-valued fields of p fall back to defaults.
-func New(p Params) *Model {
-	d := DefaultParams()
-	if p.ActPrePJ == 0 {
-		p.ActPrePJ = d.ActPrePJ
-	}
-	if p.ReadBurstPJ == 0 {
-		p.ReadBurstPJ = d.ReadBurstPJ
-	}
-	if p.WriteBurstPJ == 0 {
-		p.WriteBurstPJ = d.WriteBurstPJ
-	}
-	if p.RefreshPJ == 0 {
-		p.RefreshPJ = d.RefreshPJ
-	}
-	if p.BackgroundPJ == 0 {
-		p.BackgroundPJ = d.BackgroundPJ
-	}
-	if p.PowerDownPJ == 0 {
-		p.PowerDownPJ = d.PowerDownPJ
-	}
-	if p.SCAccessPJ == 0 {
-		p.SCAccessPJ = d.SCAccessPJ
-	}
-	if p.MetaAccessPJ == 0 {
-		p.MetaAccessPJ = d.MetaAccessPJ
-	}
-	return &Model{params: p}
-}
-
-// Params returns the effective parameters.
-func (m *Model) Params() Params { return m.params }
-
-// Account computes the energy breakdown for one channel given its DRAM
-// statistics, the number of system-cache events (accesses + fills), the
-// number of prefetcher metadata events (train + issue lookups), the
-// prefetcher's metadata size in bits and the wall-clock duration of the run
-// in cycles.
+// Account computes the energy breakdown for one channel at DefaultParams,
+// given its DRAM statistics, the number of system-cache events (accesses +
+// fills), the number of prefetcher metadata events (train + issue lookups),
+// the prefetcher's metadata size in bits and the wall-clock duration of the
+// run in cycles.
 //
 // Metadata access energy scales with the square root of the array size
 // (SRAM wordline/bitline energy grows with array dimensions), normalised to
 // a 64 Kbit array, so a large pattern table costs proportionally more per
 // lookup than BOP's tiny recent-requests table.
-func (m *Model) Account(ds dram.Stats, scEvents, metaEvents, metaBits, cycles uint64) Breakdown {
-	p := m.params
+func Account(ds dram.Stats, scEvents, metaEvents, metaBits, cycles uint64) Breakdown {
+	p := DefaultParams()
 	metaScale := 1.0
 	if metaBits > 65536 {
 		metaScale = math.Sqrt(float64(metaBits) / 65536)

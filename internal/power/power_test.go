@@ -7,23 +7,10 @@ import (
 	"repro/internal/dram"
 )
 
-func TestDefaultsFilled(t *testing.T) {
-	m := New(Params{})
-	if m.Params() != DefaultParams() {
-		t.Fatalf("zero params not defaulted: %+v", m.Params())
-	}
-	// Partial override keeps the rest defaulted.
-	m = New(Params{ReadBurstPJ: 999})
-	if m.Params().ReadBurstPJ != 999 || m.Params().ActPrePJ != DefaultParams().ActPrePJ {
-		t.Fatalf("partial override broken: %+v", m.Params())
-	}
-}
-
 func TestAccountLinear(t *testing.T) {
-	m := New(Params{})
 	ds := dram.Stats{Reads: 10, Writes: 5, Activates: 4, Refreshes: 2}
-	b := m.Account(ds, 100, 50, 1000, 10000)
-	p := m.Params()
+	b := Account(ds, 100, 50, 1000, 10000)
+	p := DefaultParams()
 	if b.Read != 10*p.ReadBurstPJ || b.Write != 5*p.WriteBurstPJ {
 		t.Fatalf("burst energy wrong: %+v", b)
 	}
@@ -43,9 +30,8 @@ func TestAccountLinear(t *testing.T) {
 }
 
 func TestMetadataScalesWithArraySize(t *testing.T) {
-	m := New(Params{})
-	small := m.Account(dram.Stats{}, 0, 100, 65536, 0).Metadata
-	big := m.Account(dram.Stats{}, 0, 100, 65536*16, 0).Metadata
+	small := Account(dram.Stats{}, 0, 100, 65536, 0).Metadata
+	big := Account(dram.Stats{}, 0, 100, 65536*16, 0).Metadata
 	if math.Abs(big/small-4) > 1e-9 { // sqrt(16) = 4
 		t.Fatalf("metadata scaling %v, want 4x", big/small)
 	}

@@ -12,8 +12,6 @@ type TournamentConfig struct {
 	// Name labels the tournament instance in reports ("tournament" when
 	// empty; the built-in registry uses "planaria-tournament").
 	Name string
-	// Meta configures the set-dueling meta-predictor.
-	Meta MetaConfig
 	// FilterEntries is the per-component shadow-filter size, rounded up
 	// to a power of two (512). The filter remembers each component's
 	// recent predictions so the meta-predictor can score them against
@@ -143,7 +141,7 @@ func NewTournament(cfg TournamentConfig, comps ...Component) *Tournament {
 	t := &Tournament{
 		cfg:      cfg,
 		comps:    comps,
-		meta:     NewMeta(len(comps), cfg.Meta),
+		meta:     NewMeta(len(comps), DefaultMetaConfig()),
 		filters:  make([]shadowFilter, len(comps)),
 		issuesBy: make([]uint64, len(comps)),
 	}

@@ -31,7 +31,6 @@ type Config struct {
 	Cache        cache.Config // per-channel SC slice
 	DRAM         dram.Config
 	SCHitLatency uint64 // cycles for an SC hit (tag + data)
-	Power        power.Params
 
 	// NewPrefetcher builds the per-channel prefetcher. The engine calls
 	// it once per channel.
@@ -423,10 +422,6 @@ func (e *Engine) Channel(ch int) prefetch.Prefetcher { return e.units[ch].pf }
 // snapshot is safe to take live.
 func (e *Engine) Events() *events.Recorder { return e.recorder }
 
-// Telemetry returns the live metrics registry, nil unless Config.Telemetry
-// was set. The registry is scrape-safe mid-run from any goroutine.
-func (e *Engine) Telemetry() *telemetry.Registry { return e.cfg.Telemetry }
-
 // DRAM exposes a channel's memory controller (debugging and tooling).
 func (e *Engine) DRAM(ch int) *dram.Controller { return e.units[ch].dram }
 
@@ -768,10 +763,9 @@ func (e *Engine) snapshot(cycle uint64) metrics.Snapshot {
 			s.Cycles = max(s.Cycles, end-cs.statsFrom)
 		}
 	}
-	pm := power.New(e.cfg.Power)
 	for _, cs := range e.units {
 		s.Energy = power.Add(s.Energy,
-			pm.Account(cs.dram.Stats(), cs.scEvents, cs.metaEvents,
+			power.Account(cs.dram.Stats(), cs.scEvents, cs.metaEvents,
 				uint64(cs.pf.StorageBits()), s.Cycles))
 	}
 	return s

@@ -240,10 +240,6 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-// Enabled reports whether the registry is live (non-nil). Hot paths
-// should instead cache instrument pointers and gate on those.
-func (r *Registry) Enabled() bool { return r != nil }
-
 // family returns the named family, creating it with the given type and
 // help on first use. Type conflicts panic: they are programming errors
 // caught at engine construction, never at scrape time.

@@ -35,9 +35,6 @@ func TestCounterGaugeBasics(t *testing.T) {
 
 func TestNilRegistryAndInstrumentsAreNoOps(t *testing.T) {
 	var r *Registry
-	if r.Enabled() {
-		t.Fatal("nil registry reports enabled")
-	}
 	c := r.Counter("x_total", "h")
 	g := r.Gauge("x", "h")
 	h := r.Histogram("x_cycles", "h")

@@ -5,42 +5,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 	"testing"
 )
-
-// FuzzReadText exercises the text-trace parser: it must never panic, and
-// anything it accepts must round-trip through WriteText.
-func FuzzReadText(f *testing.F) {
-	f.Add("10 R 0x1000 cpu0\n")
-	f.Add("# comment\n\n5 W 0x40 gpu\n")
-	f.Add("bogus line\n")
-	f.Add("10 R 0x1000\n")
-	f.Add("99999999999999999999 R 0x0 dsp\n")
-	f.Add("1 r 64 isp\n2 w 128 npu\n")
-	f.Fuzz(func(t *testing.T, in string) {
-		tr, err := ReadText(strings.NewReader(in))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteText(&buf, tr); err != nil {
-			t.Fatalf("WriteText failed on accepted trace: %v", err)
-		}
-		tr2, err := ReadText(&buf)
-		if err != nil {
-			t.Fatalf("round trip rejected: %v", err)
-		}
-		if len(tr2) != len(tr) {
-			t.Fatalf("round trip changed length: %d vs %d", len(tr2), len(tr))
-		}
-		for i := range tr {
-			if tr[i] != tr2[i] {
-				t.Fatalf("record %d changed: %v vs %v", i, tr[i], tr2[i])
-			}
-		}
-	})
-}
 
 // FuzzReader exercises the record-at-a-time binary decoder directly (the
 // streaming pipeline's file producer): on truncated or corrupt input,

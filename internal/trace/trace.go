@@ -4,8 +4,9 @@
 // requesting device ID (CPU, GPU, DSP, ...) and the arrival time in memory
 // cycles.
 //
-// Traces can be streamed through Reader/Writer in a compact binary encoding
-// or a human-readable text encoding, or held in memory as a []Record.
+// Traces are streamed through Reader/Writer in a compact binary encoding,
+// written out in a human-readable text encoding, or held in memory as a
+// []Record.
 package trace
 
 import (
@@ -15,8 +16,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/addr"
 )
@@ -65,9 +64,6 @@ func ParseDevice(s string) (Device, error) {
 	return 0, fmt.Errorf("trace: unknown device %q", s)
 }
 
-// IsCPU reports whether the device is one of the CPU cores.
-func (d Device) IsCPU() bool { return d <= CPU7 }
-
 // Record is one memory access observed on the memory bus.
 type Record struct {
 	Addr   addr.Addr // physical byte address (block aligned by convention)
@@ -110,21 +106,24 @@ func (t Trace) Sorted() bool {
 	return true
 }
 
-// Merge interleaves two cycle-sorted traces into one cycle-sorted trace.
-func Merge(a, b Trace) Trace {
+// Concat appends b after a on the time axis: b's cycles are shifted so its
+// first record lands gap cycles after a's last. Used to build multi-phase
+// traces from independently generated segments.
+func Concat(a, b Trace, gap uint64) Trace {
 	out := make(Trace, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i].Cycle <= b[j].Cycle {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
+	out = append(out, a...)
+	if len(b) == 0 {
+		return out
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
+	shift := gap
+	if len(a) > 0 {
+		shift += a[len(a)-1].Cycle
+	}
+	base := b[0].Cycle
+	for _, r := range b {
+		r.Cycle = r.Cycle - base + shift
+		out = append(out, r)
+	}
 	return out
 }
 
@@ -306,10 +305,8 @@ func ReadAllFrom(r io.Reader) (Trace, error) {
 	return NewReader(r).ReadAll()
 }
 
-// Text encoding: one record per line, "<cycle> <R|W> <hex addr> <device>".
-// Lines starting with '#' and blank lines are ignored.
-
-// WriteText writes the trace in the text encoding.
+// WriteText writes the trace in the text encoding: a '#' header line, then
+// one Record.String line per record, "<cycle> <R|W> <hex addr> <device>".
 func WriteText(w io.Writer, t Trace) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintln(bw, "# cycle op addr device"); err != nil {
@@ -321,49 +318,4 @@ func WriteText(w io.Writer, t Trace) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadText parses the text encoding.
-func ReadText(r io.Reader) (Trace, error) {
-	var t Trace
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		s := strings.TrimSpace(sc.Text())
-		if s == "" || strings.HasPrefix(s, "#") {
-			continue
-		}
-		fields := strings.Fields(s)
-		if len(fields) != 4 {
-			return t, fmt.Errorf("trace: line %d: want 4 fields, got %d", line, len(fields))
-		}
-		var rec Record
-		cyc, err := strconv.ParseUint(fields[0], 10, 64)
-		if err != nil {
-			return t, fmt.Errorf("trace: line %d: bad cycle %q", line, fields[0])
-		}
-		rec.Cycle = cyc
-		switch fields[1] {
-		case "R", "r":
-			rec.Write = false
-		case "W", "w":
-			rec.Write = true
-		default:
-			return t, fmt.Errorf("trace: line %d: bad op %q", line, fields[1])
-		}
-		a, err := strconv.ParseUint(fields[2], 0, 64)
-		if err != nil {
-			return t, fmt.Errorf("trace: line %d: bad address %q", line, fields[2])
-		}
-		rec.Addr = addr.Addr(a)
-		dev, err := ParseDevice(fields[3])
-		if err != nil {
-			return t, fmt.Errorf("trace: line %d: %v", line, err)
-		}
-		rec.Device = dev
-		t = append(t, rec)
-	}
-	return t, sc.Err()
 }

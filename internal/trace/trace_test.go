@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/addr"
 )
@@ -72,43 +71,20 @@ func TestBinaryTruncatedRecord(t *testing.T) {
 	}
 }
 
-func TestTextRoundTrip(t *testing.T) {
+// TestWriteTextFormat pins the text encoding tracegen -text writes: one
+// header line, then each record's String form on its own line.
+func TestWriteTextFormat(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteText(&buf, sampleTrace()); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadText(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, sampleTrace()) {
-		t.Fatalf("round trip mismatch:\n got %v\nwant %v", got, sampleTrace())
-	}
-}
-
-func TestTextParseErrors(t *testing.T) {
-	cases := []string{
-		"10 X 0x1000 cpu0",    // bad op
-		"ten R 0x1000 cpu0",   // bad cycle
-		"10 R zz cpu0",        // bad addr
-		"10 R 0x1000 toaster", // bad device
-		"10 R 0x1000",         // short line
-	}
-	for _, c := range cases {
-		if _, err := ReadText(strings.NewReader(c)); err == nil {
-			t.Errorf("line %q: expected error", c)
-		}
-	}
-}
-
-func TestTextCommentsAndBlanks(t *testing.T) {
-	in := "# header\n\n10 R 0x1000 cpu0\n   \n# trailing\n"
-	got, err := ReadText(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Addr != 0x1000 {
-		t.Fatalf("got %v", got)
+	want := "# cycle op addr device\n" +
+		"10 R 0x1000 cpu0\n" +
+		"12 W 0x1040 gpu\n" +
+		"20 R 0x2000 dsp\n" +
+		"25 W 0x2fc0 cpu3\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("WriteText wrote\n%s\nwant\n%s", got, want)
 	}
 }
 
@@ -121,9 +97,6 @@ func TestDeviceRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseDevice("bogus"); err == nil {
 		t.Error("expected error for unknown device")
-	}
-	if !CPU5.IsCPU() || GPU.IsCPU() {
-		t.Error("IsCPU misclassifies")
 	}
 }
 
@@ -144,36 +117,22 @@ func TestSortAndSorted(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a := Trace{{Cycle: 1}, {Cycle: 4}, {Cycle: 9}}
-	b := Trace{{Cycle: 2}, {Cycle: 4, Device: GPU}, {Cycle: 20}}
-	m := Merge(a, b)
-	if len(m) != 6 || !m.Sorted() {
-		t.Fatalf("merge broken: %v", m)
+func TestConcat(t *testing.T) {
+	a := Trace{{Cycle: 10}, {Cycle: 100}}
+	b := Trace{{Cycle: 5000}, {Cycle: 5100}}
+	got := Concat(a, b, 50)
+	if len(got) != 4 || !got.Sorted() {
+		t.Fatalf("Concat = %v", got)
 	}
-	// Ties go to the first trace.
-	if m[2].Device != CPU0 || m[3].Device != GPU {
-		t.Fatalf("tie order wrong: %v", m)
+	if got[2].Cycle != 150 || got[3].Cycle != 250 {
+		t.Fatalf("shifted cycles wrong: %v", got)
 	}
-}
-
-func TestMergeProperty(t *testing.T) {
-	f := func(xs, ys []uint32) bool {
-		a := make(Trace, len(xs))
-		for i, x := range xs {
-			a[i] = Record{Cycle: uint64(x)}
-		}
-		b := make(Trace, len(ys))
-		for i, y := range ys {
-			b[i] = Record{Cycle: uint64(y)}
-		}
-		a.Sort()
-		b.Sort()
-		m := Merge(a, b)
-		return len(m) == len(a)+len(b) && m.Sorted()
+	// Degenerate inputs.
+	if got := Concat(nil, b, 7); got[0].Cycle != 7 {
+		t.Fatalf("empty-a Concat = %v", got)
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+	if got := Concat(a, nil, 7); len(got) != 2 {
+		t.Fatalf("empty-b Concat = %v", got)
 	}
 }
 
