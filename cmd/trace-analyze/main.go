@@ -32,12 +32,7 @@ func main() {
 		name string
 	)
 	if *traceFile != "" {
-		f, err := os.Open(*traceFile)
-		if err != nil {
-			fatal(err)
-		}
-		tt, err := trace.ReadAllFrom(f)
-		f.Close()
+		tt, err := readTrace(*traceFile)
 		if err != nil {
 			fatal(err)
 		}
@@ -93,6 +88,24 @@ func main() {
 		return
 	}
 	run(*what)
+}
+
+// readTrace loads a binary trace file through trace.Open, which rejects a
+// file whose size is not a header plus whole records, or whose header is
+// not a trace header, before any record is read.
+func readTrace(path string) (trace.Trace, error) {
+	f, err := trace.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	s, err := f.Stream()
+	if err != nil {
+		return nil, err
+	}
+	t := make(trace.Trace, f.Len())
+	t = t[:trace.ReadChunk(s, t)]
+	return t, s.Err()
 }
 
 func fatal(err error) {

@@ -334,6 +334,9 @@ type Engine struct {
 	units  []*channelState // one per channel, indexed by channel
 	pfName string
 
+	// cycle is the last admitted record's cycle (see admit).
+	cycle uint64
+
 	// Observability: requests counts records since the last statistics
 	// reset; sampler is nil unless a sampling cadence was configured;
 	// recorder is nil unless event tracing was configured.
@@ -516,9 +519,7 @@ func (cs *channelState) noteEvict(ev cache.EvictInfo, cycle uint64) {
 // engine-global state, which is the invariant the parallel mode rests on.
 func (cs *channelState) step(rec trace.Record) error {
 	blk := rec.Block()
-	if rec.Cycle > cs.lastCycle {
-		cs.lastCycle = rec.Cycle
-	}
+	cs.lastCycle = rec.Cycle // admit keeps cycles non-decreasing
 	if err := cs.commitPending(rec.Cycle); err != nil {
 		return err
 	}
@@ -722,8 +723,24 @@ func addByOrigin(dst map[string]uint64, counts *[events.NumOrigins]uint64) map[s
 	return dst
 }
 
-// Step processes one trace record (the incremental, always-serial API).
+// admit enforces the trace contract that arrival cycles never decrease. It
+// runs where records enter the engine, in Step and in the parallel
+// splitter, so a record whose cycle goes backwards is refused before any
+// component sees it, whether or not it would reach DRAM.
+func (e *Engine) admit(cycle uint64) error {
+	if cycle < e.cycle {
+		return fmt.Errorf("sim: record at cycle %d follows one at cycle %d; trace cycles must not decrease", cycle, e.cycle)
+	}
+	e.cycle = cycle
+	return nil
+}
+
+// Step processes one trace record (the incremental, always-serial API). It
+// refuses a record whose cycle is below the previous record's.
 func (e *Engine) Step(rec trace.Record) error {
+	if err := e.admit(rec.Cycle); err != nil {
+		return err
+	}
 	cs := e.units[rec.Block().Channel()]
 	if err := cs.step(rec); err != nil {
 		return err
@@ -781,10 +798,10 @@ func (cs *channelState) end() uint64 {
 func (e *Engine) Finish(workload string) metrics.Report {
 	var end uint64
 	for _, cs := range e.units {
-		// Land every in-flight prefetch at its own ready cycle: on a trace
-		// in cycle order each dirty victim's writeback then reaches DRAM in
-		// order. Only cycles that go backwards can make DRAM refuse one;
-		// Finish returns no error, so the loop drops it and lands the rest.
+		// Land every in-flight prefetch at its own ready cycle, so each
+		// dirty victim's writeback reaches DRAM in order. admit keeps
+		// cycles non-decreasing, so every fill left here is ready after
+		// this unit's last record, and DRAM accepts every such writeback.
 		for cs.pending.size() > 0 {
 			_ = cs.commitPending(cs.pending.front().ready)
 		}

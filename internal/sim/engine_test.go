@@ -471,8 +471,8 @@ func TestResetStatsDiscardsWarmup(t *testing.T) {
 
 func TestOutOfOrderTraceRejected(t *testing.T) {
 	eng := New(smallConfig())
-	// Two accesses to the same channel with decreasing cycles: the DRAM
-	// enqueue-order invariant must surface as an error, not corruption.
+	// Two accesses to the same channel with decreasing cycles: Step must
+	// refuse the second with an error, not corrupt the model.
 	b := addr.PageNum(1).Block(0)
 	if err := eng.Step(trace.Record{Addr: b.Addr(), Cycle: 1000}); err != nil {
 		t.Fatal(err)
@@ -480,6 +480,27 @@ func TestOutOfOrderTraceRejected(t *testing.T) {
 	err := eng.Step(trace.Record{Addr: (b + 1).Addr(), Cycle: 10})
 	if err == nil {
 		t.Fatal("out-of-order trace accepted")
+	}
+}
+
+// TestBackwardCycleRefusedAtEntry: a record whose cycle goes backwards is
+// refused where it enters the engine, even when it hits in the SC and so
+// never meets DRAM's own order check. Both drivers blame that record and
+// return a partial report of the records before it.
+func TestBackwardCycleRefusedAtEntry(t *testing.T) {
+	b := addr.PageNum(1).Block(0).Addr()
+	tr := trace.Trace{{Addr: b, Cycle: 1000}, {Addr: b, Cycle: 10}, {Addr: b, Cycle: 2000}}
+	for _, par := range []bool{false, true} {
+		cfg := smallConfig()
+		cfg.ParallelChannels = par
+		rep, err := New(cfg).RunStream(tr.Stream(), "backwards")
+		if err == nil {
+			t.Fatalf("parallel=%v: a trace whose cycles go backwards ran", par)
+		}
+		if !rep.Truncated || rep.FailedAt != 1 || rep.DemandReads != 1 {
+			t.Fatalf("parallel=%v: Truncated %v, FailedAt %d, %d demand reads; want true, 1, 1",
+				par, rep.Truncated, rep.FailedAt, rep.DemandReads)
+		}
 	}
 }
 

@@ -176,7 +176,7 @@ func (e *Engine) runParallelStream(ctx context.Context, s trace.Stream, warmAt i
 
 	in := make([]trace.Record, trace.ChunkSize)
 	var global int64
-	var cause error // cancellation, recorded at the splitter's position
+	var cause error // cancellation or a refused record, at the splitter's position
 splitting:
 	for {
 		select {
@@ -198,6 +198,11 @@ splitting:
 				resume := quiesce()
 				e.ResetStats()
 				resume()
+			}
+			if cause = e.admit(rec.Cycle); cause != nil {
+				// Every record before this one was handed out, so a
+				// worker failure, if any, is earlier and wins below.
+				break splitting
 			}
 			u := rec.Block().Channel()
 			b := bufs[u]

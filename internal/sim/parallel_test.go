@@ -141,31 +141,31 @@ func TestParallelSeriesInvariant(t *testing.T) {
 }
 
 // TestParallelErrorMatchesSerial: an out-of-order trace must surface the
-// same first error from both engines (the parallel engine attributes the
-// failure to the earliest record in global trace order).
+// same first error from both engines, blamed on the same global record.
 func TestParallelErrorMatchesSerial(t *testing.T) {
 	p := workloads.Catalog()[0]
 	tr := p.Generate(5_000)
 	// Corrupt the trace deep in: two channel-0 accesses to untouched pages
-	// (guaranteed misses, so both reach the DRAM queue), the second with a
-	// rewound cycle so the controller's enqueue-order invariant trips.
+	// (guaranteed misses), the second with a rewound cycle, which both
+	// drivers refuse where it enters the engine.
 	bad := make(trace.Trace, len(tr))
 	copy(bad, tr)
 	bad[4_000] = trace.Record{Addr: addr.PageNum(1 << 30).Block(0).Addr(), Cycle: bad[3_999].Cycle}
 	bad[4_001] = trace.Record{Addr: addr.PageNum(1<<30 + 1).Block(0).Addr(), Cycle: 1}
 
-	run := func(par bool) error {
+	run := func(par bool) (int64, error) {
 		cfg := DefaultConfig()
 		cfg.ParallelChannels = par
 		eng := New(cfg)
-		_, err := eng.RunStream(bad.Stream(), p.Abbr)
-		return err
+		rep, err := eng.RunStream(bad.Stream(), p.Abbr)
+		return rep.FailedAt, err
 	}
-	serr, perr := run(false), run(true)
+	sat, serr := run(false)
+	pat, perr := run(true)
 	if serr == nil || perr == nil {
 		t.Fatalf("out-of-order trace accepted: serial=%v parallel=%v", serr, perr)
 	}
-	if serr.Error() != perr.Error() {
-		t.Fatalf("error mismatch: serial %q, parallel %q", serr, perr)
+	if serr.Error() != perr.Error() || sat != 4_001 || pat != 4_001 {
+		t.Fatalf("error mismatch: serial %q at %d, parallel %q at %d, want record 4001", serr, sat, perr, pat)
 	}
 }

@@ -301,7 +301,8 @@ func toRecord(a Access) (trace.Record, error) {
 	return trace.Record{Addr: addr.Addr(a.Addr), Cycle: a.Cycle, Device: dev, Write: a.Write}, nil
 }
 
-// Step feeds one access into the simulator.
+// Step feeds one access into the simulator. It refuses an access whose
+// cycle is below the previous access's.
 func (s *Simulator) Step(a Access) error {
 	if s.finished {
 		return fmt.Errorf("planaria: simulator already finished")

@@ -105,6 +105,24 @@ func TestStepAfterFinishRejected(t *testing.T) {
 	}
 }
 
+// TestStepRejectsBackwardCycle: an access whose cycle goes backwards is
+// refused even when it hits in the SC, and a refused access leaves the
+// simulator able to take the next one in order.
+func TestStepRejectsBackwardCycle(t *testing.T) {
+	s, err := NewSimulator(Options{Prefetcher: "planaria"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		cycle uint64
+		ok    bool
+	}{{1000, true}, {10, false}, {2000, true}} {
+		if err := s.Step(Access{Addr: 0x1000, Cycle: c.cycle}); (err == nil) != c.ok {
+			t.Fatalf("Step at cycle %d: err %v", c.cycle, err)
+		}
+	}
+}
+
 func TestStepRejectsUnknownDevice(t *testing.T) {
 	s, _ := NewSimulator(Options{})
 	if err := s.Step(Access{Addr: 0x1000, Device: "quantum"}); err == nil {
