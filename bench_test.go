@@ -22,7 +22,7 @@ import (
 const benchRequests = 150_000
 
 func benchOpts() experiments.Options {
-	return experiments.Options{Requests: benchRequests}
+	return experiments.Options{Requests: benchRequests, Warmup: 0.2}
 }
 
 // BenchmarkFig2Snapshot regenerates Figure 2: the access timeline of a hot

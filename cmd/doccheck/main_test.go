@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -134,8 +135,9 @@ func TestHelperWithoutDoc() {} // test files are excluded entirely
 }
 
 // TestRepoDocsClean runs the two checks over the repository's own docs and
-// the packages CI gates — the same invocation CI uses — so a broken link or
-// an undocumented export fails `go test` locally too.
+// every package under internal/, found by walking the tree as CI's `go list`
+// does, so a broken link or an undocumented export fails `go test` locally
+// too, and a new package is gated as soon as it exists.
 func TestRepoDocsClean(t *testing.T) {
 	root := "../.."
 	files, err := collectMarkdown([]string{
@@ -148,17 +150,39 @@ func TestRepoDocsClean(t *testing.T) {
 	if problems := checkMarkdown(files); len(problems) > 0 {
 		t.Errorf("markdown problems:\n%s", strings.Join(problems, "\n"))
 	}
-	for _, pkg := range []string{
-		"addr", "analysis", "bitmap", "cache", "core", "dram", "events", "experiments",
-		"faults", "hashidx", "metrics", "obs", "power", "prefetch", "prefetch/bop",
-		"prefetch/spp", "sim", "sweepfarm", "telemetry", "trace", "workloads",
-	} {
-		problems, err := checkPkgDocs(filepath.Join(root, "internal", pkg))
+	var pkgs []string
+	err = filepath.WalkDir(filepath.Join(root, "internal"), func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if d.Name() == "testdata" {
+			return filepath.SkipDir
+		}
+		entries, err := os.ReadDir(path)
+		if err != nil {
+			return err
+		}
+		for _, e := range entries {
+			if n := e.Name(); strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") {
+				pkgs = append(pkgs, path)
+				break
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkgs) == 0 {
+		t.Fatal("found no package under internal/")
+	}
+	for _, pkg := range pkgs {
+		problems, err := checkPkgDocs(pkg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(problems) > 0 {
-			t.Errorf("internal/%s doc-comment problems:\n%s", pkg, strings.Join(problems, "\n"))
+			t.Errorf("%s doc-comment problems:\n%s", pkg, strings.Join(problems, "\n"))
 		}
 	}
 }

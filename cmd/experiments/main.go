@@ -59,7 +59,7 @@ var logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 // The command line. Package-level so that tests read the same defaults.
 var (
 	n               = flag.Int("n", 800_000, "requests per application trace")
-	warmup          = flag.Float64("warmup", 0.2, "fraction of each trace run before statistics start (0 < w < 0.9; negative disables)")
+	warmup          = flag.Float64("warmup", 0.2, "fraction of each trace run before statistics start (clamped to [0, 0.9]; 0 disables)")
 	run             = flag.String("run", "all", "experiment id (all, fig2, fig4, fig5, fig7, fig8, fig9, fig9b, fig10, tab-ipc, tab-traffic, tab-storage, cache-study, abl-coord, abl-dist, abl-pt, csv)")
 	jsonPath        = flag.String("json", "", "write a combined JSON run artifact to this path")
 	artifactDir     = flag.String("artifact-dir", "", "write one JSON artifact per (app, prefetcher) sweep cell into this directory")
@@ -289,6 +289,9 @@ func main() {
 // runOptions builds the experiment options the flags select, without the
 // -debug-addr progress registry.
 func runOptions() (experiments.Options, error) {
+	if *n <= 0 {
+		return experiments.Options{}, fmt.Errorf("-n %d: the trace length must be positive", *n)
+	}
 	if *subshards > 1 {
 		return experiments.Options{}, fmt.Errorf("-subshards %d: sub-sharding was removed; the engine runs one unit per channel", *subshards)
 	}

@@ -86,6 +86,9 @@ func main() {
 	}
 	logger = telemetry.NewLogger(os.Stderr, level, *logJSON).
 		With("tool", "planaria-sim", "run_id", telemetry.NewRunID())
+	if *n < 0 {
+		fatal(fmt.Errorf("-n %d: the request count cannot be negative", *n))
+	}
 
 	// Build the record stream: from a binary trace file (never materialized;
 	// the file's size declares the record count so warmup fractions still

@@ -26,6 +26,9 @@ func main() {
 	what := flag.String("what", "all", "analysis: overlap, neighbors, snapshot, stats, all")
 	diff := flag.Int("diff", 4, "bitmap difference threshold for the neighbour test")
 	flag.Parse()
+	if *n < 0 {
+		fatal(fmt.Errorf("-n %d: the request count cannot be negative", *n))
+	}
 
 	var (
 		t    trace.Trace

@@ -31,6 +31,9 @@ func main() {
 	profileFile := flag.String("profile", "", "JSON profile file (overrides -app)")
 	dumpProfile := flag.Bool("dump-profile", false, "print the selected profile as JSON and exit")
 	flag.Parse()
+	if *n < 0 {
+		fatal(fmt.Errorf("-n %d: the request count cannot be negative", *n))
+	}
 
 	if *list {
 		for _, p := range workloads.Catalog() {

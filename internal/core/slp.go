@@ -67,28 +67,13 @@ type SLP struct {
 // SetEventSink installs the decision-event sink (nil disables tracing).
 func (s *SLP) SetEventSink(sk events.Sink) { s.sink = sk }
 
-// NewSLP builds an SLP instance.
+// NewSLP builds an SLP instance; start cfg from DefaultSLPConfig.
 func NewSLP(cfg SLPConfig) *SLP {
-	if cfg.FTEntries <= 0 {
-		cfg.FTEntries = 64
-	}
-	if cfg.ATEntries <= 0 {
-		cfg.ATEntries = 128
-	}
-	if cfg.PTEntries <= 0 {
-		cfg.PTEntries = 16384
-	}
 	n := 1
 	for n < cfg.PTEntries {
 		n <<= 1
 	}
 	cfg.PTEntries = n
-	if cfg.FTPromote <= 0 {
-		cfg.FTPromote = 3
-	}
-	if cfg.Timeout == 0 {
-		cfg.Timeout = 50000
-	}
 	arena := newPageArena(cfg.FTEntries, cfg.ATEntries)
 	return &SLP{
 		cfg:    cfg,

@@ -60,19 +60,8 @@ type TLP struct {
 // SetEventSink installs the decision-event sink (nil disables tracing).
 func (t *TLP) SetEventSink(sk events.Sink) { t.sink = sk }
 
-// NewTLP builds a TLP instance. Zero (or negative) fields take their
-// DefaultTLPConfig values.
+// NewTLP builds a TLP instance; start cfg from DefaultTLPConfig.
 func NewTLP(cfg TLPConfig) *TLP {
-	def := DefaultTLPConfig()
-	if cfg.RPTEntries <= 0 {
-		cfg.RPTEntries = def.RPTEntries
-	}
-	if cfg.DistThreshold == 0 {
-		cfg.DistThreshold = def.DistThreshold
-	}
-	if cfg.MinCommon <= 0 {
-		cfg.MinCommon = def.MinCommon
-	}
 	arena := newPageArena(cfg.RPTEntries)
 	return &TLP{
 		cfg:    cfg,

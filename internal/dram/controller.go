@@ -102,15 +102,19 @@ type Config struct {
 	// requests issue (and are timed) essentially at their arrival.
 	Linger uint64
 	// PowerDownIdle is the idle-cycle threshold after which the channel
-	// enters precharge power-down (CKE low). Zero selects the default of
-	// 4 × tREFI/100 ≈ a few hundred cycles; negative disables power-down.
+	// enters precharge power-down (CKE low); negative disables power-down.
 	PowerDownIdle int
 }
 
-// DefaultConfig returns Table 1 timings, the default geometry and a
-// 16-request reorder window.
+// DefaultConfig returns Table 1 timings, the default geometry, a
+// 16-request reorder window and a power-down threshold of 4 × tREFI/100
+// (249 cycles).
 func DefaultConfig() Config {
-	return Config{Timing: Table1Timing(), Geometry: addr.DefaultDRAMGeometry(), Window: 16, StarveLimit: 4, Linger: 64}
+	t := Table1Timing()
+	return Config{
+		Timing: t, Geometry: addr.DefaultDRAMGeometry(), Window: 16, StarveLimit: 4, Linger: 64,
+		PowerDownIdle: 4 * t.TREFI / 100,
+	}
 }
 
 type bankState struct {
@@ -229,31 +233,17 @@ type Telemetry struct {
 // the struct.
 func (c *Controller) SetTelemetry(t *Telemetry) { c.tel = t }
 
-// NewController builds a channel controller; it panics on invalid timing
-// (construction-time programming error).
+// NewController builds a channel controller (start cfg from DefaultConfig);
+// it panics on invalid timing (construction-time programming error).
 func NewController(cfg Config) *Controller {
 	if err := cfg.Timing.Validate(); err != nil {
 		panic(err)
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = 16
-	}
-	if cfg.StarveLimit <= 0 {
-		cfg.StarveLimit = 4
-	}
-	if cfg.Linger == 0 {
-		cfg.Linger = 64
-	}
-	g := cfg.Geometry
-	if g.Banks == 0 {
-		g = addr.DefaultDRAMGeometry()
-		cfg.Geometry = g
-	}
 	return &Controller{
 		cfg:         cfg,
 		tm:          makeTimingU(cfg.Timing),
-		banks:       make([]bankState, g.Banks),
-		openRows:    make([]uint64, g.Banks),
+		banks:       make([]bankState, cfg.Geometry.Banks),
+		openRows:    make([]uint64, cfg.Geometry.Banks),
 		queue:       make([]*Request, 32),
 		nextRefresh: uint64(cfg.Timing.TREFI),
 	}
@@ -445,9 +435,6 @@ func (c *Controller) powerDown(t uint64) uint64 {
 		return t
 	}
 	threshold := uint64(c.cfg.PowerDownIdle)
-	if threshold == 0 {
-		threshold = 4 * c.tm.refi / 100
-	}
 	if t > c.lastBusyAt && t-c.lastBusyAt > threshold+c.tm.cke {
 		c.stats.PowerDownEntries++
 		c.stats.PowerDownCycles += t - c.lastBusyAt - threshold

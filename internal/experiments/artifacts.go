@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // Cells flattens a sweep result into sorted (app, prefetcher) cells: apps
@@ -40,8 +41,8 @@ func prefetcherOrder(row map[string]metrics.Report) []string {
 // sweep (git describe and environment captured once).
 func sweepManifest(opts Options) obs.Manifest {
 	man := obs.NewManifest("experiments")
-	man.Requests = opts.requests()
-	man.Warmup = opts.warmup()
+	man.Requests = opts.Requests
+	man.Warmup = sim.ClampWarmup(opts.Warmup)
 	man.SampleEvery = opts.SampleEvery
 	return man
 }

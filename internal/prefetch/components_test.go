@@ -155,7 +155,7 @@ func TestAccelReset(t *testing.T) {
 // per component, follower regions follow trust, cold rows follow the global
 // score, and everything ties to component 0.
 func TestMetaSetDueling(t *testing.T) {
-	m := NewMeta(3, MetaConfig{})
+	m := NewMeta(3)
 	// Regions 0..2 lead components 0..2; region 32 leads component 0 again.
 	for r, want := range map[int]int{0: 0, 1: 1, 2: 2, 32: 0, 33: 1} {
 		sel, leader := m.Select(r)
@@ -190,36 +190,37 @@ func TestMetaSetDueling(t *testing.T) {
 }
 
 func TestMetaSaturation(t *testing.T) {
-	m := NewMeta(2, MetaConfig{TrustMax: 3, PselMax: 4})
+	m := NewMeta(2)
 	const region = 40
-	for i := 0; i < 10; i++ {
+	for i := 0; i < metaPselMax+10; i++ {
 		m.Reward(region, 1)
 	}
-	if m.Trust(region, 1) != 3 {
-		t.Fatalf("trust = %d, want saturation at 3", m.Trust(region, 1))
+	if m.Trust(region, 1) != metaTrustMax {
+		t.Fatalf("trust = %d, want saturation at %d", m.Trust(region, 1), metaTrustMax)
 	}
-	if m.Score(1) != 4 {
-		t.Fatalf("score = %d, want clamp at 4", m.Score(1))
+	if m.Score(1) != metaPselMax {
+		t.Fatalf("score = %d, want clamp at %d", m.Score(1), metaPselMax)
 	}
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 2*metaPselMax+10; i++ {
 		m.Penalize(region, 1)
 	}
-	if m.Trust(region, 1) != 0 || m.Score(1) != -4 {
-		t.Fatalf("after penalties: trust %d score %d, want 0 and -4", m.Trust(region, 1), m.Score(1))
+	if m.Trust(region, 1) != 0 || m.Score(1) != -metaPselMax {
+		t.Fatalf("after penalties: trust %d score %d, want 0 and %d", m.Trust(region, 1), m.Score(1), -metaPselMax)
 	}
 }
 
 func TestMetaLeaderModClampedToComponents(t *testing.T) {
-	// 5 components with LeaderMod 4 would leave component 4 leaderless;
-	// the constructor widens the cycle.
-	m := NewMeta(5, MetaConfig{LeaderMod: 4})
+	// One component more than the leader cycle's length would leave the
+	// last component leaderless; the constructor widens the cycle.
+	const n = metaLeaderMod + 1
+	m := NewMeta(n)
 	seen := map[int]bool{}
-	for r := 0; r < 256; r++ {
+	for r := 0; r < metaRegions; r++ {
 		if sel, leader := m.Select(r); leader {
 			seen[sel] = true
 		}
 	}
-	for c := 0; c < 5; c++ {
+	for c := 0; c < n; c++ {
 		if !seen[c] {
 			t.Fatalf("component %d has no leader region", c)
 		}

@@ -38,7 +38,7 @@
 // N ways); exactly one issues per trigger ("serial issuing"). Which one is
 // decided by Meta (meta.go), a per-page-region selector with set-dueling
 // leader regions modelled on the DRRIP machinery in internal/cache: a fixed
-// 1-in-LeaderMod slice of regions is permanently assigned to each component
+// 1-in-32 slice of regions is permanently assigned to each component
 // (forced exploration), follower regions go to the component with the best
 // learned trust counters, and ties fall back to the fixed priority order —
 // component 0 first, which preserves the paper's SLP-priority rule when the

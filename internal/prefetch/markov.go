@@ -2,11 +2,11 @@ package prefetch
 
 import "repro/internal/addr"
 
-// MarkovConfig sizes the order-N delta-history component. The zero value of
-// any field selects its default (shown in parentheses).
+// MarkovConfig sizes the order-N delta-history component. Start from
+// DefaultMarkovConfig; its values are shown in parentheses.
 type MarkovConfig struct {
 	// History is the Markov order N: how many consecutive per-page deltas
-	// form the pattern-table signature (2, clamped to 1..3 — each delta
+	// form the pattern-table signature (2, capped at 3 — each delta
 	// takes 5 signature bits).
 	History int
 	// Trackers is the page-tracker table size, rounded up to a power of
@@ -71,25 +71,10 @@ type Markov struct {
 	issues uint64
 }
 
-// NewMarkov builds a Markov component; zero config fields take defaults.
+// NewMarkov builds a Markov component; start cfg from DefaultMarkovConfig.
 func NewMarkov(cfg MarkovConfig) *Markov {
-	if cfg.History <= 0 {
-		cfg.History = 2
-	}
 	if cfg.History > 3 {
 		cfg.History = 3 // 5 bits per delta; the signature register is 16 bits
-	}
-	if cfg.Trackers <= 0 {
-		cfg.Trackers = 128
-	}
-	if cfg.Patterns <= 0 {
-		cfg.Patterns = 1024
-	}
-	if cfg.Degree <= 0 {
-		cfg.Degree = 4
-	}
-	if cfg.MinConf <= 0 {
-		cfg.MinConf = 2
 	}
 	cfg.Trackers = ceilPow2(cfg.Trackers)
 	cfg.Patterns = ceilPow2(cfg.Patterns)

@@ -2,39 +2,32 @@ package prefetch
 
 import "repro/internal/addr"
 
-// MetaConfig parameterises the tournament's meta-predictor. The zero value
-// of any field selects its default (shown in parentheses).
-type MetaConfig struct {
-	// Regions is the selector-table size — the number of page-region rows
-	// of trust counters — rounded up to a power of two (256). Page
-	// regions map to rows modulo Regions.
-	Regions int
-	// RegionShift is log2 of the pages per region (6: 64-page / 256 KB
-	// regions, matching the attribution table's bucket granularity).
-	RegionShift uint
-	// LeaderMod is the set-dueling ratio: of every LeaderMod consecutive
-	// region rows, the first one per component is that component's leader
-	// (32, the DRRIP ratio used by internal/cache). Leader rows always
-	// select their component, so every component keeps producing
+// The meta-predictor's geometry, the same for every tournament.
+const (
+	// metaRegions is the selector-table size: the number of page-region
+	// rows of trust counters (a power of two). Page regions map to rows
+	// modulo metaRegions.
+	metaRegions = 256
+	// metaRegionShift is log2 of the pages per region: 64-page / 256 KB
+	// regions, matching the attribution table's bucket granularity.
+	metaRegionShift = 6
+	// metaLeaderMod is the set-dueling ratio, the DRRIP ratio used by
+	// internal/cache: of every metaLeaderMod consecutive region rows, the
+	// first one per component is that component's leader. Leader rows
+	// always select their component, so every component keeps producing
 	// shadow-scoreable predictions even when out of favour.
-	LeaderMod int
-	// TrustMax is the saturating ceiling of the per-region trust
-	// counters (7: 3-bit counters).
-	TrustMax uint8
-	// PselMax clamps the global per-component score to ±PselMax
-	// (511: 10-bit signed counters, the DRRIP PSEL width).
-	PselMax int
-}
-
-// DefaultMetaConfig returns the meta-predictor configuration used by the
-// built-in planaria-tournament.
-func DefaultMetaConfig() MetaConfig {
-	return MetaConfig{Regions: 256, RegionShift: 6, LeaderMod: 32, TrustMax: 7, PselMax: 511}
-}
+	metaLeaderMod = 32
+	// metaTrustMax is the saturating ceiling of the per-region trust
+	// counters (3-bit counters).
+	metaTrustMax = 7
+	// metaPselMax clamps the global per-component score to ±metaPselMax
+	// (10-bit signed counters, the DRRIP PSEL width).
+	metaPselMax = 511
+)
 
 // Meta is the tournament's selector: it learns, per page region, which
 // component to trust with the issuing slot. The mechanism mirrors DRRIP set
-// dueling (the internal/cache template): a fixed 1-in-LeaderMod slice of
+// dueling (the internal/cache template): a fixed 1-in-32 slice of
 // region rows is permanently dedicated to each component (leader regions,
 // the exploration path), while follower regions pick the component with the
 // highest learned trust — per-region 3-bit counters first, the global
@@ -43,38 +36,18 @@ func DefaultMetaConfig() MetaConfig {
 //
 // Meta is driven single-threaded per channel, like every prefetcher.
 type Meta struct {
-	cfg   MetaConfig
-	n     int
-	trust [][]uint8 // [region row][component], saturating 0..TrustMax
-	psel  []int     // [component], clamped to ±PselMax
+	n         int
+	leaderMod int       // metaLeaderMod, widened to n
+	trust     [][]uint8 // [region row][component], saturating 0..metaTrustMax
+	psel      []int     // [component], clamped to ±metaPselMax
 }
 
-// NewMeta builds a selector over n components; zero config fields take
-// defaults. n must be ≥ 1.
-func NewMeta(n int, cfg MetaConfig) *Meta {
-	if cfg.Regions <= 0 {
-		cfg.Regions = 256
-	}
-	if cfg.RegionShift == 0 {
-		cfg.RegionShift = 6
-	}
-	if cfg.LeaderMod <= 0 {
-		cfg.LeaderMod = 32
-	}
-	if cfg.LeaderMod < n {
-		// Every component needs its own leader slot in the cycle.
-		cfg.LeaderMod = n
-	}
-	if cfg.TrustMax == 0 {
-		cfg.TrustMax = 7
-	}
-	if cfg.PselMax <= 0 {
-		cfg.PselMax = 511
-	}
-	cfg.Regions = ceilPow2(cfg.Regions)
-	m := &Meta{cfg: cfg, n: n, psel: make([]int, n)}
-	m.trust = make([][]uint8, cfg.Regions)
-	rows := make([]uint8, cfg.Regions*n)
+// NewMeta builds a selector over n components. n must be ≥ 1.
+func NewMeta(n int) *Meta {
+	// Every component needs its own leader slot in the cycle.
+	m := &Meta{n: n, leaderMod: max(metaLeaderMod, n), psel: make([]int, n)}
+	m.trust = make([][]uint8, metaRegions)
+	rows := make([]uint8, metaRegions*n)
 	for i := range m.trust {
 		m.trust[i], rows = rows[:n], rows[n:]
 	}
@@ -86,14 +59,14 @@ func (m *Meta) Components() int { return m.n }
 
 // Region maps a page to its selector row.
 func (m *Meta) Region(p addr.PageNum) int {
-	return int((uint64(p) >> m.cfg.RegionShift) & uint64(len(m.trust)-1))
+	return int((uint64(p) >> metaRegionShift) & (metaRegions - 1))
 }
 
 // Select returns the component that should issue for the region, and
 // whether the row is a leader region (forced exploration) rather than a
 // learned choice.
 func (m *Meta) Select(region int) (comp int, leader bool) {
-	if k := region % m.cfg.LeaderMod; k < m.n {
+	if k := region % m.leaderMod; k < m.n {
 		return k, true
 	}
 	row := m.trust[region]
@@ -120,10 +93,10 @@ func (m *Meta) Select(region int) (comp int, leader bool) {
 // Reward credits component comp in region: its shadow-predicted block was
 // demanded while missing, so issuing it there would have covered the miss.
 func (m *Meta) Reward(region, comp int) {
-	if row := m.trust[region]; row[comp] < m.cfg.TrustMax {
+	if row := m.trust[region]; row[comp] < metaTrustMax {
 		row[comp]++
 	}
-	if m.psel[comp] < m.cfg.PselMax {
+	if m.psel[comp] < metaPselMax {
 		m.psel[comp]++
 	}
 }
@@ -135,7 +108,7 @@ func (m *Meta) Penalize(region, comp int) {
 	if row := m.trust[region]; row[comp] > 0 {
 		row[comp]--
 	}
-	if m.psel[comp] > -m.cfg.PselMax {
+	if m.psel[comp] > -metaPselMax {
 		m.psel[comp]--
 	}
 }
@@ -160,10 +133,10 @@ func (m *Meta) Reset() {
 }
 
 // StorageBits returns the selector's hardware budget: one 3-bit (log2 of
-// TrustMax+1) counter per region row per component, plus one PSEL-style
-// counter (log2 of PselMax, plus a sign bit) per component.
+// metaTrustMax+1) counter per region row per component, plus one
+// PSEL-style counter (log2 of metaPselMax, plus a sign bit) per component.
 func (m *Meta) StorageBits() int {
-	trustBits := log2i(int(m.cfg.TrustMax) + 1)
-	pselBits := log2i(m.cfg.PselMax) + 1 + 1
+	trustBits := log2i(metaTrustMax + 1)
+	pselBits := log2i(metaPselMax) + 1 + 1
 	return len(m.trust)*m.n*trustBits + m.n*pselBits
 }

@@ -46,12 +46,6 @@ func TestNextLine(t *testing.T) {
 	}
 }
 
-func TestNextLineDegreeClamp(t *testing.T) {
-	if NewNextLine(0).Degree != 1 {
-		t.Fatal("degree not clamped")
-	}
-}
-
 func TestStrideLearnsAndIssues(t *testing.T) {
 	p := NewStride(64, 2)
 	page := addr.PageNum(42)

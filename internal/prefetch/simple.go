@@ -10,11 +10,8 @@ type NextLine struct {
 	Degree int
 }
 
-// NewNextLine returns a next-line prefetcher with the given degree (≥1).
+// NewNextLine returns a next-line prefetcher with the given degree.
 func NewNextLine(degree int) *NextLine {
-	if degree < 1 {
-		degree = 1
-	}
 	return &NextLine{Degree: degree}
 }
 
@@ -83,15 +80,9 @@ type Stride struct {
 // NewStride returns a stride prefetcher with the given table size (rounded
 // up to a power of two) and prefetch degree.
 func NewStride(tableSize, degree int) *Stride {
-	if tableSize < 1 {
-		tableSize = 64
-	}
 	n := 1
 	for n < tableSize {
 		n <<= 1
-	}
-	if degree < 1 {
-		degree = 2
 	}
 	return &Stride{table: make([]strideEntry, n), degree: degree}
 }

@@ -64,20 +64,8 @@ type SPP struct {
 	g      *ghr // non-nil when Config.UseGHR
 }
 
-// New builds an SPP instance.
+// New builds an SPP instance; start cfg from DefaultConfig.
 func New(cfg Config) *SPP {
-	if cfg.STSize <= 0 {
-		cfg.STSize = 256
-	}
-	if cfg.PTSize <= 0 {
-		cfg.PTSize = 1 << sigBits
-	}
-	if cfg.Threshold <= 0 {
-		cfg.Threshold = 0.25
-	}
-	if cfg.MaxDepth <= 0 {
-		cfg.MaxDepth = 8
-	}
 	st := 1
 	for st < cfg.STSize {
 		st <<= 1

@@ -12,6 +12,8 @@ import (
 // formulas mirror docs/PREFETCHERS.md.
 func TestStorageBitsHonesty(t *testing.T) {
 	markovDefault := DefaultMarkovConfig()
+	markovSmall := DefaultMarkovConfig()
+	markovSmall.Trackers, markovSmall.Patterns = 32, 256
 	accelDefault := DefaultAccelConfig()
 	cases := []struct {
 		name  string
@@ -38,7 +40,7 @@ func TestStorageBitsHonesty(t *testing.T) {
 		},
 		{
 			name:  "markov/small",
-			build: func() Prefetcher { return NewMarkov(MarkovConfig{Trackers: 32, Patterns: 256}) },
+			build: func() Prefetcher { return NewMarkov(markovSmall) },
 			want:  32*(36+4+10+2+1) + 256*((10-8)+5+2+1),
 		},
 		{
@@ -96,7 +98,7 @@ func TestStorageBitsHonesty(t *testing.T) {
 
 // TestMetaStorageBits pins the selector's own budget formula.
 func TestMetaStorageBits(t *testing.T) {
-	m := NewMeta(4, MetaConfig{})
+	m := NewMeta(4)
 	// 256 regions × 4 components × 3-bit trust + 4 × (8+1+1)-bit psel.
 	if want := 256*4*3 + 4*10; m.StorageBits() != want {
 		t.Errorf("Meta.StorageBits = %d, want %d", m.StorageBits(), want)

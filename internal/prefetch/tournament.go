@@ -141,7 +141,7 @@ func NewTournament(cfg TournamentConfig, comps ...Component) *Tournament {
 	t := &Tournament{
 		cfg:      cfg,
 		comps:    comps,
-		meta:     NewMeta(len(comps), DefaultMetaConfig()),
+		meta:     NewMeta(len(comps)),
 		filters:  make([]shadowFilter, len(comps)),
 		issuesBy: make([]uint64, len(comps)),
 	}

@@ -56,10 +56,10 @@ func missAt(page addr.PageNum, off int) Access {
 }
 
 // followerPage returns a page whose meta region is neither component's
-// leader (region%LeaderMod >= n).
+// leader (region%metaLeaderMod >= n).
 func followerPage(m *Meta, n int) addr.PageNum {
 	for p := addr.PageNum(0); ; p += 64 {
-		if r := m.Region(p); r%32 >= n {
+		if r := m.Region(p); r%metaLeaderMod >= n {
 			return p
 		}
 	}

@@ -158,20 +158,27 @@ func NamedPrefetcher(name string) (func(int) prefetch.Prefetcher, error) {
 }
 
 // TournamentPrefetcher returns the factory behind "planaria-tournament":
-// per channel, a prefetch.Tournament over the Planaria composite (component
-// 0, the priority fallback — so the paper's SLP-priority rule survives as
-// the default) plus the three PC-free delta-family components (stride,
-// Markov-2, accel) under the default set-dueling meta-predictor. See
-// docs/PREFETCHERS.md for the component algorithms and storage budgets.
+// per channel, a prefetch.Tournament over TournamentComponents under the
+// set-dueling meta-predictor.
 func TournamentPrefetcher() func(int) prefetch.Prefetcher {
 	return func(int) prefetch.Prefetcher {
 		return prefetch.NewTournament(
-			prefetch.TournamentConfig{Name: "planaria-tournament"},
-			core.New(core.DefaultConfig()),
-			prefetch.NewStride(256, 2),
-			prefetch.NewMarkov(prefetch.DefaultMarkovConfig()),
-			prefetch.NewAccel(prefetch.DefaultAccelConfig()),
-		)
+			prefetch.TournamentConfig{Name: "planaria-tournament"}, TournamentComponents()...)
+	}
+}
+
+// TournamentComponents builds one channel's planaria-tournament components
+// in priority order: the Planaria composite (component 0, the priority
+// fallback — so the paper's SLP-priority rule survives as the default),
+// then the three PC-free delta-family components (stride, Markov-2,
+// accel). See docs/PREFETCHERS.md for the component algorithms and storage
+// budgets.
+func TournamentComponents() []prefetch.Component {
+	return []prefetch.Component{
+		core.New(core.DefaultConfig()),
+		prefetch.NewStride(256, 2),
+		prefetch.NewMarkov(prefetch.DefaultMarkovConfig()),
+		prefetch.NewAccel(prefetch.DefaultAccelConfig()),
 	}
 }
 
@@ -350,24 +357,9 @@ type Engine struct {
 	runExpected *telemetry.Gauge
 }
 
-// New builds an engine; it panics on an invalid configuration
-// (construction-time programming error).
+// New builds an engine (start cfg from DefaultConfig); it panics on an
+// invalid configuration (construction-time programming error).
 func New(cfg Config) *Engine {
-	if cfg.NewPrefetcher == nil {
-		cfg.NewPrefetcher = func(int) prefetch.Prefetcher { return prefetch.None{} }
-	}
-	if cfg.SCHitLatency == 0 {
-		cfg.SCHitLatency = 30
-	}
-	if cfg.MaxPerTrigger <= 0 {
-		cfg.MaxPerTrigger = 16
-	}
-	if cfg.Cache.SizeBytes == 0 {
-		cfg.Cache = cache.DefaultConfig()
-	}
-	if cfg.DRAM.Timing.TRAS == 0 {
-		cfg.DRAM = dram.DefaultConfig()
-	}
 	if cfg.SubShards > 1 {
 		panic(fmt.Sprintf("sim: SubShards %d: sub-sharding was removed; the engine runs one unit per channel", cfg.SubShards))
 	}

@@ -308,9 +308,9 @@ func TestIssueFilter(t *testing.T) {
 		misses        int // triggering demand misses, 100 cycles apart
 		want          prefetch.Stats
 	}{
-		{"duplicate in one trigger", []addr.BlockNum{x, x}, 0, 1,
+		{"duplicate in one trigger", []addr.BlockNum{x, x}, 16, 1,
 			prefetch.Stats{Candidates: 2, Filtered: 1, Issued: 1}},
-		{"in flight from an earlier trigger", []addr.BlockNum{x}, 0, 2,
+		{"in flight from an earlier trigger", []addr.BlockNum{x}, 16, 2,
 			prefetch.Stats{Candidates: 2, Filtered: 1, Issued: 1}},
 		{"queue full", eighty, 100, 1,
 			prefetch.Stats{Candidates: 80, Issued: 64, Dropped: 16}},

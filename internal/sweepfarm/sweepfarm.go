@@ -27,7 +27,7 @@ import (
 // planned job hashes to the same value.
 type Config struct {
 	Requests    int     // trace length per run
-	Warmup      float64 // resolved warmup fraction in [0, 0.9] (no 0→default sentinel)
+	Warmup      float64 // warmup fraction, clamped to [0, 0.9] as sim.ClampWarmup clamps it
 	SampleEvery uint64  // windowed time-series sampling period
 
 	// Deprecated: the engine runs one execution unit per channel.
@@ -39,9 +39,6 @@ type Config struct {
 // equal effective configurations hash equally.
 func (c Config) normalize() Config {
 	c.Warmup = sim.ClampWarmup(c.Warmup)
-	if c.Requests <= 0 {
-		c.Requests = 800_000
-	}
 	return c
 }
 

@@ -65,8 +65,7 @@ type Options struct {
 	// TournamentCustom, when non-nil, appends user components to the
 	// tournament after the named ones; the constructor is called once per
 	// DRAM channel. When Tournament is empty, the custom components join
-	// the default planaria-tournament set (planaria, stride, markov,
-	// accel).
+	// planaria-tournament's components (planaria, stride, markov, accel).
 	TournamentCustom func(channel int) []Component
 
 	// CacheBytes is the per-channel SC slice capacity (default 1 MiB —
@@ -143,21 +142,12 @@ func (c componentAdapter) Peek(a prefetch.Access, dst []addr.BlockNum) []addr.Bl
 	return dst
 }
 
-// defaultTournamentSet is the component list behind the built-in
-// planaria-tournament, reused when Options.TournamentCustom is given
-// without Options.Tournament.
-var defaultTournamentSet = []string{"planaria", "stride", "markov", "accel"}
-
 // tournamentFactory builds the per-channel constructor for
 // Options.Tournament / Options.TournamentCustom, validating the component
 // names eagerly so NewSimulator fails fast on a non-Component built-in.
 func tournamentFactory(opts Options) (func(int) prefetch.Prefetcher, error) {
-	names := opts.Tournament
-	if len(names) == 0 {
-		names = defaultTournamentSet
-	}
-	factories := make([]func(int) prefetch.Prefetcher, len(names))
-	for i, name := range names {
+	factories := make([]func(int) prefetch.Prefetcher, len(opts.Tournament))
+	for i, name := range opts.Tournament {
 		f, err := sim.NamedPrefetcher(name)
 		if err != nil {
 			return nil, err
@@ -168,9 +158,12 @@ func tournamentFactory(opts Options) (func(int) prefetch.Prefetcher, error) {
 		factories[i] = f
 	}
 	return func(ch int) prefetch.Prefetcher {
-		comps := make([]prefetch.Component, 0, len(factories)+2)
+		var comps []prefetch.Component
 		for _, f := range factories {
 			comps = append(comps, f(ch).(prefetch.Component))
+		}
+		if len(comps) == 0 {
+			comps = sim.TournamentComponents()
 		}
 		if opts.TournamentCustom != nil {
 			for _, c := range opts.TournamentCustom(ch) {

@@ -1,8 +1,12 @@
 package planaria
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/prefetch"
+	"repro/internal/sim"
 )
 
 func TestWorkloadsCatalog(t *testing.T) {
@@ -192,5 +196,37 @@ func TestResultFieldsPopulated(t *testing.T) {
 	}
 	if res.Accuracy <= 0 || res.Accuracy > 1 || res.Coverage <= 0 || res.Coverage > 1 {
 		t.Fatalf("accuracy/coverage out of range: %+v", res)
+	}
+}
+
+// echoComponent is echoPrefetcher as a tournament entrant.
+type echoComponent struct{ echoPrefetcher }
+
+func (e *echoComponent) Peek(Access, bool) []uint64 { return nil }
+
+// TestTournamentCustomJoinsBuiltInSet: TournamentCustom without Tournament
+// appends to exactly planaria-tournament's components, in the same order
+// and at the same geometry.
+func TestTournamentCustomJoinsBuiltInSet(t *testing.T) {
+	s, err := NewSimulator(Options{TournamentCustom: func(int) []Component {
+		return []Component{&echoComponent{}}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	builtin, err := sim.NamedPrefetcher("planaria-tournament")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := builtin(0).(*prefetch.Tournament).Components()
+	got := s.eng.Channel(0).(*prefetch.Tournament).Components()
+	if len(got) != len(want)+1 || got[len(want)].Name() != "echo" {
+		t.Fatalf("%d components, want planaria-tournament's %d then echo", len(got), len(want))
+	}
+	for i, w := range want {
+		if g := got[i]; reflect.TypeOf(g) != reflect.TypeOf(w) || g.Name() != w.Name() || g.StorageBits() != w.StorageBits() {
+			t.Errorf("component %d: %s (%T, %d bits), want %s (%T, %d bits)",
+				i, g.Name(), g, g.StorageBits(), w.Name(), w, w.StorageBits())
+		}
 	}
 }
