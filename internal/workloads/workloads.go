@@ -21,6 +21,7 @@ package workloads
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/addr"
@@ -136,12 +137,15 @@ const (
 )
 
 // episode is one in-flight access sequence (one device's activity burst).
+// A finished episode's slot is refilled in place (startEpisode), and buf,
+// allocated once at a page's 64 blocks, backs every visit the slot holds.
 type episode struct {
 	kind   episodeKind
 	device trace.Device
 	// visit state
 	page addr.PageNum
-	offs []int // remaining in-page offsets, pre-shuffled
+	offs []int // remaining in-page offsets, pre-shuffled: a window of buf
+	buf  []int
 	// stream state
 	next addr.BlockNum
 	left int
@@ -166,14 +170,21 @@ type Generator struct {
 	rng *rand.Rand
 
 	clock    float64
-	episodes []*episode
+	episodes []episode
 
-	pages      map[addr.PageNum]pageInfo
-	known      []addr.PageNum // FIFO of live pages (revisit pool)
-	regions    []region       // cold-page regions (lazily filled)
-	active     []int          // recently active region indices
+	pages map[addr.PageNum]pageInfo
+	// known is the FIFO of live pages (the revisit pool). Once it holds
+	// HotPages+MaxPages pages it is a ring whose oldest page sits at
+	// knownHead; livePage indexes it oldest first.
+	known      []addr.PageNum
+	knownHead  int
+	regions    []region // cold-page regions (lazily filled)
+	active     []int    // recently active region indices, at most maxActive
 	randomBase addr.PageNum
 }
+
+// maxActive bounds Generator.active.
+const maxActive = 8
 
 // NewGenerator builds a generator; it panics on an invalid profile
 // (profiles are compile-time catalog data).
@@ -185,6 +196,7 @@ func NewGenerator(p Profile) *Generator {
 		p:          p,
 		rng:        rand.New(rand.NewSource(p.Seed)),
 		pages:      make(map[addr.PageNum]pageInfo, p.HotPages+p.MaxPages),
+		known:      make([]addr.PageNum, 0, p.HotPages+p.MaxPages),
 		randomBase: addr.PageNum(1<<31) + addr.PageNum(rand.New(rand.NewSource(p.Seed^0x5eed)).Int63n(1<<20)),
 	}
 	// Standalone hot pages at scattered page numbers.
@@ -199,7 +211,7 @@ func NewGenerator(p Profile) *Generator {
 	// Clustered hot pages: contiguous-ish strided runs sharing a
 	// prototype footprint.
 	for allocated := standalone; allocated < p.HotPages; {
-		r := g.newRegion()
+		r := g.newRegion(nil)
 		for i := 0; i < r.span && allocated < p.HotPages; i++ {
 			g.addPage(r.base+addr.PageNum(i*r.stride), g.memberInfo(&r))
 			allocated++
@@ -208,11 +220,13 @@ func NewGenerator(p Profile) *Generator {
 	// Cold-page regions, each pre-seeded with one member so transfer
 	// learning has something to see early.
 	for i := 0; i < p.Regions; i++ {
-		g.regions = append(g.regions, g.newRegion())
+		g.regions = append(g.regions, g.newRegion(nil))
 		g.coldPage(i)
 	}
-	for i := 0; i < p.Parallelism; i++ {
-		g.episodes = append(g.episodes, g.newEpisode())
+	g.episodes = make([]episode, p.Parallelism)
+	for i := range g.episodes {
+		g.episodes[i].buf = make([]int, 0, addr.BlocksPerPage)
+		g.startEpisode(&g.episodes[i])
 	}
 	return g
 }
@@ -238,7 +252,9 @@ func (g *Generator) randomHalo() bitmap.Page64 {
 	return bitmap.FromOffsets(g.rng.Intn(addr.BlocksPerPage), g.rng.Intn(addr.BlocksPerPage))
 }
 
-func (g *Generator) newRegion() region {
+// newRegion draws a fresh region, writing its member order into order's
+// backing array when it is large enough.
+func (g *Generator) newRegion(order []int) region {
 	span := g.p.RegionSpanMin
 	if g.p.RegionSpanMax > g.p.RegionSpanMin {
 		span += g.rng.Intn(g.p.RegionSpanMax - g.p.RegionSpanMin + 1)
@@ -246,7 +262,7 @@ func (g *Generator) newRegion() region {
 	if span < 1 {
 		span = 1
 	}
-	order := g.rng.Perm(span)
+	order = g.perm(order, span)
 	return region{
 		base:   g.randomPage(),
 		stride: strideChoices[g.rng.Intn(len(strideChoices))],
@@ -255,6 +271,22 @@ func (g *Generator) newRegion() region {
 		halo:   g.randomHalo(),
 		order:  order,
 	}
+}
+
+// perm is rand.Perm(n) written into buf's backing array when it is large
+// enough: the same Intn calls in the same order give the same permutation.
+// A new array holds RegionSpanMax, so a region slot allocates only once.
+func (g *Generator) perm(buf []int, n int) []int {
+	if cap(buf) < n {
+		buf = make([]int, n, max(n, g.p.RegionSpanMax))
+	}
+	m := buf[:n]
+	for i := range m {
+		j := g.rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m
 }
 
 // memberInfo derives a member page's stable footprint from the region
@@ -274,13 +306,24 @@ func (g *Generator) memberInfo(r *region) pageInfo {
 // addPage registers a live page, retiring the oldest when over budget.
 func (g *Generator) addPage(pn addr.PageNum, info pageInfo) {
 	g.pages[pn] = info
-	g.known = append(g.known, pn)
 	limit := g.p.HotPages + g.p.MaxPages
-	if limit > 0 && len(g.known) > limit {
-		old := g.known[0]
-		g.known = g.known[1:]
-		delete(g.pages, old)
+	if limit <= 0 || len(g.known) < limit {
+		g.known = append(g.known, pn)
+		return
 	}
+	delete(g.pages, g.known[g.knownHead])
+	g.known[g.knownHead] = pn
+	if g.knownHead++; g.knownHead == len(g.known) {
+		g.knownHead = 0
+	}
+}
+
+// livePage returns the i-th oldest live page.
+func (g *Generator) livePage(i int) addr.PageNum {
+	if i += g.knownHead; i >= len(g.known) {
+		i -= len(g.known)
+	}
+	return g.known[i]
 }
 
 // coldPage allocates the next member of region ri and returns its page.
@@ -288,7 +331,7 @@ func (g *Generator) addPage(pn addr.PageNum, info pageInfo) {
 func (g *Generator) coldPage(ri int) addr.PageNum {
 	r := &g.regions[ri]
 	if r.nextCold >= r.span {
-		*r = g.newRegion()
+		*r = g.newRegion(r.order)
 	}
 	pn := r.base + addr.PageNum(r.order[r.nextCold]*r.stride)
 	r.nextCold++
@@ -305,10 +348,10 @@ func flip(b bitmap.Page64, i int) bitmap.Page64 {
 }
 
 func (g *Generator) noteActive(ri int) {
-	g.active = append(g.active, ri)
-	if len(g.active) > 8 {
-		g.active = g.active[1:]
+	if len(g.active) == maxActive {
+		g.active = append(g.active[:0], g.active[1:]...)
 	}
+	g.active = append(g.active, ri)
 }
 
 func (g *Generator) pickRegion() int {
@@ -343,24 +386,27 @@ func (g *Generator) pickDevice() trace.Device {
 // stable footprint: each stable block is visited with probability
 // 1−VisitNoise, and each halo block with probability HaloRate. Order is
 // shuffled (Figure 2: non-deterministic access order within a snapshot).
-func (g *Generator) visitFootprint(info pageInfo) []int {
-	out := make([]int, 0, info.stable.Count()+2)
-	for _, o := range info.stable.Offsets() {
+// The list is appended to out[:0]; blocks are drawn in ascending offset
+// order, stable blocks first.
+func (g *Generator) visitFootprint(info pageInfo, out []int) []int {
+	out = out[:0]
+	for v := uint64(info.stable); v != 0; v &= v - 1 {
 		if g.rng.Float64() >= g.p.VisitNoise {
-			out = append(out, o)
+			out = append(out, bits.TrailingZeros64(v))
 		}
 	}
-	for _, o := range info.halo.Minus(info.stable).Offsets() {
+	for v := uint64(info.halo.Minus(info.stable)); v != 0; v &= v - 1 {
 		if g.rng.Float64() < g.p.HaloRate {
-			out = append(out, o)
+			out = append(out, bits.TrailingZeros64(v))
 		}
 	}
 	g.rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
 	return out
 }
 
-func (g *Generator) newEpisode() *episode {
-	e := &episode{device: g.pickDevice()}
+// startEpisode fills slot e with a new episode, keeping its offset buffer.
+func (g *Generator) startEpisode(e *episode) {
+	*e = episode{device: g.pickDevice(), buf: e.buf}
 	// Convert record shares to episode probabilities by dividing by each
 	// kind's expected length, so the rates hold at the request level.
 	visitLen := float64(g.p.FootprintMin+g.p.FootprintMax) / 2 * (1 - g.p.VisitNoise)
@@ -377,7 +423,7 @@ func (g *Generator) newEpisode() *episode {
 	case len(g.regions) > 0 && x < wCold:
 		e.kind = epVisit
 		e.page = g.coldPage(g.pickRegion())
-		e.offs = g.visitFootprint(g.pages[e.page])
+		e.offs = g.visitFootprint(g.pages[e.page], e.buf)
 	case x < wCold+wStream:
 		e.kind = epStream
 		e.next = addr.Addr(g.rng.Int63n(1 << 42)).Block()
@@ -388,7 +434,7 @@ func (g *Generator) newEpisode() *episode {
 	default:
 		e.kind = epVisit
 		e.page = g.revisitPage()
-		e.offs = g.visitFootprint(g.pages[e.page])
+		e.offs = g.visitFootprint(g.pages[e.page], e.buf)
 	}
 	if e.done() {
 		// Degenerate episode (e.g. fully skipped footprint): fall back
@@ -396,7 +442,6 @@ func (g *Generator) newEpisode() *episode {
 		e.kind = epRandom
 		e.rleft = 1
 	}
-	return e
 }
 
 // revisitPage picks a live page, preferring members of recently active
@@ -420,9 +465,9 @@ func (g *Generator) revisitPage() addr.PageNum {
 		if w > len(g.known) {
 			w = len(g.known)
 		}
-		return g.known[len(g.known)-1-g.rng.Intn(w)]
+		return g.livePage(len(g.known) - 1 - g.rng.Intn(w))
 	}
-	return g.known[g.rng.Intn(len(g.known))]
+	return g.livePage(g.rng.Intn(len(g.known)))
 }
 
 // randomBlock picks a block in the bounded random ("heap churn") area. The
@@ -440,8 +485,8 @@ func (g *Generator) randomBlock() addr.BlockNum {
 
 // Next produces the next trace record.
 func (g *Generator) Next() trace.Record {
-	idx := g.rng.Intn(len(g.episodes))
-	e := g.episodes[idx]
+	e := &g.episodes[g.rng.Intn(len(g.episodes))]
+	dev := e.device // startEpisode below refills the slot
 
 	var a addr.Addr
 	switch e.kind {
@@ -458,14 +503,14 @@ func (g *Generator) Next() trace.Record {
 		e.rleft--
 	}
 	if e.done() {
-		g.episodes[idx] = g.newEpisode()
+		g.startEpisode(e)
 	}
 
 	g.clock += g.rng.ExpFloat64() * g.p.MeanGap
 	return trace.Record{
 		Addr:   a,
 		Cycle:  uint64(g.clock),
-		Device: e.device,
+		Device: dev,
 		Write:  g.rng.Float64() < g.p.WriteFraction,
 	}
 }

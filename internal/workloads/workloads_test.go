@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
 	"testing"
 
@@ -244,4 +246,49 @@ func TestNewGeneratorPanicsOnInvalid(t *testing.T) {
 	p := testProfile()
 	p.MeanGap = -1
 	NewGenerator(p)
+}
+
+// TestStreamDigests pins the first 50k records of every catalog profile,
+// and of a small profile whose live-page FIFO wraps within them, by the
+// SHA-256 of their trace-file encoding: a generator change that adds,
+// drops or reorders one RNG call moves every later record and fails here.
+func TestStreamDigests(t *testing.T) {
+	want := map[string]string{
+		"CFM":  "c0ef9ace6adb5e9e9ab68a39c86f1c62a5599b55e550ef6ef0332fa3bf25ef12",
+		"HoK":  "1f6d7046e01ad0f5351d6f0e594f6d86aa1bda22763c2c1191fb42c27b827359",
+		"Id-V": "2bd6e75f361866a10a2c383e2ec419d1a72f31ca2c3eab45b5f06ca0ba08473f",
+		"QSM":  "752c03aab4f47ae9883b94d904f4ec9c36d3d946ffa3d93c1121c500ef6c3c0d",
+		"TikT": "05997fcb18b74e5e8db4735e6fac2a52b2a0f387829951c7d499e9149321fde2",
+		"Fort": "aa6a1bf604d3ddd1f9ab459ef5c33930f326337064d898e053b4575bf08ad145",
+		"HI3":  "d6f9efe20674ecb232130d3c47e9e4d970acbb13ef53090a43fcaa7dac5cf1bc",
+		"KO":   "ebd83b494f3174a64fa05b4cb5a4d96b0f24274c48d6931d22c7b28588618df1",
+		"NBA2": "1d8646fe0158fae6dc998a2be0724a42637925c7f23b975682fba935b0725be0",
+		"PM":   "6477327fa168b38c4847ad6489faeab494c03038f75af0fe598120c96f31a0f2",
+		"TST":  "080946d6b2927f6584a328fb2a61d1ab1ed675a0d098a2139da2f6cc8aaaa5ed",
+	}
+	wrap := testProfile()
+	wrap.HotPages, wrap.MaxPages = 100, 100
+	for _, p := range append(Catalog(), wrap) {
+		h := sha256.New()
+		if err := trace.WriteAll(h, p.Generate(50_000)); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[p.Abbr] {
+			t.Errorf("%s: first 50k records hash to %s, want %s", p.Abbr, got, want[p.Abbr])
+		}
+	}
+}
+
+// TestNextChunkAllocationFree: once the generator is warm, producing a
+// chunk allocates nothing.
+func TestNextChunkAllocationFree(t *testing.T) {
+	p, _ := ByAbbr("CFM")
+	s := p.Stream(1 << 30)
+	buf := make([]trace.Record, trace.ChunkSize)
+	for i := 0; i < 50; i++ {
+		s.NextChunk(buf)
+	}
+	if avg := testing.AllocsPerRun(50, func() { s.NextChunk(buf) }); avg != 0 {
+		t.Errorf("NextChunk: %v allocations per chunk, want 0", avg)
+	}
 }
