@@ -17,10 +17,11 @@
 // # Running
 //
 // Engine.Run is the one run entry point: it consumes a trace.Stream (an
-// in-memory trace passes trace.Trace.Stream) with O(chunk) memory, drives
-// the channel slices concurrently, honours a warmup fraction and a
-// cancellable context, and returns a partial report on failure.
-// Engine.Step is the incremental, always-serial API.
+// in-memory trace passes trace.Trace.Stream) with O(chunk) memory, steps
+// each channel slice's records in batches — on one worker goroutine per
+// channel, or inline when Config.ParallelChannels is clear — honours a
+// warmup fraction and a cancellable context, and returns a partial report
+// on failure. Engine.Step is the incremental API, on the calling goroutine.
 //
 // # Observability
 //

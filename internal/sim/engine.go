@@ -48,16 +48,18 @@ type Config struct {
 	// cannot have in hardware.
 	PrefetchLatency uint64
 
-	// ParallelChannels selects the channel-sharded driver: Run partitions
-	// the stream by channel and drives each channel's execution unit from
-	// its own goroutine. The paper's system is four independent SC
-	// slices — each trace record touches exactly one channel's cache,
-	// prefetcher, queue and controller — so this is the production driver,
-	// and DefaultConfig enables it. Turning it off runs every record on the
-	// calling goroutine; that serial driver exists only as the equivalence
-	// oracle the golden, equivalence and chaos tests and the serial
-	// benchmarks compare against (reports are bit-identical; see
-	// docs/PERFORMANCE.md). Step always runs serially.
+	// ParallelChannels chooses where Run steps each channel's batches of
+	// records. The paper's system is four independent SC slices — each
+	// trace record touches exactly one channel's cache, prefetcher, queue
+	// and controller — so Run's splitter groups the stream by channel and
+	// steps a channel's records one batch at a time. Set, each channel's
+	// batches run on its own worker goroutine; DefaultConfig sets it, and
+	// planaria-sim runs that way. Clear, every batch runs inline on the
+	// calling goroutine: the sweep farm clears it while its job queue alone
+	// keeps every core busy, so a job adds no goroutines and holds one batch
+	// per channel. Reports, sampler windows and error attribution are
+	// bit-identical either way, and to a Step loop (docs/PERFORMANCE.md).
+	// Step always runs on the calling goroutine.
 	ParallelChannels bool
 
 	// Deprecated: the engine runs one execution unit per channel.
@@ -716,9 +718,9 @@ func addByOrigin(dst map[string]uint64, counts *[events.NumOrigins]uint64) map[s
 }
 
 // admit enforces the trace contract that arrival cycles never decrease. It
-// runs where records enter the engine, in Step and in the parallel
-// splitter, so a record whose cycle goes backwards is refused before any
-// component sees it, whether or not it would reach DRAM.
+// runs where records enter the engine, in Step and in Run's splitter, so a
+// record whose cycle goes backwards is refused before any component sees
+// it, whether or not it would reach DRAM.
 func (e *Engine) admit(cycle uint64) error {
 	if cycle < e.cycle {
 		return fmt.Errorf("sim: record at cycle %d follows one at cycle %d; trace cycles must not decrease", cycle, e.cycle)

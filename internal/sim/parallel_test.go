@@ -12,11 +12,39 @@ import (
 	"repro/internal/workloads"
 )
 
-// runBoth drives the same trace through a serial and a parallel engine
-// built from otherwise identical configurations and returns both reports.
-func runBoth(t *testing.T, pf string, tr trace.Trace, name string, sampleEvery, sampleCycles uint64, warmup float64) (serial, parallel metrics.Report) {
+// sides names the three ways the equivalence tests run a trace: the
+// stepLoop oracle, Run with ParallelChannels false and Run with it set.
+var sides = [3]string{"step loop", "inline", "channel workers"}
+
+// stepLoop is the oracle Run is checked against: every record through
+// Engine.Step, statistics reset immediately before global record warmAt
+// (after the last record when warmAt is at or past the end), then Finish.
+// It shares no code with Run's splitter. On an error it returns the
+// failing record's position.
+func stepLoop(e *Engine, tr trace.Trace, name string, warmup float64) (metrics.Report, int64, error) {
+	warmAt := int64(-1)
+	if w := ClampWarmup(warmup); w > 0 {
+		warmAt = int64(float64(len(tr)) * w)
+	}
+	for i, rec := range tr {
+		if int64(i) == warmAt {
+			e.ResetStats()
+		}
+		if err := e.Step(rec); err != nil {
+			return metrics.Report{}, int64(i), err
+		}
+	}
+	if warmAt >= int64(len(tr)) {
+		e.ResetStats()
+	}
+	return e.Finish(name), 0, nil
+}
+
+// runSides drives the same trace through the three sides, on engines built
+// from otherwise identical configurations, and returns their reports.
+func runSides(t *testing.T, pf string, tr trace.Trace, name string, sampleEvery, sampleCycles uint64, warmup float64) [3]metrics.Report {
 	t.Helper()
-	run := func(par bool) metrics.Report {
+	engine := func(par bool) *Engine {
 		factory, err := NamedPrefetcher(pf)
 		if err != nil {
 			t.Fatal(err)
@@ -26,14 +54,32 @@ func runBoth(t *testing.T, pf string, tr trace.Trace, name string, sampleEvery, 
 		cfg.SampleEvery = sampleEvery
 		cfg.SampleEveryCycles = sampleCycles
 		cfg.ParallelChannels = par
-		eng := New(cfg)
-		rep, err := eng.Run(context.Background(), tr.Stream(), name, warmup)
-		if err != nil {
+		return New(cfg)
+	}
+	var reps [3]metrics.Report
+	var err error
+	if reps[0], _, err = stepLoop(engine(false), tr, name, warmup); err != nil {
+		t.Fatal(err)
+	}
+	for i, par := range []bool{false, true} {
+		if reps[i+1], err = engine(par).Run(context.Background(), tr.Stream(), name, warmup); err != nil {
 			t.Fatal(err)
 		}
-		return rep
 	}
-	return run(false), run(true)
+	return reps
+}
+
+// requireSameReports fails the test unless every side's report renders to
+// the step loop's JSON.
+func requireSameReports(t *testing.T, label string, reps [3]metrics.Report) {
+	t.Helper()
+	want := reportJSON(t, reps[0])
+	for i := 1; i < len(reps); i++ {
+		if got := reportJSON(t, reps[i]); got != want {
+			t.Errorf("%s: %s report differs from the %s\n%s: %s\n%s: %s",
+				label, sides[i], sides[0], sides[0], want, sides[i], got)
+		}
+	}
 }
 
 // reportJSON renders a report deterministically (JSON map keys are sorted).
@@ -46,23 +92,18 @@ func reportJSON(t *testing.T, rep metrics.Report) string {
 	return string(b)
 }
 
-// TestSerialParallelEquivalence is the determinism contract of the sharded
-// engine: for every catalog app under the paper's evaluated prefetchers,
-// the serial and parallel engines must produce bit-identical reports —
-// every counter, the float AMAT, the per-origin useful attribution and the
-// full sampler window sequence. Running it under -race also exercises the
-// parallel path's synchronisation (CI does).
+// TestSerialParallelEquivalence is the determinism contract of the stream
+// driver: for every catalog app under the paper's evaluated prefetchers,
+// the step loop, the inline driver and the channel workers must produce
+// bit-identical reports — every counter, the float AMAT, the per-origin
+// useful attribution and the full sampler window sequence. Running it
+// under -race also exercises the workers' synchronisation (CI does).
 func TestSerialParallelEquivalence(t *testing.T) {
 	const n = 30_000
 	for _, p := range workloads.Catalog() {
 		tr := p.Generate(n)
 		for _, pf := range []string{"planaria", "bop", "spp"} {
-			serial, parallel := runBoth(t, pf, tr, p.Abbr, 6_000, 0, 0.25)
-			sj, pj := reportJSON(t, serial), reportJSON(t, parallel)
-			if sj != pj {
-				t.Errorf("%s/%s: serial and parallel reports differ\nserial:   %s\nparallel: %s",
-					p.Abbr, pf, sj, pj)
-			}
+			requireSameReports(t, p.Abbr+"/"+pf, runSides(t, pf, tr, p.Abbr, 6_000, 0, 0.25))
 		}
 	}
 }
@@ -76,12 +117,9 @@ func TestSerialParallelEquivalenceAllPrefetchers(t *testing.T) {
 	p := workloads.Catalog()[0]
 	tr := p.Generate(20_000)
 	for _, pf := range PrefetcherNames() {
-		serial, parallel := runBoth(t, pf, tr, p.Abbr, 4_000, 75_000, 0.2)
-		sj, pj := reportJSON(t, serial), reportJSON(t, parallel)
-		if sj != pj {
-			t.Errorf("%s: serial and parallel reports differ\nserial:   %s\nparallel: %s", pf, sj, pj)
-		}
-		for _, byOrigin := range []map[string]uint64{serial.UsefulByOrigin, serial.LateByOrigin} {
+		reps := runSides(t, pf, tr, p.Abbr, 4_000, 75_000, 0.2)
+		requireSameReports(t, pf, reps)
+		for _, byOrigin := range []map[string]uint64{reps[0].UsefulByOrigin, reps[0].LateByOrigin} {
 			for origin := range byOrigin {
 				if events.OriginFromName(origin).String() != origin {
 					t.Errorf("%s: report origin %q is not an events.Origin name", pf, origin)
@@ -97,12 +135,12 @@ func TestSerialParallelEquivalenceAllPrefetchers(t *testing.T) {
 func TestSerialParallelEquivalenceNoSampling(t *testing.T) {
 	p := workloads.Catalog()[1]
 	tr := p.Generate(25_000)
-	serial, parallel := runBoth(t, "planaria", tr, p.Abbr, 0, 0, 0)
-	if sj, pj := reportJSON(t, serial), reportJSON(t, parallel); sj != pj {
-		t.Errorf("no-sampling: serial and parallel reports differ\nserial:   %s\nparallel: %s", sj, pj)
-	}
-	if serial.Series != nil || parallel.Series != nil {
-		t.Error("sampling disabled but a report carries a time series")
+	reps := runSides(t, "planaria", tr, p.Abbr, 0, 0, 0)
+	requireSameReports(t, "no-sampling", reps)
+	for i, rep := range reps {
+		if rep.Series != nil {
+			t.Errorf("sampling disabled but the %s report carries a time series", sides[i])
+		}
 	}
 }
 
@@ -141,7 +179,7 @@ func TestParallelSeriesInvariant(t *testing.T) {
 }
 
 // TestParallelErrorMatchesSerial: an out-of-order trace must surface the
-// same first error from both engines, blamed on the same global record.
+// same first error from all three sides, blamed on the same global record.
 func TestParallelErrorMatchesSerial(t *testing.T) {
 	p := workloads.Catalog()[0]
 	tr := p.Generate(5_000)
@@ -153,19 +191,21 @@ func TestParallelErrorMatchesSerial(t *testing.T) {
 	bad[4_000] = trace.Record{Addr: addr.PageNum(1 << 30).Block(0).Addr(), Cycle: bad[3_999].Cycle}
 	bad[4_001] = trace.Record{Addr: addr.PageNum(1<<30 + 1).Block(0).Addr(), Cycle: 1}
 
-	run := func(par bool) (int64, error) {
+	var at [3]int64
+	var errs [3]error
+	_, at[0], errs[0] = stepLoop(New(DefaultConfig()), bad, p.Abbr, 0)
+	for i, par := range []bool{false, true} {
 		cfg := DefaultConfig()
 		cfg.ParallelChannels = par
-		eng := New(cfg)
-		rep, err := eng.RunStream(bad.Stream(), p.Abbr)
-		return rep.FailedAt, err
+		rep, err := New(cfg).RunStream(bad.Stream(), p.Abbr)
+		at[i+1], errs[i+1] = rep.FailedAt, err
 	}
-	sat, serr := run(false)
-	pat, perr := run(true)
-	if serr == nil || perr == nil {
-		t.Fatalf("out-of-order trace accepted: serial=%v parallel=%v", serr, perr)
-	}
-	if serr.Error() != perr.Error() || sat != 4_001 || pat != 4_001 {
-		t.Fatalf("error mismatch: serial %q at %d, parallel %q at %d, want record 4001", serr, sat, perr, pat)
+	for i, err := range errs {
+		if err == nil {
+			t.Fatalf("%s accepted the out-of-order trace", sides[i])
+		}
+		if err.Error() != errs[0].Error() || at[i] != 4_001 {
+			t.Errorf("%s: %q at record %d, want %q at record 4001", sides[i], err, at[i], errs[0])
+		}
 	}
 }

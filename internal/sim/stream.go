@@ -53,7 +53,7 @@ func (e *Engine) Run(ctx context.Context, s trace.Stream, workload string, warmu
 	if n >= 0 {
 		e.runExpected.Add(int64(n))
 	}
-	failedAt, err := e.consumeStream(ctx, s, warmAt)
+	failedAt, err := e.runParallelStream(ctx, s, warmAt)
 	rep := e.Finish(workload)
 	if err != nil {
 		rep.Truncated = true
@@ -79,52 +79,4 @@ func ClampWarmup(w float64) float64 {
 		return 0.9
 	}
 	return w
-}
-
-// consumeStream drives every record of s through the engine, resetting
-// statistics immediately before global record warmAt (warmAt < 0 disables
-// the reset; warmAt at or past the end of the stream resets after the last
-// record, so a warmup boundary past the last record still discards the
-// whole run). Cancellation is observed at chunk boundaries. The returned
-// position is where any error is attributed: the failing record for
-// simulation errors, the records delivered for stream faults, the stop
-// position for cancellation. It is meaningless when err is nil.
-func (e *Engine) consumeStream(ctx context.Context, s trace.Stream, warmAt int64) (int64, error) {
-	if e.cfg.ParallelChannels {
-		return e.runParallelStream(ctx, s, warmAt)
-	}
-	buf := make([]trace.Record, trace.ChunkSize)
-	var global, counted int64
-	for {
-		select {
-		case <-ctx.Done():
-			return global, ctx.Err()
-		default:
-		}
-		n := trace.ReadChunk(s, buf)
-		if n == 0 {
-			break
-		}
-		for _, rec := range buf[:n] {
-			if global == warmAt {
-				e.ResetStats()
-			}
-			if err := e.Step(rec); err != nil {
-				return global, err
-			}
-			global++
-		}
-		// Progress is published at chunk granularity — one atomic add per
-		// ~ChunkSize records keeps -progress and -debug-addr nearly free —
-		// and additively, so sequential engines sharing one registry
-		// accumulate instead of rewinding.
-		if c := e.runRecords; c != nil {
-			c.Add(uint64(global - counted))
-			counted = global
-		}
-	}
-	if warmAt >= global {
-		e.ResetStats()
-	}
-	return global, s.Err()
 }
