@@ -5,7 +5,10 @@
 // A Grid is the cross product (apps × prefetchers × config variants); each
 // cell of the grid runs R seeded repeats. Every (cell, repeat) pair is one
 // job: jobs fan out to a bounded worker pool, each job simulates one full
-// run (internal/sim) and, when an artifact directory is configured,
+// run (internal/sim) — stepping its four channels inline on its worker
+// while at least as many jobs are unstarted as there are workers, on one
+// goroutine per channel after that — and, when an artifact directory is
+// configured,
 // checkpoints its result to disk as a versioned JSON artifact in the
 // internal/obs schema (v3: repeat index, seed and configuration hash in the
 // manifest) the moment it completes.

@@ -401,8 +401,10 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	res.Resumed = len(resumed)
 
 	records, expected := telemetry.RunProgress(r.Progress)
+	var todo []int // the plan indices to execute, in plan order
 	for i, pl := range plan {
 		if _, ok := resumed[i]; !ok {
+			todo = append(todo, i)
 			expected.Add(int64(pl.job.Config.Requests))
 		}
 	}
@@ -416,15 +418,12 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 
-	jobCh := make(chan int)
+	jobCh := make(chan int) // positions in todo
 	go func() {
 		defer close(jobCh)
-		for i := range plan {
-			if _, ok := resumed[i]; ok {
-				continue
-			}
+		for k := range todo {
 			select {
-			case jobCh <- i:
+			case jobCh <- k:
 			case <-ctx.Done():
 				return
 			}
@@ -437,10 +436,18 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range jobCh {
+			for k := range jobCh {
+				i := todo[k]
 				pl := plan[i]
+				// While at least as many jobs are unstarted as there are
+				// workers, the pool alone keeps every core busy: the job
+				// steps its channels inline, adding no goroutines and one
+				// parcel per channel. The last jobs, fewer than the
+				// workers, keep the channel workers so the tail still fills
+				// every core.
+				inline := len(todo)-k >= workers
 				start := time.Now()
-				rep, err := r.runJob(ctx, pl.job)
+				rep, err := r.runJob(ctx, pl.job, inline)
 				wall := time.Since(start).Seconds()
 				if err != nil {
 					errs[i] = fmt.Errorf("cell %s: %w", pl.job, err)
@@ -498,8 +505,10 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 // runJob simulates one cell repeat: the catalog profile reseeded for the
 // repeat, the named prefetcher, and the cell's configuration, driven
 // through the cancellable streaming engine (partial reports of cancelled
-// runs are discarded — only completed jobs checkpoint).
-func (r *Runner) runJob(ctx context.Context, j Job) (metrics.Report, error) {
+// runs are discarded — only completed jobs checkpoint). An inline job steps
+// its four channels on the calling goroutine (sim.Config.ParallelChannels
+// false); the report is the same either way.
+func (r *Runner) runJob(ctx context.Context, j Job, inline bool) (metrics.Report, error) {
 	p, ok := workloads.ByAbbr(j.Cell.App)
 	if !ok {
 		return metrics.Report{}, fmt.Errorf("sweepfarm: unknown app %q", j.Cell.App)
@@ -512,6 +521,7 @@ func (r *Runner) runJob(ctx context.Context, j Job) (metrics.Report, error) {
 	cfg := sim.DefaultConfig()
 	cfg.NewPrefetcher = factory
 	cfg.SampleEvery = j.Config.SampleEvery
+	cfg.ParallelChannels = !inline
 	return sim.New(cfg).Run(ctx, p.Stream(j.Config.Requests), p.Abbr, j.Config.Warmup)
 }
 

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -335,6 +336,71 @@ func TestRunnerInterruptResume(t *testing.T) {
 	if !bytes.Equal(refCSV.Bytes(), resumedCSV.Bytes()) {
 		t.Fatalf("resumed aggregate differs from uninterrupted run:\n--- reference\n%s\n--- resumed\n%s",
 			refCSV.String(), resumedCSV.String())
+	}
+}
+
+// TestRunnerDriverChoiceInvisible runs one 6-job grid with 1, 4 and 16
+// workers: every job inline, three inline then three on channel workers,
+// and every job on channel workers. Sampling and warmup put barriers in
+// both driver modes. The checkpoints, all but their timing fields, and the
+// grouped CSV must be byte-identical, and no goroutine may outlive a run.
+func TestRunnerDriverChoiceInvisible(t *testing.T) {
+	grid := sweepfarm.Grid{Apps: []string{"CFM", "HoK", "Fort"}, Prefetchers: []string{"none", "planaria"}}
+	base := sweepfarm.Config{Requests: tinyRequests, Warmup: 0.2, SampleEvery: 500}
+	goroutines := runtime.NumGoroutine()
+	var wantCSV []byte
+	var wantArts map[string][]byte
+	for _, workers := range []int{1, 4, 16} {
+		dir := t.TempDir()
+		r := &sweepfarm.Runner{Grid: grid, Base: base, ArtifactDir: dir, Workers: workers}
+		res, err := r.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Executed != 6 {
+			t.Fatalf("workers %d: executed %d jobs, want 6", workers, res.Executed)
+		}
+		var csvOut bytes.Buffer
+		if err := sweepfarm.WriteGroupedCSV(&csvOut, res); err != nil {
+			t.Fatal(err)
+		}
+		files, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arts := make(map[string][]byte, len(files))
+		for _, f := range files {
+			art, err := obs.ReadFile(filepath.Join(dir, f.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			art.Manifest.StartTime, art.Manifest.WallTimeSec = time.Time{}, 0
+			if arts[f.Name()], err = json.Marshal(art); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if wantArts == nil {
+			wantCSV, wantArts = csvOut.Bytes(), arts
+			continue
+		}
+		if !bytes.Equal(csvOut.Bytes(), wantCSV) {
+			t.Errorf("workers %d: grouped CSV differs from 1 worker's:\n%s\n---\n%s", workers, csvOut.Bytes(), wantCSV)
+		}
+		if len(arts) != len(wantArts) {
+			t.Fatalf("workers %d: %d checkpoints, want %d", workers, len(arts), len(wantArts))
+		}
+		for name, b := range arts {
+			if !bytes.Equal(b, wantArts[name]) {
+				t.Errorf("workers %d: checkpoint %s differs from 1 worker's", workers, name)
+			}
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > goroutines {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine leak: %d live, %d before the runs", runtime.NumGoroutine(), goroutines)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
