@@ -32,6 +32,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -61,7 +62,7 @@ var (
 	n               = flag.Int("n", 800_000, "requests per application trace")
 	warmup          = flag.Float64("warmup", 0.2, "fraction of each trace run before statistics start (clamped to [0, 0.9]; 0 disables)")
 	run             = flag.String("run", "all", "experiment id (all, fig2, fig4, fig5, fig7, fig8, fig9, fig9b, fig10, tab-ipc, tab-traffic, tab-storage, cache-study, abl-coord, abl-dist, abl-pt, csv)")
-	jsonPath        = flag.String("json", "", "write a combined JSON run artifact to this path")
+	jsonPath        = flag.String("json", "", "write a combined JSON run artifact to this path (not in farm mode: -grid or -repeats > 1)")
 	artifactDir     = flag.String("artifact-dir", "", "write one JSON artifact per (app, prefetcher) sweep cell into this directory")
 	sampleEvery     = flag.Uint64("sample-every", 0, "emit a windowed time-series sample every N requests inside each run (0 disables)")
 	cpuprofile      = flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this path")
@@ -156,16 +157,17 @@ func main() {
 	}
 	w := os.Stdout
 
-	if *gridPath != "" || *repeats > 1 {
+	if farmMode() {
 		if err := runFarm(w, *gridPath, *repeats, opts, *csvOut, *latexOut); err != nil {
 			fail(err)
 		}
+		writeMemProfile()
 		return
 	}
 
 	man := obs.NewManifest("experiments")
 	man.Requests = *n
-	man.Warmup = *warmup
+	man.Warmup = sim.ClampWarmup(*warmup)
 	man.SampleEvery = *sampleEvery
 	start := time.Now()
 
@@ -279,10 +281,19 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if *memprofile != "" {
-		if err := obs.WriteHeapProfile(*memprofile); err != nil {
-			fail(err)
-		}
+	writeMemProfile()
+}
+
+// farmMode reports whether the flags select the sweep farm.
+func farmMode() bool { return *gridPath != "" || *repeats > 1 }
+
+// writeMemProfile writes the -memprofile heap profile, if one was asked for.
+func writeMemProfile() {
+	if *memprofile == "" {
+		return
+	}
+	if err := obs.WriteHeapProfile(*memprofile); err != nil {
+		fail(err)
 	}
 }
 
@@ -294,6 +305,9 @@ func runOptions() (experiments.Options, error) {
 	}
 	if *subshards > 1 {
 		return experiments.Options{}, fmt.Errorf("-subshards %d: sub-sharding was removed; the engine runs one unit per channel", *subshards)
+	}
+	if *jsonPath != "" && farmMode() {
+		return experiments.Options{}, errors.New("-json: the sweep farm (-grid, -repeats > 1) writes -artifact-dir, -csv and -latex, not a combined artifact")
 	}
 	var extras []string
 	if *extraPF != "" {

@@ -123,3 +123,55 @@ func TestSubShardsFlagRefusesSharding(t *testing.T) {
 		}
 	}
 }
+
+// writeGrid writes a one-cell farm grid and returns its path.
+func writeGrid(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "grid.json")
+	if err := os.WriteFile(path, []byte(`{"apps":["CFM"],"prefetchers":["none"]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestFarmWritesHeapProfile: -memprofile writes its heap profile in farm
+// mode too.
+func TestFarmWritesHeapProfile(t *testing.T) {
+	dir := t.TempDir()
+	prof := filepath.Join(dir, "heap.pprof")
+	if code, stderr := runMain(t, "-n", "2000", "-grid", writeGrid(t), "-memprofile", prof); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	if fi, err := os.Stat(prof); err != nil || fi.Size() == 0 {
+		t.Fatalf("farm run wrote no heap profile: %v", err)
+	}
+}
+
+// TestFarmRefusesJSON: the farm writes no combined artifact, so -json in
+// farm mode exits 1 naming the flag, before anything runs.
+func TestFarmRefusesJSON(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.json")
+	code, stderr := runMain(t, "-n", "2000", "-grid", writeGrid(t), "-json", path)
+	if code != 1 || !strings.Contains(stderr, "-json") {
+		t.Fatalf("exit %d, stderr %q; want exit 1 naming -json", code, stderr)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("refused run left %s behind: %v", path, err)
+	}
+}
+
+// TestManifestRecordsClampedWarmup: the manifest records the warmup the
+// run used, -warmup clamped to [0, 0.9].
+func TestManifestRecordsClampedWarmup(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fig4.json")
+	if code, stderr := runMain(t, "-n", "2000", "-run", "fig4", "-warmup", "5", "-json", path); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	art, err := obs.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if art.Manifest.Warmup != 0.9 {
+		t.Fatalf("manifest warmup %v, want 0.9", art.Manifest.Warmup)
+	}
+}

@@ -161,7 +161,7 @@ func main() {
 	man := obs.NewManifest("planaria-sim")
 	man.Workload, man.Prefetcher = name, eng.PrefetcherName()
 	man.TraceLen, man.Requests = records, records
-	man.Warmup = *warmup
+	man.Warmup = sim.ClampWarmup(*warmup)
 	man.SampleEvery = *sampleEvery
 	man.Seed = seed
 	start := time.Now()

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/events"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -124,5 +125,24 @@ func TestWriteChromeTraceKeepsFileOnFailure(t *testing.T) {
 	}
 	if string(got) != old {
 		t.Fatalf("failed export changed the file to %q", got)
+	}
+}
+
+// TestManifestRecordsClampedWarmup: the manifest records the warmup the
+// run used, -warmup clamped to [0, 0.9].
+func TestManifestRecordsClampedWarmup(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.json")
+	if code, stderr := runMain(t, "-app", "CFM", "-n", "2000", "-warmup", "5", "-json", path); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	art, err := obs.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if art.Manifest.Warmup != 0.9 {
+		t.Fatalf("manifest warmup %v, want 0.9", art.Manifest.Warmup)
+	}
+	if got := art.Report.DemandReads + art.Report.DemandWrites; got != 200 {
+		t.Fatalf("report covers %d records, want the 200 after a 0.9 warmup", got)
 	}
 }
