@@ -143,9 +143,11 @@ func TestChaosCancellation(t *testing.T) {
 	}
 }
 
-// panicAfter is a prefetcher that panics on its channel's nth Train call —
-// a deterministic stand-in for a poisoned component inside a channel
-// worker. n <= 0 never panics.
+// panicAfter is a prefetcher that panics on its channel's nth Train call
+// and on every later one — a deterministic stand-in for a poisoned
+// component inside a channel's unit. Because the component stays poisoned,
+// a unit that stepped on after its first failure would fail again at a
+// later record and move the attributed position. n <= 0 never panics.
 type panicAfter struct {
 	prefetch.None
 	n    int
@@ -154,7 +156,7 @@ type panicAfter struct {
 
 func (p *panicAfter) Train(prefetch.Access) {
 	p.seen++
-	if p.seen == p.n {
+	if p.n > 0 && p.seen >= p.n {
 		panic(fmt.Sprintf("chaos: injected panic on train call %d", p.n))
 	}
 }
@@ -174,10 +176,10 @@ func nthOfChannel(tr trace.Trace, ch, n int) int64 {
 	return -1
 }
 
-// TestChaosWorkerPanicRecovered: a panic inside a channel worker must come
+// TestChaosWorkerPanicRecovered: a panic inside a channel's unit must come
 // back as an error attributed to the panicking record — and when two
-// channels blow up, the earliest global position wins, exactly where the
-// serial engine would have stopped.
+// channels blow up, the earliest global position wins, exactly where a Step
+// loop would have stopped — inline and on channel workers alike.
 func TestChaosWorkerPanicRecovered(t *testing.T) {
 	const n = 60_000
 	p := workloads.Catalog()[0]
@@ -203,12 +205,19 @@ func TestChaosWorkerPanicRecovered(t *testing.T) {
 		t.Skip("trace too short for the armed panics")
 	}
 
-	for _, sampleEvery := range []uint64{0, 2_000} {
-		t.Run(fmt.Sprintf("sampleEvery=%d", sampleEvery), func(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		sampleEvery uint64
+		parallel    bool
+	}{
+		{"sampleEvery=0", 0, true}, {"sampleEvery=2000", 2_000, true},
+		{"inline/sampleEvery=0", 0, false}, {"inline/sampleEvery=2000", 2_000, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
 			cfg := DefaultConfig()
-			cfg.SampleEvery = sampleEvery
-			cfg.ParallelChannels = true
+			cfg.SampleEvery = c.sampleEvery
+			cfg.ParallelChannels = c.parallel
 			cfg.NewPrefetcher = func(ch int) prefetch.Prefetcher {
 				switch ch {
 				case chA:

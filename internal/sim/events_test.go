@@ -58,27 +58,42 @@ func TestTracingTransparency(t *testing.T) {
 }
 
 // TestTracingSerialParallelEquivalence extends the engine's determinism
-// contract to the event subsystem: with tracing on, serial and parallel runs
-// must agree on the report AND on the attribution snapshot.
+// contract to the event subsystem: with tracing on, the step loop, the
+// inline driver and the channel workers must agree on the report AND on the
+// attribution snapshot.
 func TestTracingSerialParallelEquivalence(t *testing.T) {
 	p := workloads.Catalog()[1]
 	tr := p.Generate(30_000)
 	evCfg := &events.Config{}
-	serialRep, serialEng := runTraced(t, "planaria", tr, p.Abbr, evCfg, false, 0.2)
-	parRep, parEng := runTraced(t, "planaria", tr, p.Abbr, evCfg, true, 0.2)
-	if sj, pj := reportJSON(t, serialRep), reportJSON(t, parRep); sj != pj {
-		t.Fatalf("traced reports differ\nserial:   %s\nparallel: %s", sj, pj)
-	}
-	sSnap, err := json.Marshal(serialEng.Events().Attrib())
+	factory, err := NamedPrefetcher("planaria")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pSnap, err := json.Marshal(parEng.Events().Attrib())
-	if err != nil {
+	cfg := DefaultConfig()
+	cfg.NewPrefetcher = factory
+	cfg.Events = evCfg
+	var reps [3]metrics.Report
+	var engs [3]*Engine
+	engs[0] = New(cfg)
+	if reps[0], _, err = stepLoop(engs[0], tr, p.Abbr, 0.2); err != nil {
 		t.Fatal(err)
 	}
-	if string(sSnap) != string(pSnap) {
-		t.Fatalf("attribution snapshots differ\nserial:   %s\nparallel: %s", sSnap, pSnap)
+	reps[1], engs[1] = runTraced(t, "planaria", tr, p.Abbr, evCfg, false, 0.2)
+	reps[2], engs[2] = runTraced(t, "planaria", tr, p.Abbr, evCfg, true, 0.2)
+	requireSameReports(t, "traced", reps)
+	var snaps [3]string
+	for i, eng := range engs {
+		b, err := json.Marshal(eng.Events().Attrib())
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps[i] = string(b)
+	}
+	for i := 1; i < len(snaps); i++ {
+		if snaps[i] != snaps[0] {
+			t.Errorf("%s attribution snapshot differs from the %s\n%s: %s\n%s: %s",
+				sides[i], sides[0], sides[0], snaps[0], sides[i], snaps[i])
+		}
 	}
 }
 
