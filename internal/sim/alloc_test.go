@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/trace"
@@ -54,6 +55,34 @@ func TestEngineStepSteadyStateAllocs(t *testing.T) {
 		cfg.ParallelChannels = false // Step is the always-serial API
 		if avg := stepSlices(t, New(cfg), tr, 100_000); avg != 0 {
 			t.Errorf("%s: %.2f allocs per 2k warm steps, want 0", pf, avg)
+		}
+	}
+}
+
+// TestRunWorkerModeAllocs pins the channel workers' shared parcel budget:
+// once the engine is built, a worker-mode Run over 1M CFM records
+// allocates at most 1.75 MiB at GOMAXPROCS 1, 2, 4 and 8. The budget is at
+// most 12 parcels of 128 KiB (1.5 MiB), and the splitter reads into one
+// 96 KiB chunk. Per-channel queues of four parcels behind a sync.Pool
+// allocated 3.10–3.60 MiB here, more as GOMAXPROCS grew.
+func TestRunWorkerModeAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const limit = 1.75 * (1 << 20)
+	p := workloads.Catalog()[0]
+	tr := p.Generate(1_000_000)
+	for _, procs := range []int{1, 2, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		cfg := DefaultConfig() // prefetcher none, channel workers
+		eng := New(cfg)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := eng.RunStream(tr.Stream(), p.Abbr); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+			t.Errorf("GOMAXPROCS %d: Run allocated %.2f MiB, want at most %.2f",
+				procs, float64(got)/(1<<20), limit/(1<<20))
 		}
 	}
 }

@@ -171,5 +171,5 @@ func benchEngineStream(b *testing.B, parallel bool) {
 func BenchmarkEngineStepStream(b *testing.B) { benchEngineStream(b, false) }
 
 // BenchmarkEngineStepStreamParallel: the streaming splitter fanning chunks
-// to the four channel workers through bounded queues.
+// to the four channel workers, which share one budget of parcels.
 func BenchmarkEngineStepStreamParallel(b *testing.B) { benchEngineStream(b, true) }

@@ -241,6 +241,35 @@ func TestChaosWorkerPanicRecovered(t *testing.T) {
 			checkGoroutines(t, base)
 		})
 	}
+
+	// On the skewed stream, channel 1 holds every parcel in flight while
+	// its run lasts, and panics on its 20,000th record: the splitter is
+	// waiting on the free list for parcels only the failed worker can
+	// return, so the worker must return the ones it discards.
+	skewed := skewedTrace(150_000, 50_000)
+	posHolder := nthOfChannel(skewed, 1, 20_000)
+	for _, sampleEvery := range []uint64{0, 20_000} {
+		t.Run(fmt.Sprintf("budget-holder/sampleEvery=%d", sampleEvery), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			cfg := DefaultConfig()
+			cfg.SampleEvery = sampleEvery
+			cfg.NewPrefetcher = func(ch int) prefetch.Prefetcher {
+				if ch == 1 {
+					return &panicAfter{n: 20_000}
+				}
+				return &panicAfter{}
+			}
+			rep, err := New(cfg).RunStream(skewed.Stream(), "skewed")
+			if err == nil || !strings.Contains(err.Error(), "panic") {
+				t.Fatalf("worker panic not surfaced as an error: %v", err)
+			}
+			if !rep.Truncated || rep.FailedAt != posHolder {
+				t.Fatalf("Truncated=%v FailedAt=%d, want true and the panicking record %d",
+					rep.Truncated, rep.FailedAt, posHolder)
+			}
+			checkGoroutines(t, base)
+		})
+	}
 }
 
 // TestChaosFirstRecordFault is the regression test for the splitter

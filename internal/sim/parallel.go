@@ -6,9 +6,13 @@ package sim
 // controller. A splitter on the calling goroutine reads the stream a chunk
 // at a time and appends each record to its channel's parcel; a full parcel
 // is stepped as one batch through stepAll. Config.ParallelChannels chooses
-// where: on the channel's own worker goroutine, fed through a bounded queue
-// of parcels, or inline on the calling goroutine. Either way a run needs
-// O(chunk) memory per channel regardless of trace length.
+// where: on the channel's own worker goroutine, or inline on the calling
+// goroutine. Inline, each channel keeps one parcel. The channel workers
+// share one budget of parcels (parcelBudget): a channel takes a parcel from
+// the shared free list when its first record arrives, hands it to its
+// worker when it is full, and the worker returns it once stepped. So a run
+// holds at most the budget's parcels, whatever the trace length and however
+// the records fall across channels.
 //
 // Determinism contract (see docs/PERFORMANCE.md): per-channel state after
 // processing a channel's records up to global trace position i is identical
@@ -22,34 +26,46 @@ package sim
 // Failure contract (docs/PERFORMANCE.md, "Failure model"): a unit that
 // errors — or panics; panics are recovered into errors — discards every
 // later parcel instead of stepping it, and a worker never stops draining
-// its queue, so the splitter can never block pushing into a dead worker's
-// bounded queue and barriers always complete. The first failure trips a
-// shared abort latch; the splitter stops reading the stream at the next
-// chunk boundary, flushes what it already read (so an even earlier fault
-// buffered for another channel is still discovered), closes the queues and
-// joins every worker. The run's error is attributed to the earliest failing
-// global record, exactly as a Step loop would stop.
+// its queue, returning every parcel it steps or discards to the free list.
+// Each queue has room for the whole budget plus one barrier, so a send
+// never blocks; the splitter waits only for a free parcel, which a running
+// worker always returns, and barriers always complete. The first failure
+// trips a shared abort latch; the splitter stops reading the stream at the
+// next chunk boundary, flushes what it already read (so an even earlier
+// fault buffered for another channel is still discovered), closes the
+// queues and joins every worker. The run's error is attributed to the
+// earliest failing global record, exactly as a Step loop would stop.
 
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"repro/internal/trace"
 )
 
-// parcelQueueDepth bounds each channel's queue of in-flight parcels. With
-// the building parcel and the one a worker is stepping, a channel holds at
-// most parcelQueueDepth+2 parcels at once — the memory bound of the worker
-// mode (6 × 128 KiB per channel). The inline mode holds one per channel.
-const parcelQueueDepth = 4
-
-// parcelBuf is one recycled per-channel batch: the records plus their
+// parcelBuf is one per-channel batch: up to a chunk of records plus their
 // global trace positions (used to attribute an error to the earliest
-// failing record, as a Step loop would).
+// failing record, as a Step loop would), 128 KiB in all.
 type parcelBuf struct {
 	recs []trace.Record
 	idx  []int64
+}
+
+func newParcelBuf() *parcelBuf {
+	return &parcelBuf{
+		recs: make([]trace.Record, 0, trace.ChunkSize),
+		idx:  make([]int64, 0, trace.ChunkSize),
+	}
+}
+
+// parcelBudget is how many parcels the channel workers of a run share: one
+// per unit being built, plus, for each worker that can run at once, the
+// parcel it steps and the next one queued behind it. That is 8 parcels
+// (1 MiB) at GOMAXPROCS 2 and 12 (1.5 MiB) from GOMAXPROCS 4 up.
+func parcelBudget(units int) int {
+	return units + 2*min(units, runtime.GOMAXPROCS(0))
 }
 
 // streamBarrier synchronises all channel workers with the splitter at a
@@ -110,12 +126,6 @@ func (e *Engine) runParallelStream(ctx context.Context, s trace.Stream, warmAt i
 		abort = make(chan struct{})       // closed once, on the first unit failure
 		trip  sync.Once
 	)
-	pool := sync.Pool{New: func() any {
-		return &parcelBuf{
-			recs: make([]trace.Record, 0, trace.ChunkSize),
-			idx:  make([]int64, 0, trace.ChunkSize),
-		}
-	}}
 	// stepParcel steps one parcel on unit u and empties it. Once the unit
 	// has failed it discards parcels instead of stepping them.
 	stepParcel := func(u int, b *parcelBuf) {
@@ -135,24 +145,31 @@ func (e *Engine) runParallelStream(ctx context.Context, s trace.Stream, warmAt i
 		b.idx = b.idx[:0]
 	}
 
-	// queues is nil in the inline mode, where flush steps a full parcel on
-	// the calling goroutine instead of queueing it.
+	// queues and free are nil in the inline mode, where flush steps a full
+	// parcel on the calling goroutine instead of queueing it. With channel
+	// workers, free holds the parcels no channel is building or stepping.
 	var (
 		queues  []chan parcel
+		free    chan *parcelBuf
 		workers sync.WaitGroup
 	)
 	if e.cfg.ParallelChannels {
+		budget := parcelBudget(numUnits)
+		free = make(chan *parcelBuf, budget)
 		queues = make([]chan parcel, numUnits)
 		for u := 0; u < numUnits; u++ {
-			queues[u] = make(chan parcel, parcelQueueDepth)
+			// Room for every parcel plus the one barrier a queue can hold
+			// (quiesce waits for each barrier to be taken), so a send
+			// never blocks.
+			queues[u] = make(chan parcel, budget+1)
 			workers.Add(1)
 			go func(u int) {
 				defer workers.Done()
 				// The loop always runs to queue close: after a failure the
-				// worker keeps draining parcels (stepParcel discards them)
-				// and keeps honouring barriers, so the splitter never
-				// blocks pushing into this queue and quiesce never
-				// deadlocks.
+				// worker keeps draining parcels (stepParcel discards them),
+				// returns each to the free list and keeps honouring
+				// barriers, so the splitter never waits on a parcel that
+				// will not come back and quiesce never deadlocks.
 				for p := range queues[u] {
 					if p.barrier != nil {
 						p.barrier.arrived.Done()
@@ -160,24 +177,44 @@ func (e *Engine) runParallelStream(ctx context.Context, s trace.Stream, warmAt i
 						continue
 					}
 					stepParcel(u, p.buf)
-					pool.Put(p.buf)
+					free <- p.buf
 				}
 			}(u)
 		}
 	}
 
+	// bufs[u] is the parcel unit u is building, nil until its next record.
+	// acquire gives a unit without one a parcel. Inline, a unit allocates
+	// its one parcel on first use and keeps it. With channel workers,
+	// acquire takes one from the free list, allocates one while fewer than
+	// the budget exist, and otherwise waits for a worker to return one. The
+	// splitter acquires only between quiesces, when no worker is parked at
+	// a barrier, and at most numUnits−1 parcels are being built, so every
+	// other parcel is free, queued or being stepped, and comes back.
 	bufs := make([]*parcelBuf, numUnits)
-	for u := range bufs {
-		bufs[u] = pool.Get().(*parcelBuf)
+	made := 0
+	acquire := func() *parcelBuf {
+		if free != nil {
+			select {
+			case b := <-free:
+				return b
+			default:
+			}
+			if made == cap(free) {
+				return <-free
+			}
+			made++
+		}
+		return newParcelBuf()
 	}
 	flush := func(u int) {
-		switch {
-		case len(bufs[u].recs) == 0:
+		switch b := bufs[u]; {
+		case b == nil || len(b.recs) == 0:
 		case queues == nil:
-			stepParcel(u, bufs[u])
+			stepParcel(u, b)
 		default:
-			queues[u] <- parcel{buf: bufs[u]}
-			bufs[u] = pool.Get().(*parcelBuf)
+			queues[u] <- parcel{buf: b}
+			bufs[u] = nil
 		}
 	}
 	// quiesce steps every record read so far; the returned function lets
@@ -234,6 +271,10 @@ splitting:
 			}
 			u := rec.Block().Channel()
 			b := bufs[u]
+			if b == nil {
+				b = acquire()
+				bufs[u] = b
+			}
 			b.recs = append(b.recs, rec)
 			b.idx = append(b.idx, global)
 			if len(b.recs) == trace.ChunkSize {
@@ -258,10 +299,10 @@ splitting:
 		resume()
 	}
 	// Flush everything already read — even when aborting. Failed units
-	// discard their parcels, the worker backlog is bounded by the queue
-	// depth, and a fault at an earlier global position that was still
-	// buffered for a healthy channel is discovered this way, keeping
-	// attribution at the earliest failing record.
+	// discard their parcels, the worker backlog is bounded by the budget,
+	// and a fault at an earlier global position that was still buffered
+	// for a healthy channel is discovered this way, keeping attribution at
+	// the earliest failing record.
 	for u := 0; u < numUnits; u++ {
 		flush(u)
 		if queues != nil {

@@ -3,6 +3,8 @@ package sim
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/addr"
@@ -141,6 +143,36 @@ func TestSerialParallelEquivalenceNoSampling(t *testing.T) {
 		if rep.Series != nil {
 			t.Errorf("sampling disabled but the %s report carries a time series", sides[i])
 		}
+	}
+}
+
+// skewedTrace rewrites the first n CFM records so that the channels take
+// turns holding runs of run consecutive records: record i moves to channel
+// (i/run) mod addr.Channels and keeps its cycle, direction and
+// channel-local block. A run of 50,000 records fills more parcels than the
+// channel workers share, so the splitter has to wait for the one busy
+// worker to hand parcels back.
+func skewedTrace(n, run int) trace.Trace {
+	tr := workloads.Catalog()[0].Generate(n)
+	for i := range tr {
+		ch := (i / run) % addr.Channels
+		tr[i].Addr = addr.FromDense(ch, addr.DenseIndex(tr[i].Block())).Addr()
+	}
+	return tr
+}
+
+// TestSerialParallelEquivalenceSkewed runs the skewed stream through the
+// three sides, sampled and warmed, at GOMAXPROCS 1 and 4 (parcel budgets
+// of 6 and 12): one channel at a time holds every parcel in flight, with
+// window barriers and the warmup reset landing mid-run, and the reports
+// must still agree.
+func TestSerialParallelEquivalenceSkewed(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	tr := skewedTrace(250_000, 50_000)
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		reps := runSides(t, "planaria", tr, "skewed", 20_000, 0, 0.3)
+		requireSameReports(t, fmt.Sprintf("GOMAXPROCS %d", procs), reps)
 	}
 }
 

@@ -21,9 +21,8 @@ import (
 // pull records in chunks of this many at a time (ReadChunk), and the
 // parallel engine's splitter hands per-channel chunks of this capacity to
 // the channel goroutines. 4096 records is 96 KB — large enough to amortise
-// per-chunk costs to noise, small enough that a full splitter pipeline
-// (building buffer + bounded queue + in-flight chunk, per channel) stays
-// within a few megabytes.
+// per-chunk costs to noise, small enough that the splitter's shared budget
+// of per-channel chunks stays within 1.5 MiB.
 const ChunkSize = 4096
 
 // Stream is a pull-based record source. Implementations are not safe for
