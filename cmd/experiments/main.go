@@ -82,64 +82,83 @@ var (
 	subshards = flag.Int("subshards", 1, "deprecated: must be 0 or 1, kept so -subshards 1 still parses; the engine runs one unit per channel")
 )
 
-func main() {
+func main() { os.Exit(execute()) }
+
+// execute is the command. It returns the exit status instead of calling
+// os.Exit, so the deferred cleanups — the profiles and the debug server —
+// run on every way out, failures included.
+func execute() (code int) {
 	flag.Parse()
 
 	level, lerr := telemetry.ParseLevel(*logLevel)
 	if lerr != nil {
-		fail(lerr)
+		return fail(lerr)
 	}
 	logger = telemetry.NewLogger(os.Stderr, level, *logJSON).
 		With("tool", "experiments", "run_id", telemetry.NewRunID())
 
 	opts, oerr := runOptions()
 	if oerr != nil {
-		fail(oerr)
+		return fail(oerr)
 	}
 
 	if *validate != "" {
 		art, err := obs.ReadFile(*validate)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		fmt.Printf("%s: valid (schema %d, tool %s, %d cells, %d summary values)\n",
 			*validate, art.Manifest.SchemaVersion, art.Manifest.Tool,
 			len(art.Cells), len(art.Summary))
-		return
+		return 0
 	}
 	if *validateTrace != "" {
 		f, err := os.Open(*validateTrace)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		n, err := events.ValidateChromeTrace(f)
 		f.Close()
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		fmt.Printf("%s: valid (%d trace events)\n", *validateTrace, n)
-		return
+		return 0
 	}
 	if *validateMetrics != "" {
 		f, err := os.Open(*validateMetrics)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		err = telemetry.ValidateExposition(f)
 		f.Close()
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		fmt.Printf("%s: valid Prometheus text exposition\n", *validateMetrics)
-		return
+		return 0
 	}
 
+	// The profiles are written on every way out from here on. Deferred
+	// calls run last in first out, so the heap profile is written before
+	// the CPU profile stops, as on a clean exit.
 	if *cpuprofile != "" {
 		stop, err := obs.StartCPUProfile(*cpuprofile)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		defer stop()
+		defer func() {
+			if err := stop(); err != nil {
+				code = fail(err)
+			}
+		}()
+	}
+	if *memprofile != "" {
+		defer func() {
+			if err := obs.WriteHeapProfile(*memprofile); err != nil {
+				code = fail(err)
+			}
+		}()
 	}
 
 	if *debugAddr != "" {
@@ -150,7 +169,7 @@ func main() {
 			Workload:  *run,
 		})
 		if derr != nil {
-			fail(derr)
+			return fail(derr)
 		}
 		defer d.Close()
 		logger.Info("debug endpoint ready", "url", "http://"+d.Addr()+"/")
@@ -159,10 +178,9 @@ func main() {
 
 	if farmMode() {
 		if err := runFarm(w, *gridPath, *repeats, opts, *csvOut, *latexOut); err != nil {
-			fail(err)
+			return fail(err)
 		}
-		writeMemProfile()
-		return
+		return 0
 	}
 
 	man := obs.NewManifest("experiments")
@@ -269,7 +287,7 @@ func main() {
 			art.Cells = experiments.Cells(reps)
 		}
 		if werr := obs.WriteFile(*jsonPath, art); werr != nil {
-			fail(werr)
+			return fail(werr)
 		}
 		partial := ""
 		if err != nil {
@@ -279,23 +297,13 @@ func main() {
 			*jsonPath, partial, len(art.Cells), len(art.Summary))
 	}
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
-	writeMemProfile()
+	return 0
 }
 
 // farmMode reports whether the flags select the sweep farm.
 func farmMode() bool { return *gridPath != "" || *repeats > 1 }
-
-// writeMemProfile writes the -memprofile heap profile, if one was asked for.
-func writeMemProfile() {
-	if *memprofile == "" {
-		return
-	}
-	if err := obs.WriteHeapProfile(*memprofile); err != nil {
-		fail(err)
-	}
-}
 
 // runOptions builds the experiment options the flags select, without the
 // -debug-addr progress registry.
@@ -394,7 +402,8 @@ func runFarm(w io.Writer, gridPath string, repeats int, opts experiments.Options
 	return runErr
 }
 
-func fail(err error) {
+// fail logs err and returns the exit status of a failed run.
+func fail(err error) int {
 	logger.Error(err.Error())
-	os.Exit(1)
+	return 1
 }

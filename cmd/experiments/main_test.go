@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -173,5 +175,50 @@ func TestManifestRecordsClampedWarmup(t *testing.T) {
 	}
 	if art.Manifest.Warmup != 0.9 {
 		t.Fatalf("manifest warmup %v, want 0.9", art.Manifest.Warmup)
+	}
+}
+
+// requireGzip fails the test unless path holds a complete, non-empty gzip
+// stream, as a pprof profile is once written and closed.
+func requireGzip(t *testing.T, path string) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	if n, err := io.Copy(io.Discard, zr); err != nil || n == 0 {
+		t.Fatalf("%s: %d bytes, %v; want a complete, non-empty gzip stream", path, n, err)
+	}
+}
+
+// TestProfilesWrittenOnFailure: a run that fails after its profiles start
+// exits 1 and still stops its CPU profile and writes its heap profile —
+// whether the combined -json artifact or, in farm mode, the -csv table
+// cannot be written because its path lies under a regular file.
+func TestProfilesWrittenOnFailure(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, args := range map[string][]string{
+		"fig4": {"-run", "fig4", "-json", filepath.Join(file, "out.json")},
+		"farm": {"-grid", writeGrid(t), "-csv", filepath.Join(file, "out.csv")},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cpu := filepath.Join(dir, name+"-cpu.pprof")
+			heap := filepath.Join(dir, name+"-heap.pprof")
+			code, stderr := runMain(t, append([]string{"-n", "2000", "-cpuprofile", cpu, "-memprofile", heap}, args...)...)
+			if code != 1 {
+				t.Fatalf("exit %d, stderr %q; want exit 1", code, stderr)
+			}
+			requireGzip(t, cpu)
+			requireGzip(t, heap)
+		})
 	}
 }

@@ -47,7 +47,7 @@ import (
 )
 
 // logger is the process-wide structured logger; replaced right after flag
-// parsing with one honoring -log-level/-log-json. The default keeps fatal()
+// parsing with one honoring -log-level/-log-json. The default keeps fail()
 // usable for flag-validation errors that fire before the replacement.
 var logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 
@@ -77,17 +77,22 @@ var (
 	subshards = flag.Int("subshards", 1, "deprecated: must be 0 or 1, kept so -subshards 1 still parses; the engine runs one unit per channel")
 )
 
-func main() {
+func main() { os.Exit(execute()) }
+
+// execute is the command. It returns the exit status instead of calling
+// os.Exit, so the deferred cleanups — the profiles, the debug server, the
+// trace file — run on every way out, failures included.
+func execute() (code int) {
 	flag.Parse()
 
 	level, lerr := telemetry.ParseLevel(*logLevel)
 	if lerr != nil {
-		fatal(lerr)
+		return fail(lerr)
 	}
 	logger = telemetry.NewLogger(os.Stderr, level, *logJSON).
 		With("tool", "planaria-sim", "run_id", telemetry.NewRunID())
 	if *n < 0 {
-		fatal(fmt.Errorf("-n %d: the request count cannot be negative", *n))
+		return fail(fmt.Errorf("-n %d: the request count cannot be negative", *n))
 	}
 
 	// Build the record stream: from a binary trace file (never materialized;
@@ -102,18 +107,18 @@ func main() {
 	if *traceFile != "" {
 		tf, err := trace.Open(*traceFile)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer tf.Close()
 		ts, err := tf.Stream()
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		name, s, records = *traceFile, ts, tf.Len()
 	} else {
 		p, ok := workloads.ByAbbr(*app)
 		if !ok {
-			fatal(fmt.Errorf("unknown app %q (have %v)", *app, workloads.Abbrs()))
+			return fail(fmt.Errorf("unknown app %q (have %v)", *app, workloads.Abbrs()))
 		}
 		name, seed, records = p.Abbr, p.Seed, *n
 		s = p.Stream(*n)
@@ -121,14 +126,13 @@ func main() {
 
 	cfg, err := engineConfig()
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	reg := cfg.Telemetry
 	eng := sim.New(cfg)
 
-	var debug *obs.DebugServer
 	if *debugAddr != "" {
-		d, err := obs.StartDebugServer(*debugAddr, obs.DebugConfig{
+		debug, err := obs.StartDebugServer(*debugAddr, obs.DebugConfig{
 			Recorder:   eng.Events(),
 			Telemetry:  reg,
 			Tool:       "planaria-sim",
@@ -136,9 +140,8 @@ func main() {
 			Prefetcher: eng.PrefetcherName(),
 		})
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		debug = d
 		defer debug.Close()
 		logger.Info("debug endpoint ready", "url", "http://"+debug.Addr()+"/")
 	}
@@ -148,14 +151,26 @@ func main() {
 		defer stopProgress()
 	}
 
-	var stopProfile func() error
+	// The profiles are written on every way out from here on. Deferred
+	// calls run last in first out, so the heap profile is written before
+	// the CPU profile stops, as on a clean exit.
 	if *cpuprofile != "" {
 		stop, err := obs.StartCPUProfile(*cpuprofile)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		stopProfile = stop
-		defer stop()
+		defer func() {
+			if err := stop(); err != nil {
+				code = fail(err)
+			}
+		}()
+	}
+	if *memprofile != "" {
+		defer func() {
+			if err := obs.WriteHeapProfile(*memprofile); err != nil {
+				code = fail(err)
+			}
+		}()
 	}
 
 	man := obs.NewManifest("planaria-sim")
@@ -179,7 +194,7 @@ func main() {
 		// Nothing ran (e.g. a warmup fraction on an unsized stream): a
 		// configuration error, not a degraded run — no partial results
 		// worth salvaging.
-		fatal(err)
+		return fail(err)
 	}
 	man.WallTimeSec = time.Since(start).Seconds()
 	man.RecordFailure(err, &rep)
@@ -213,14 +228,14 @@ func main() {
 	}
 	if *traceOut != "" {
 		if werr := writeChromeTrace(*traceOut, eng, name); werr != nil {
-			fatal(werr)
+			return fail(werr)
 		}
 		fmt.Printf("wrote %s (Chrome trace-event JSON; open in ui.perfetto.dev)\n", *traceOut)
 	}
 	if *jsonPath != "" {
 		art := obs.Artifact{Manifest: man, Report: &rep, Attribution: attribSnap}
 		if err := obs.WriteFile(*jsonPath, art); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		samples := 0
 		if rep.Series != nil {
@@ -228,24 +243,12 @@ func main() {
 		}
 		fmt.Printf("wrote %s (%d time-series samples)\n", *jsonPath, samples)
 	}
-	if *memprofile != "" {
-		if err := obs.WriteHeapProfile(*memprofile); err != nil {
-			fatal(err)
-		}
-	}
 	if err != nil {
 		// Degraded run: everything salvageable was printed and written;
-		// the exit status still reports the failure. os.Exit skips the
-		// deferred cleanups, so flush the profile and close the debug
-		// server explicitly.
-		if stopProfile != nil {
-			stopProfile()
-		}
-		if debug != nil {
-			debug.Close()
-		}
-		os.Exit(1)
+		// the exit status still reports the failure.
+		return 1
 	}
+	return 0
 }
 
 // engineConfig builds the engine configuration the flags select.
@@ -363,7 +366,8 @@ func writeChromeTrace(path string, eng *sim.Engine, workload string) error {
 	})
 }
 
-func fatal(err error) {
+// fail logs err and returns the exit status of a failed run.
+func fail(err error) int {
 	logger.Error(err.Error())
-	os.Exit(1)
+	return 1
 }

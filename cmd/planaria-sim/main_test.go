@@ -2,10 +2,12 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -145,4 +147,41 @@ func TestManifestRecordsClampedWarmup(t *testing.T) {
 	if got := art.Report.DemandReads + art.Report.DemandWrites; got != 200 {
 		t.Fatalf("report covers %d records, want the 200 after a 0.9 warmup", got)
 	}
+}
+
+// requireGzip fails the test unless path holds a complete, non-empty gzip
+// stream, as a pprof profile is once written and closed.
+func requireGzip(t *testing.T, path string) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	if n, err := io.Copy(io.Discard, zr); err != nil || n == 0 {
+		t.Fatalf("%s: %d bytes, %v; want a complete, non-empty gzip stream", path, n, err)
+	}
+}
+
+// TestProfilesWrittenOnFailure: a run that fails after its profiles start
+// (here its -json path lies under a regular file) exits 1 and still stops
+// its CPU profile and writes its heap profile.
+func TestProfilesWrittenOnFailure(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cpu, heap := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "heap.pprof")
+	code, stderr := runMain(t, "-app", "CFM", "-n", "2000", "-json", filepath.Join(file, "out.json"),
+		"-cpuprofile", cpu, "-memprofile", heap)
+	if code != 1 {
+		t.Fatalf("exit %d, stderr %q; want exit 1", code, stderr)
+	}
+	requireGzip(t, cpu)
+	requireGzip(t, heap)
 }
