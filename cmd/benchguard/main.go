@@ -1,6 +1,7 @@
 // Command benchguard compares `go test -bench` output against the pinned
 // reference numbers in BENCH_baseline.json and fails (exit 1) on regression:
-// more than 10 % lower req/s or more than 15 % more allocs/op by default.
+// more than 10 % lower req/s, or more than 15 % more allocs/op or — where
+// an entry pins bytes_per_op — more B/op, by default.
 // CI runs it after the bench job so performance regressions fail the build
 // instead of silently accumulating (see docs/PERFORMANCE.md).
 //
@@ -14,8 +15,10 @@
 // benchmarks in the output but not in the baseline are informational only.
 // For the same reason a pinned metric with no samples fails: every entry
 // pins allocs/op, so its benchmark must print that column (-benchmem or
-// ReportAllocs), and a positive req/s pin or a relative_to pin needs the
-// req/s column. Only an entry whose req_per_s is 0 may print no req/s.
+// ReportAllocs), a positive bytes_per_op pin needs the B/op column, and a
+// positive req/s pin or a relative_to pin needs the req/s column. Only an
+// entry whose req_per_s is 0 may print no req/s, and only one whose
+// bytes_per_op is 0 goes ungated on B/op.
 //
 // A baseline entry may set "relative_to": "<OtherBenchmark>"; its req/s is
 // then gated against that benchmark's measured req/s in the same run rather
@@ -28,7 +31,7 @@
 // benchmark reduces to its mean ± 95 % confidence half-interval (Student-t,
 // the sweep farm's statistics) instead of the median, and a gate only fails
 // when the whole band clears the threshold — mean + CI95 below a req/s
-// floor, mean − CI95 above an allocs/op ceiling. One noisy sample on a
+// floor, mean − CI95 above an allocs/op or B/op ceiling. One noisy sample on a
 // loaded CI host widens the band instead of failing the build:
 //
 //	go test -bench=EngineStep -benchmem -count=5 -run='^$' ./internal/sim/ | tee bench.txt
@@ -52,7 +55,10 @@ import (
 type baselineEntry struct {
 	ReqPerS     float64 `json:"req_per_s"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
+	// BytesPerOp, when not 0, is gated like AllocsPerOp: the same growth
+	// fraction, against the B/op column. An allocation-free entry (0
+	// allocs/op) needs no B/op pin.
+	BytesPerOp float64 `json:"bytes_per_op"`
 	// RelativeTo names another benchmark in the same run: instead of the
 	// absolute req/s pin (kept as documentation), the guard compares this
 	// benchmark's measured req/s against the named one's measured req/s,
@@ -77,23 +83,26 @@ type baseline struct {
 // result is one benchmark's reduction across -count runs: the median point
 // estimate by default, or — under -repeats — the mean with its 95 %
 // confidence half-intervals (zero CI fields mean "point estimate", which
-// degrades every band gate to the exact point comparison). reqN and
-// allocsN count each metric's samples; 0 means the column was missing, and
-// the metric's value is then meaningless.
+// degrades every band gate to the exact point comparison). reqN, allocsN
+// and bytesN count each metric's samples; 0 means the column was missing,
+// and the metric's value is then meaningless.
 type result struct {
 	ReqPerS     float64
 	AllocsPerOp float64
+	BytesPerOp  float64
 	ReqCI95     float64
 	AllocsCI95  float64
+	BytesCI95   float64
 	reqN        int
 	allocsN     int
+	bytesN      int
 }
 
 func main() {
 	benchPath := flag.String("bench", "bench.txt", "captured `go test -bench` output")
 	basePath := flag.String("baseline", "BENCH_baseline.json", "pinned reference numbers")
 	maxSlowdown := flag.Float64("max-slowdown", 0.10, "fail when req/s drops below baseline by more than this fraction")
-	maxAllocGrowth := flag.Float64("max-alloc-growth", 0.15, "fail when allocs/op exceeds baseline by more than this fraction")
+	maxAllocGrowth := flag.Float64("max-alloc-growth", 0.15, "fail when allocs/op, or B/op where the baseline pins it, exceeds baseline by more than this fraction")
 	repeats := flag.Bool("repeats", false, "treat the -count samples as seeded repeats: reduce each benchmark by mean instead of median and gate on the mean±CI95 band (Student-t, the sweep farm's statistics) so one noisy sample widens the interval instead of failing the build")
 	flag.Parse()
 
@@ -141,7 +150,8 @@ func main() {
 // still above the ceiling. Point estimates have zero-width bands, so the
 // gates reduce to the plain comparisons. The allocation-free pin stays
 // strict either way — a zero-alloc path that allocates has regressed no
-// matter how noisy the timing was.
+// matter how noisy the timing was. B/op is gated like allocs/op, with the
+// same growth fraction, on the entries that pin it.
 //
 // A metric a gate needs but the output lacks fails instead of reading as
 // 0, which would pass every allocs/op pin. Each report line ends with the
@@ -217,8 +227,22 @@ func compare(base baseline, results map[string]result, maxSlowdown, maxAllocGrow
 				name, got.AllocsPerOp, bandSuffix(got.AllocsCI95), 100*(got.AllocsPerOp/want.AllocsPerOp-1), want.AllocsPerOp, 100*maxAllocGrowth))
 			status = "FAIL"
 		}
-		lines = append(lines, fmt.Sprintf("%-30s req/s %12.0f%s (base %12.0f)  allocs/op %8.0f (base %8.0f)  n=%s  %s",
-			name, got.ReqPerS, bandSuffix(got.ReqCI95), want.ReqPerS, got.AllocsPerOp, want.AllocsPerOp, got.counts(), status))
+		switch {
+		case want.BytesPerOp == 0:
+		case math.IsNaN(got.BytesPerOp) || math.IsNaN(want.BytesPerOp):
+			failures = append(failures, fmt.Sprintf("%s: B/op is NaN (measured %v, baseline %v)",
+				name, got.BytesPerOp, want.BytesPerOp))
+			status = "FAIL"
+		case got.bytesN == 0:
+			failures = append(failures, fmt.Sprintf("%s: no B/op samples for a pinned B/op (run with -benchmem)", name))
+			status = "FAIL"
+		case got.BytesPerOp-got.BytesCI95 > want.BytesPerOp*(1+maxAllocGrowth):
+			failures = append(failures, fmt.Sprintf("%s: B/op %.0f%s is %.1f%% above baseline %.0f (limit %.0f%%)",
+				name, got.BytesPerOp, bandSuffix(got.BytesCI95), 100*(got.BytesPerOp/want.BytesPerOp-1), want.BytesPerOp, 100*maxAllocGrowth))
+			status = "FAIL"
+		}
+		lines = append(lines, fmt.Sprintf("%-30s req/s %12.0f%s (base %12.0f)  allocs/op %8.0f (base %8.0f)  B/op %10.0f (base %10.0f)  n=%s  %s",
+			name, got.ReqPerS, bandSuffix(got.ReqCI95), want.ReqPerS, got.AllocsPerOp, want.AllocsPerOp, got.BytesPerOp, want.BytesPerOp, got.counts(), status))
 	}
 	extra := make([]string, 0, len(results))
 	for name := range results {
@@ -229,14 +253,16 @@ func compare(base baseline, results map[string]result, maxSlowdown, maxAllocGrow
 	sort.Strings(extra)
 	for _, name := range extra {
 		got := results[name]
-		lines = append(lines, fmt.Sprintf("%-30s req/s %12.0f                      allocs/op %8.0f            n=%s  (no baseline)",
-			name, got.ReqPerS, got.AllocsPerOp, got.counts()))
+		lines = append(lines, fmt.Sprintf("%-30s req/s %12.0f                      allocs/op %8.0f                 B/op %10.0f                   n=%s  (no baseline)",
+			name, got.ReqPerS, got.AllocsPerOp, got.BytesPerOp, got.counts()))
 	}
 	return lines, failures
 }
 
 // counts renders the per-metric sample counts of a report line.
-func (r result) counts() string { return fmt.Sprintf("req:%d,allocs:%d", r.reqN, r.allocsN) }
+func (r result) counts() string {
+	return fmt.Sprintf("req:%d,allocs:%d,bytes:%d", r.reqN, r.allocsN, r.bytesN)
+}
 
 func readBaseline(path string) (baseline, error) {
 	var b baseline
@@ -269,7 +295,7 @@ func bandSuffix(ci float64) string {
 // banded, by mean plus the Student-t 95 % confidence half-interval
 // (sweepfarm.NewStat, the same statistics the sweep farm reports).
 func parseBench(r interface{ Read([]byte) (int, error) }, banded bool) (map[string]result, error) {
-	type samples struct{ req, allocs []float64 }
+	type samples struct{ req, allocs, bytes []float64 }
 	acc := map[string]*samples{}
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
@@ -299,6 +325,8 @@ func parseBench(r interface{ Read([]byte) (int, error) }, banded bool) (map[stri
 				s.req = append(s.req, v)
 			case "allocs/op":
 				s.allocs = append(s.allocs, v)
+			case "B/op":
+				s.bytes = append(s.bytes, v)
 			}
 		}
 	}
@@ -307,19 +335,16 @@ func parseBench(r interface{ Read([]byte) (int, error) }, banded bool) (map[stri
 	}
 	out := make(map[string]result, len(acc))
 	for name, s := range acc {
+		r := result{reqN: len(s.req), allocsN: len(s.allocs), bytesN: len(s.bytes)}
 		if banded {
-			req, allocs := sweepfarm.NewStat(s.req), sweepfarm.NewStat(s.allocs)
-			out[name] = result{
-				ReqPerS: req.Mean, ReqCI95: req.CI95,
-				AllocsPerOp: allocs.Mean, AllocsCI95: allocs.CI95,
-				reqN: len(s.req), allocsN: len(s.allocs),
-			}
+			req, allocs, bytes := sweepfarm.NewStat(s.req), sweepfarm.NewStat(s.allocs), sweepfarm.NewStat(s.bytes)
+			r.ReqPerS, r.ReqCI95 = req.Mean, req.CI95
+			r.AllocsPerOp, r.AllocsCI95 = allocs.Mean, allocs.CI95
+			r.BytesPerOp, r.BytesCI95 = bytes.Mean, bytes.CI95
 		} else {
-			out[name] = result{
-				ReqPerS: median(s.req), AllocsPerOp: median(s.allocs),
-				reqN: len(s.req), allocsN: len(s.allocs),
-			}
+			r.ReqPerS, r.AllocsPerOp, r.BytesPerOp = median(s.req), median(s.allocs), median(s.bytes)
 		}
+		out[name] = r
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("no benchmark lines found")

@@ -268,6 +268,49 @@ func TestCompareTolerance(t *testing.T) {
 	}
 }
 
+// TestCompareBytes: an entry that pins bytes_per_op fails on more than the
+// growth fraction of B/op, on its band's lower edge under -repeats, and on
+// output without the B/op column; an entry whose bytes_per_op is 0 is not
+// gated on B/op.
+func TestCompareBytes(t *testing.T) {
+	res, err := parseBench(strings.NewReader(benchOut), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res["EngineStepParallel"]; got.BytesPerOp != 7_151_137 || got.bytesN != 1 {
+		t.Fatalf("EngineStepParallel B/op = %v from %d samples, want 7151137 from 1", got.BytesPerOp, got.bytesN)
+	}
+	base := baseline{Benchmarks: map[string]baselineEntry{
+		"EngineStep":         {AllocsPerOp: 15_200, BytesPerOp: 3_800_000},
+		"EngineStepParallel": {AllocsPerOp: 15_219},
+	}}
+	// EngineStep's 4315856 B/op is 13.6% above its pin: inside 15%.
+	if _, failures := compare(base, res, 0.10, 0.15); len(failures) != 0 {
+		t.Fatalf("B/op inside the limit failed: %v", failures)
+	}
+	// 4315856 is 16.0% above 3720000: outside 15%, and the message names B/op.
+	base.Benchmarks["EngineStep"] = baselineEntry{AllocsPerOp: 15_200, BytesPerOp: 3_720_000}
+	_, failures := compare(base, res, 0.10, 0.15)
+	if len(failures) != 1 || !strings.Contains(failures[0], "EngineStep: B/op 4315856 is 16.0% above") {
+		t.Fatalf("B/op growth not caught: %v", failures)
+	}
+	// A band reaching back under the ceiling passes; one entirely above fails.
+	res["EngineStep"] = result{AllocsPerOp: 15_200, BytesPerOp: 4_315_856, BytesCI95: 100_000, allocsN: 5, bytesN: 5}
+	if _, failures := compare(base, res, 0.10, 0.15); len(failures) != 0 {
+		t.Fatalf("B/op band overlapping the ceiling failed: %v", failures)
+	}
+	res["EngineStep"] = result{AllocsPerOp: 15_200, BytesPerOp: 4_315_856, BytesCI95: 10_000, allocsN: 5, bytesN: 5}
+	if _, failures := compare(base, res, 0.10, 0.15); len(failures) != 1 {
+		t.Fatalf("B/op band above the ceiling not caught: %v", failures)
+	}
+	// A pinned B/op with no B/op column fails instead of reading as 0.
+	res["EngineStep"] = result{AllocsPerOp: 15_200, allocsN: 5}
+	_, failures = compare(base, res, 0.10, 0.15)
+	if len(failures) != 1 || !strings.Contains(failures[0], "no B/op samples") {
+		t.Fatalf("missing B/op column not caught: %v", failures)
+	}
+}
+
 func TestMedian(t *testing.T) {
 	if m := median([]float64{3, 1, 2}); m != 2 {
 		t.Errorf("odd median = %v", m)
