@@ -9,7 +9,9 @@ import (
 
 // StartCPUProfile begins a CPU profile written to path and returns the
 // function that stops the profile and closes the file. The caller must
-// invoke stop (typically via defer) for the profile to be flushed.
+// invoke stop before the process exits (os.Exit skips deferred calls) for
+// the profile to be flushed, and check its error: a file that fails to
+// close may hold a torn profile.
 func StartCPUProfile(path string) (stop func() error, err error) {
 	// The profile streams into path while the run executes, so it cannot
 	// go through WriteAtomic: a run killed mid-profile leaves a torn file.
@@ -23,7 +25,10 @@ func StartCPUProfile(path string) (stop func() error, err error) {
 	}
 	return func() error {
 		pprof.StopCPUProfile()
-		return f.Close()
+		if err := f.Close(); err != nil {
+			return fmt.Errorf("obs: cpu profile: %w", err)
+		}
+		return nil
 	}, nil
 }
 

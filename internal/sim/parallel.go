@@ -191,20 +191,15 @@ func (e *Engine) runParallelStream(ctx context.Context, s trace.Stream, warmAt i
 	// splitter acquires only between quiesces, when no worker is parked at
 	// a barrier, and at most numUnits−1 parcels are being built, so every
 	// other parcel is free, queued or being stepped, and comes back.
+	// Only the splitter receives from free, so a non-empty free list never
+	// blocks it.
 	bufs := make([]*parcelBuf, numUnits)
 	made := 0
 	acquire := func() *parcelBuf {
-		if free != nil {
-			select {
-			case b := <-free:
-				return b
-			default:
-			}
-			if made == cap(free) {
-				return <-free
-			}
-			made++
+		if free != nil && (len(free) > 0 || made == cap(free)) {
+			return <-free
 		}
+		made++
 		return newParcelBuf()
 	}
 	flush := func(u int) {
