@@ -244,8 +244,9 @@ func TestChaosWorkerPanicRecovered(t *testing.T) {
 
 	// On the skewed stream, channel 1 holds every parcel in flight while
 	// its run lasts, and panics on its 20,000th record: the splitter is
-	// waiting on the free list for parcels only the failed worker can
-	// return, so the worker must return the ones it discards.
+	// waiting on the free list for parcels only the failed worker holds,
+	// so the worker must return the parcel it failed in and those it
+	// discards.
 	skewed := skewedTrace(150_000, 50_000)
 	posHolder := nthOfChannel(skewed, 1, 20_000)
 	for _, sampleEvery := range []uint64{0, 20_000} {
