@@ -139,9 +139,8 @@ func execute() (code int) {
 		return 0
 	}
 
-	// The profiles are written on every way out from here on. Deferred
-	// calls run last in first out, so the heap profile is written before
-	// the CPU profile stops, as on a clean exit.
+	// The profiles are written on every way out from here on. The heap
+	// profile, deferred last, is written before the CPU profile stops.
 	if *cpuprofile != "" {
 		stop, err := obs.StartCPUProfile(*cpuprofile)
 		if err != nil {

@@ -63,8 +63,7 @@ func TestEngineStepSteadyStateAllocs(t *testing.T) {
 // once the engine is built, a worker-mode Run over 1M CFM records
 // allocates at most 1.75 MiB at GOMAXPROCS 1, 2, 4 and 8. The budget is at
 // most 12 parcels of 128 KiB (1.5 MiB), and the splitter reads into one
-// 96 KiB chunk. Per-channel queues of four parcels behind a sync.Pool
-// allocated 3.10–3.74 MiB here, more as GOMAXPROCS grew.
+// 96 KiB chunk.
 func TestRunWorkerModeAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	const limit = 1.75 * (1 << 20)
