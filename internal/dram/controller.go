@@ -209,11 +209,13 @@ type Controller struct {
 	tel *Telemetry
 }
 
-// Telemetry is the controller's set of live instruments, registered by the
-// engine when telemetry is enabled (internal/telemetry). All fields may be
-// nil individually; the whole struct pointer is nil when telemetry is off,
-// and the hot path then pays exactly one pointer check per serviced
-// request.
+// Telemetry is the controller's two live histograms, registered by the
+// engine when telemetry is enabled (internal/telemetry). They record one
+// observation per event, which no Stats counter holds; the row-buffer
+// outcomes reach telemetry from Stats, which the engine publishes. Either
+// field may be nil; the whole struct pointer is nil when telemetry is off,
+// and the hot path then pays one pointer check per enqueue and per demand
+// read serviced.
 type Telemetry struct {
 	// DemandReadLatency observes each demand read's total service latency
 	// (queueing included) in cycles.
@@ -221,11 +223,6 @@ type Telemetry struct {
 	// QueueDepth observes the controller queue occupancy at each Enqueue,
 	// before the new request is pushed.
 	QueueDepth *telemetry.Histogram
-	// RowHits/RowMisses/RowEmpty mirror the Stats row-buffer outcome
-	// counters as scrape-safe atomics.
-	RowHits   *telemetry.Counter
-	RowMisses *telemetry.Counter
-	RowEmpty  *telemetry.Counter
 }
 
 // SetTelemetry installs (or, with nil, removes) the controller's live
@@ -464,16 +461,6 @@ func (c *Controller) execute(r *Request) {
 		c.stats.RowMisses++
 	default:
 		c.stats.RowEmpty++
-	}
-	if c.tel != nil {
-		switch {
-		case rowHit:
-			c.tel.RowHits.Inc()
-		case hasRow:
-			c.tel.RowMisses.Inc()
-		default:
-			c.tel.RowEmpty.Inc()
-		}
 	}
 
 	if !rowHit {

@@ -3,7 +3,6 @@ package prefetch
 import (
 	"repro/internal/addr"
 	"repro/internal/events"
-	"repro/internal/telemetry"
 )
 
 // TournamentConfig parameterises a Tournament. The zero value of any field
@@ -108,12 +107,6 @@ type Tournament struct {
 
 	// sink receives arbitration events; nil when tracing is disabled.
 	sink events.Sink
-
-	// wins/scores are the live telemetry instruments (one per component),
-	// nil when telemetry is disabled — the hot path pays one nil check per
-	// winning trigger. See SetTelemetry.
-	wins   []*telemetry.Counter
-	scores []*telemetry.Gauge
 }
 
 // subOrigin is implemented by composite components (the Planaria
@@ -170,6 +163,11 @@ func (t *Tournament) IssuesByComponent() map[string]uint64 {
 	return out
 }
 
+// Issues returns how many triggers component c (an index into Components)
+// has answered. It allocates nothing, so the engine can publish the counts
+// as live telemetry while a run is in flight.
+func (t *Tournament) Issues(c int) uint64 { return t.issuesBy[c] }
+
 // SetEventSink installs the decision-event sink on the tournament and every
 // component that emits events (nil disables tracing).
 func (t *Tournament) SetEventSink(s events.Sink) {
@@ -185,29 +183,6 @@ func (t *Tournament) SetEventSink(s events.Sink) {
 // recent Issue call ("" when none did). The engine uses it to attribute
 // prefetch lifecycles per component in the event/attribution path.
 func (t *Tournament) Origin() string { return t.lastOrigin }
-
-// SetTelemetry registers the tournament's live instruments on reg — a
-// wins counter and a selector-score (PSEL-style) gauge per component,
-// labelled component=<name> plus whatever unit labels the engine passes —
-// or removes them when reg is nil. Called at engine construction when
-// telemetry is enabled (internal/telemetry).
-func (t *Tournament) SetTelemetry(reg *telemetry.Registry, labels ...telemetry.Label) {
-	if reg == nil {
-		t.wins, t.scores = nil, nil
-		return
-	}
-	t.wins = make([]*telemetry.Counter, len(t.comps))
-	t.scores = make([]*telemetry.Gauge, len(t.comps))
-	for i, c := range t.comps {
-		ls := make([]telemetry.Label, 0, len(labels)+1)
-		ls = append(ls, labels...)
-		ls = append(ls, telemetry.Label{Key: "component", Value: c.Name()})
-		t.wins[i] = reg.Counter("planaria_tournament_wins_total",
-			"Triggers answered per tournament component.", ls...)
-		t.scores[i] = reg.Gauge("planaria_tournament_score",
-			"Live global (PSEL-style) selector score per tournament component.", ls...)
-	}
-}
 
 // Reset implements Prefetcher.
 func (t *Tournament) Reset() {
@@ -316,12 +291,6 @@ func (t *Tournament) IssueTo(a Access, dst []addr.BlockNum) []addr.BlockNum {
 		return dst
 	}
 	t.issuesBy[winner]++
-	if t.wins != nil {
-		t.wins[winner].Inc()
-		for c := range t.scores {
-			t.scores[c].Set(int64(t.meta.Score(c)))
-		}
-	}
 	t.lastOrigin = t.comps[winner].Name()
 	if so, ok := t.comps[winner].(subOrigin); ok {
 		if o := so.Origin(); o != "" {

@@ -86,19 +86,21 @@ type Config struct {
 	Events *events.Config
 
 	// Telemetry, when non-nil, enables live production metrics: the
-	// engine registers per-unit atomic counters and log₂-bucketed latency
-	// histograms on the registry (demand mix, prefetch timeliness, DRAM
-	// latency/queue/row-buffer, tournament component wins) and records
-	// into them from the hot paths, plus the run-progress series (records
-	// expected and processed, telemetry.RunProgress) at chunk granularity.
-	// The registry is scrape-safe mid-run — it backs the -debug-addr
-	// /metrics and /progress handlers — and its Summary lands in the
-	// report (Report.Telemetry). Instruments cover the whole run
-	// including warmup and are never reset (Prometheus counter
-	// semantics); the report aggregates remain measured-region-only. Nil
-	// disables everything: the hot path then pays one nil check per site,
-	// zero allocations, and the report is bit-identical to a run without
-	// telemetry (the events.Sink pattern).
+	// engine registers each unit's instruments on the registry under its
+	// channel label (demand mix, prefetch timeliness, DRAM
+	// latency/queue/row-buffer, tournament component wins and scores) and
+	// the run-progress series (telemetry.RunProgress). Four log₂ histograms
+	// record on the hot paths; the counters and gauges are published from
+	// the units' own counts after each batch Run steps, in ResetStats and
+	// in Finish (only the last two for a Step-driven engine). The registry
+	// is scrape-safe mid-run — it backs the -debug-addr /metrics and
+	// /progress handlers — and its Summary lands in the report
+	// (Report.Telemetry). Instruments cover the whole run including warmup
+	// and are never reset (Prometheus counter semantics); the report
+	// aggregates remain measured-region-only. Nil disables everything: the
+	// hot path then pays one nil check per site, zero allocations, and the
+	// report is bit-identical to a run without telemetry (the events.Sink
+	// pattern).
 	Telemetry *telemetry.Registry
 }
 
@@ -272,66 +274,105 @@ type eventSinkSetter interface {
 	SetEventSink(events.Sink)
 }
 
-// telemetrySetter is implemented by prefetchers that expose their own live
-// instruments (the Tournament's per-component win counters and selector
-// scores). Discovered by type assertion, like eventSinkSetter.
-type telemetrySetter interface {
-	SetTelemetry(*telemetry.Registry, ...telemetry.Label)
+// unitCounters are the counter families a unit publishes, in counts order.
+// The metric taxonomy lives in docs/OBSERVABILITY.md; names are stable
+// scrape API.
+var unitCounters = [...]struct{ name, help string }{
+	{"planaria_demand_reads_total", "Demand read requests observed by the system cache."},
+	{"planaria_demand_writes_total", "Demand write requests observed by the system cache."},
+	{"planaria_demand_hits_total", "Demand accesses that hit in the system cache."},
+	{"planaria_demand_misses_total", "Demand accesses that missed in the system cache."},
+	{"planaria_prefetch_issued_total", "Prefetch requests issued to DRAM."},
+	{"planaria_prefetch_late_hits_total", "Demand reads served by a prefetch still in flight."},
+	{"planaria_dram_row_hits_total", "DRAM accesses serviced from an open row."},
+	{"planaria_dram_row_misses_total", "DRAM accesses that hit a row conflict (precharge + activate)."},
+	{"planaria_dram_row_empty_total", "DRAM accesses to a closed bank (activate only)."},
 }
 
-// unitTelemetry is one execution unit's set of engine-level instruments,
-// registered on Config.Telemetry with a channel label so hot-path atomics
-// stay uncontended.
-// The DRAM controller's instruments are installed separately via
-// dram.Controller.SetTelemetry.
+// counts reads the unit's own counters in unitCounters order.
+func (cs *channelState) counts() [len(unitCounters)]uint64 {
+	c, d := cs.cache.Stats(), cs.dram.Stats()
+	return [...]uint64{cs.demandReads, cs.demandWrites, c.DemandHits, c.DemandMisses,
+		cs.pstats.Issued, cs.lateHits, d.RowHits, d.RowMisses, d.RowEmpty}
+}
+
+// unitTelemetry is one execution unit's instruments, registered on
+// Config.Telemetry under its channel label. The two histograms record per
+// event. The counters, and a tournament's per-component series, are
+// published from the counters the unit keeps for the report (publish), so
+// each fact is counted once.
 type unitTelemetry struct {
-	demandReads  *telemetry.Counter
-	demandWrites *telemetry.Counter
-	demandHits   *telemetry.Counter
-	demandMisses *telemetry.Counter
-	prefIssued   *telemetry.Counter
-	lateHits     *telemetry.Counter
-	lateWait     *telemetry.Histogram // cycles a late demand waited on an in-flight prefetch
-	firstUseGap  *telemetry.Histogram // cycles between a prefetch fill and its first demand use
+	lateWait    *telemetry.Histogram // cycles a late demand waited on an in-flight prefetch
+	firstUseGap *telemetry.Histogram // cycles between a prefetch fill and its first demand use
+
+	counters [len(unitCounters)]*telemetry.Counter
+	sent     [len(unitCounters)]uint64 // counts at the last publication
+
+	// tour is the unit's prefetcher when it is a tournament, with a wins
+	// counter and a selector-score gauge per component; nil otherwise.
+	tour     *prefetch.Tournament
+	wins     []*telemetry.Counter
+	winsSent []uint64
+	scores   []*telemetry.Gauge
 }
 
 // newUnitTelemetry registers one unit's instruments under its channel
-// label. The metric taxonomy lives in docs/OBSERVABILITY.md; names are
-// stable scrape API.
-func newUnitTelemetry(reg *telemetry.Registry, ls ...telemetry.Label) *unitTelemetry {
-	return &unitTelemetry{
-		demandReads: reg.Counter("planaria_demand_reads_total",
-			"Demand read requests observed by the system cache.", ls...),
-		demandWrites: reg.Counter("planaria_demand_writes_total",
-			"Demand write requests observed by the system cache.", ls...),
-		demandHits: reg.Counter("planaria_demand_hits_total",
-			"Demand accesses that hit in the system cache.", ls...),
-		demandMisses: reg.Counter("planaria_demand_misses_total",
-			"Demand accesses that missed in the system cache.", ls...),
-		prefIssued: reg.Counter("planaria_prefetch_issued_total",
-			"Prefetch requests issued to DRAM.", ls...),
-		lateHits: reg.Counter("planaria_prefetch_late_hits_total",
-			"Demand reads served by a prefetch still in flight.", ls...),
+// label, and a tournament prefetcher's per-component series under the
+// channel and component labels.
+func newUnitTelemetry(reg *telemetry.Registry, pf prefetch.Prefetcher, ch telemetry.Label) *unitTelemetry {
+	t := &unitTelemetry{
 		lateWait: reg.Histogram("planaria_prefetch_late_wait_cycles",
-			"Cycles a late-hit demand waited out of the in-flight prefetch's remaining latency.", ls...),
+			"Cycles a late-hit demand waited out of the in-flight prefetch's remaining latency.", ch),
 		firstUseGap: reg.Histogram("planaria_prefetch_first_use_gap_cycles",
-			"Cycles between a prefetch fill landing and its first demand use (timeliness headroom).", ls...),
+			"Cycles between a prefetch fill landing and its first demand use (timeliness headroom).", ch),
+	}
+	for i, c := range unitCounters {
+		t.counters[i] = reg.Counter(c.name, c.help, ch)
+	}
+	if tour, ok := pf.(*prefetch.Tournament); ok {
+		t.tour = tour
+		for i, c := range tour.Components() {
+			comp := telemetry.Label{Key: "component", Value: c.Name()}
+			t.wins = append(t.wins, reg.Counter("planaria_tournament_wins_total",
+				"Triggers answered per tournament component.", ch, comp))
+			t.scores = append(t.scores, reg.Gauge("planaria_tournament_score",
+				"Live global (PSEL-style) selector score per tournament component.", ch, comp))
+			t.winsSent = append(t.winsSent, tour.Issues(i))
+		}
+	}
+	return t
+}
+
+// publish adds to the unit's counters what its own counts gained since the
+// last publication, and sets a tournament's score gauges. The engine calls
+// it where it owns the unit: after Run steps a parcel, in ResetStats before
+// the counts are zeroed, and in Finish after the DRAM flush. It allocates
+// nothing.
+func (cs *channelState) publish() {
+	t := cs.tel
+	if t == nil {
+		return
+	}
+	now := cs.counts()
+	for i, c := range t.counters {
+		c.Add(now[i] - t.sent[i])
+	}
+	t.sent = now
+	for c, w := range t.wins {
+		n := t.tour.Issues(c)
+		w.Add(n - t.winsSent[c])
+		t.winsSent[c] = n
+		t.scores[c].Set(int64(t.tour.Meta().Score(c)))
 	}
 }
 
-// newDRAMTelemetry registers one unit's DRAM-controller instruments.
+// newDRAMTelemetry registers one unit's DRAM-controller histograms.
 func newDRAMTelemetry(reg *telemetry.Registry, ls ...telemetry.Label) *dram.Telemetry {
 	return &dram.Telemetry{
 		DemandReadLatency: reg.Histogram(telemetry.MetricDRAMDemandReadLatency,
 			"Total DRAM service latency of demand reads, queueing included.", ls...),
 		QueueDepth: reg.Histogram("planaria_dram_queue_depth",
 			"Controller queue occupancy observed at each enqueue.", ls...),
-		RowHits: reg.Counter("planaria_dram_row_hits_total",
-			"DRAM accesses serviced from an open row.", ls...),
-		RowMisses: reg.Counter("planaria_dram_row_misses_total",
-			"DRAM accesses that hit a row conflict (precharge + activate).", ls...),
-		RowEmpty: reg.Counter("planaria_dram_row_empty_total",
-			"DRAM accesses to a closed bank (activate only).", ls...),
 	}
 }
 
@@ -392,12 +433,9 @@ func New(cfg Config) *Engine {
 		}
 		if cfg.Telemetry != nil {
 			label := telemetry.Label{Key: "channel", Value: strconv.Itoa(ch)}
-			cs.tel = newUnitTelemetry(cfg.Telemetry, label)
+			cs.tel = newUnitTelemetry(cfg.Telemetry, pf, label)
 			cs.dram.SetTelemetry(newDRAMTelemetry(cfg.Telemetry, label))
 			cs.cache.EnableFillStamps()
-			if ts, ok := pf.(telemetrySetter); ok {
-				ts.SetTelemetry(cfg.Telemetry, label)
-			}
 		}
 		e.units[ch] = cs
 	}
@@ -425,9 +463,11 @@ func (e *Engine) DRAM(ch int) *dram.Controller { return e.units[ch].dram }
 // ResetStats discards all statistics gathered so far while preserving the
 // functional and timing state of every component — the standard warmup
 // mechanism: run the first part of a trace, call ResetStats, then measure
-// the rest against warm caches and trained prefetchers.
+// the rest against warm caches and trained prefetchers. Live telemetry is
+// never reset: each unit publishes its counts first.
 func (e *Engine) ResetStats() {
 	for _, cs := range e.units {
+		cs.publish()
 		cs.cache.ResetStats()
 		cs.dram.ResetStats()
 		cs.pstats = prefetch.Stats{}
@@ -440,6 +480,9 @@ func (e *Engine) ResetStats() {
 		cs.usefulOrigin = [events.NumOrigins]uint64{}
 		cs.lateOrigin = [events.NumOrigins]uint64{}
 		cs.statsFrom = cs.lastCycle
+		if cs.tel != nil {
+			cs.tel.sent = cs.counts()
+		}
 	}
 	if e.recorder != nil {
 		// Event-level attribution must cover the same measured region as
@@ -553,18 +596,6 @@ func (cs *channelState) step(rec trace.Record) error {
 		}
 		cs.ev.Emit(events.Event{Kind: events.KindDemand, Cycle: rec.Cycle, Block: blk, Flags: fl})
 	}
-	if cs.tel != nil {
-		if rec.Write {
-			cs.tel.demandWrites.Inc()
-		} else {
-			cs.tel.demandReads.Inc()
-		}
-		if hit {
-			cs.tel.demandHits.Inc()
-		} else {
-			cs.tel.demandMisses.Inc()
-		}
-	}
 	if rec.Write {
 		cs.demandWrites++
 	} else {
@@ -584,7 +615,6 @@ func (cs *channelState) step(rec trace.Record) error {
 				})
 			}
 			if cs.tel != nil {
-				cs.tel.lateHits.Inc()
 				cs.tel.lateWait.Record(late.ready - rec.Cycle)
 			}
 		}
@@ -676,9 +706,6 @@ func (cs *channelState) step(rec trace.Record) error {
 			ready:  rec.Cycle + cs.cfg.PrefetchLatency,
 			origin: origin,
 		})
-		if cs.tel != nil {
-			cs.tel.prefIssued.Inc()
-		}
 		if cs.ev != nil {
 			cs.ev.Emit(events.Event{
 				Kind: events.KindIssue, Cycle: rec.Cycle, Block: c,
@@ -787,8 +814,9 @@ func (cs *channelState) end() uint64 {
 	return max(cs.lastCycle, cs.dram.Stats().LastDone)
 }
 
-// Finish flushes the DRAM controllers and builds the report from one final
-// snapshot, on which it also closes the sampler's last window.
+// Finish flushes the DRAM controllers, publishes each unit's counts to live
+// telemetry and builds the report from one final snapshot, on which it also
+// closes the sampler's last window.
 func (e *Engine) Finish(workload string) metrics.Report {
 	var end uint64
 	for _, cs := range e.units {
@@ -800,6 +828,7 @@ func (e *Engine) Finish(workload string) metrics.Report {
 			_ = cs.commitPending(cs.pending.front().ready)
 		}
 		cs.dram.Flush()
+		cs.publish()
 		end = max(end, cs.end())
 	}
 	snap := e.snapshot(end)

@@ -134,11 +134,13 @@ func (e *Engine) runParallelStream(ctx context.Context, s trace.Stream, warmAt i
 				errs[u] = chanErr{err: err, global: at}
 				trip.Do(func() { close(abort) })
 			} else if c := e.runRecords; c != nil {
-				// Progress is published at parcel granularity — one atomic
-				// add per batch keeps -progress and -debug-addr nearly free
-				// — and additively, so sequential engines sharing one
-				// registry accumulate instead of rewinding.
+				// Progress and the unit's counters are published at parcel
+				// granularity — a few atomic adds per batch keep -progress
+				// and -debug-addr nearly free — and additively, so
+				// sequential engines sharing one registry accumulate
+				// instead of rewinding.
 				c.Add(uint64(len(b.recs)))
+				e.units[u].publish()
 			}
 		}
 		b.recs = b.recs[:0]

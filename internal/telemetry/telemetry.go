@@ -6,13 +6,14 @@
 // the progress printer (Quantile).
 //
 // The design follows the repository's events.Sink pattern: instruments are
-// registered once at engine construction, hot paths hold plain pointers
-// and record through lock-free atomics, and a disabled run holds nil —
+// registered once at engine construction, and a disabled run holds nil —
 // every call site is gated by a single nil check, so the off path adds no
-// allocations and no measurable cost. Sharding is by registration: the
-// engine registers one child per channel (label channel), so hot-path
-// atomics are uncontended; exposition and summaries merge the children,
-// which is exact for log₂ buckets.
+// allocations and no measurable cost. Histograms record each event through
+// lock-free atomics; counters and gauges are published from the counts the
+// engine keeps for its report, a batch of records at a time, so each fact
+// is counted once (sim.Config.Telemetry). The engine registers one child
+// per channel (label channel); exposition and summaries merge the
+// children, which is exact for log₂ buckets.
 //
 // Instrument methods are additionally nil-receiver-safe, so partially
 // wired components (a DRAM controller with telemetry off) degrade to
@@ -52,9 +53,6 @@ func (c *Counter) Add(n uint64) {
 	}
 	c.v.Add(n)
 }
-
-// Inc increments the counter by one. No-op on a nil receiver.
-func (c *Counter) Inc() { c.Add(1) }
 
 // Value returns the current count (0 for a nil receiver).
 func (c *Counter) Value() uint64 {

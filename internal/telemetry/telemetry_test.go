@@ -11,7 +11,7 @@ import (
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_total", "help", Label{"channel", "0"})
-	c.Inc()
+	c.Add(1)
 	c.Add(4)
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
@@ -38,7 +38,7 @@ func TestNilRegistryAndInstrumentsAreNoOps(t *testing.T) {
 	c := r.Counter("x_total", "h")
 	g := r.Gauge("x", "h")
 	h := r.Histogram("x_cycles", "h")
-	c.Inc()
+	c.Add(1)
 	c.Add(3)
 	g.Set(1)
 	h.Record(9)
@@ -157,7 +157,7 @@ func TestWritePrometheusAndValidate(t *testing.T) {
 
 func TestWritePrometheusEscapesLabels(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("esc_total", "h", Label{"app", `we"ird\n` + "\n"}).Inc()
+	r.Counter("esc_total", "h", Label{"app", `we"ird\n` + "\n"}).Add(1)
 	var sb strings.Builder
 	if err := WritePrometheus(&sb, r); err != nil {
 		t.Fatal(err)
@@ -245,7 +245,7 @@ func TestRegistryConcurrentUse(t *testing.T) {
 			c := r.Counter("conc_total", "h", Label{"channel", fmt.Sprint(ch)})
 			h := r.Histogram("conc_cycles", "h", Label{"channel", fmt.Sprint(ch)})
 			for i := 0; i < 10_000; i++ {
-				c.Inc()
+				c.Add(1)
 				h.Record(uint64(i))
 			}
 		}(ch)
