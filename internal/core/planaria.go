@@ -5,6 +5,7 @@ import (
 	mbits "math/bits"
 
 	"repro/internal/addr"
+	"repro/internal/bitmap"
 	"repro/internal/events"
 	"repro/internal/prefetch"
 )
@@ -66,9 +67,6 @@ type Planaria struct {
 	slp *SLP
 	tlp *TLP
 
-	slpIssues uint64 // triggers answered by SLP
-	tlpIssues uint64 // triggers answered by TLP
-
 	lastOrigin string // sub-prefetcher that answered the most recent Issue
 
 	// sink receives decision events (arbitration outcomes here, learning
@@ -101,7 +99,6 @@ func (p *Planaria) Name() string {
 func (p *Planaria) Reset() {
 	p.slp.Reset()
 	p.tlp.Reset()
-	p.slpIssues, p.tlpIssues = 0, 0
 	p.lastOrigin = ""
 }
 
@@ -158,132 +155,95 @@ func (p *Planaria) selectSLP(a prefetch.Access) bool {
 	return p.slp.HasMetadata(a.Page())
 }
 
-// Issue implements prefetch.Prefetcher — the issuing phase.
+// Issue implements prefetch.Prefetcher: IssueTo into a fresh slice.
 func (p *Planaria) Issue(a prefetch.Access) []addr.BlockNum {
 	return p.IssueTo(a, nil)
 }
 
-// IssueTo implements prefetch.BufferedIssuer: Issue appending into the
-// caller's buffer. The engine threads one persistent buffer per channel
-// through here, making the composite's entire issuing phase allocation-free.
+// plan is the coordinator's issuing decision for the miss a, read from the
+// sub-prefetchers' metadata without touching any state: the offsets SLP
+// would issue, the offsets TLP would transfer and the neighbour it would
+// transfer them from. Decoupled and Serial issue serially — TLP is asked
+// only when SLP has nothing for the page — so at most one mask is non-zero;
+// Parallel asks both. A disabled sub-prefetcher contributes nothing.
+// IssueTo and Peek both expand this one plan.
+func (p *Planaria) plan(a prefetch.Access) (slp, tlp bitmap.Seg16, neighbor addr.PageNum) {
+	if !p.cfg.DisableSLP {
+		if slp = p.slp.offer(a); slp != 0 && p.cfg.Mode != Parallel {
+			return slp, 0, 0
+		}
+	}
+	if !p.cfg.DisableTLP {
+		neighbor, tlp, _ = p.tlp.BestNeighbor(a.Page())
+	}
+	return slp, tlp, neighbor
+}
+
+// expand appends the plan's blocks to dst: SLP's first, then the TLP
+// transfers SLP did not already name (both lie in the trigger's segment).
+func expand(dst []addr.BlockNum, a prefetch.Access, slp, tlp bitmap.Seg16) []addr.BlockNum {
+	return appendSegment(appendSegment(dst, a.Block, slp), a.Block, tlp&^slp)
+}
+
+// IssueTo implements prefetch.Prefetcher — the issuing phase: expand the
+// plan into dst, then count the issue on each sub-prefetcher that answered,
+// record the origin and emit the arbitration event. The engine threads one
+// persistent buffer per channel through here, so issuing allocates nothing.
 func (p *Planaria) IssueTo(a prefetch.Access, dst []addr.BlockNum) []addr.BlockNum {
 	if !a.Miss {
 		return dst
 	}
-	if p.cfg.Mode == Parallel {
-		base := len(dst)
-		if !p.cfg.DisableSLP {
-			if dst = p.slp.IssueTo(a, dst); len(dst) > base {
-				p.slpIssues++
-			}
-		}
-		mid := len(dst)
-		if !p.cfg.DisableTLP {
-			if dst = p.tlp.IssueTo(a, dst); len(dst) > mid {
-				p.tlpIssues++
-			}
-		}
-		return dedupTail(dst, base, mid)
-	}
-	// Decoupled and Serial both issue serially: SLP first, TLP as the
-	// fallback when SLP has nothing for this page.
+	slp, tlp, neighbor := p.plan(a)
 	base := len(dst)
-	if !p.cfg.DisableSLP {
-		if dst = p.slp.IssueTo(a, dst); len(dst) > base {
-			p.slpIssues++
-			p.lastOrigin = "slp"
-			if p.sink != nil {
-				// SLP won the trigger: TLP was suppressed by the
-				// serial-issuing priority rule (or is simply off).
-				reason := events.ReasonSLPPriority
-				if p.cfg.DisableTLP {
-					reason = events.ReasonDisabled
-				}
-				p.sink.Emit(events.Event{
-					Kind: events.KindArbitration, Cycle: a.Cycle, Block: a.Block,
-					Origin: events.OriginSLP, Reason: reason, N: uint16(len(dst) - base),
-				})
-			}
-			return dst
-		}
+	dst = expand(dst, a, slp, tlp)
+	if slp != 0 {
+		p.slp.issues++
 	}
-	if !p.cfg.DisableTLP {
-		if dst = p.tlp.IssueTo(a, dst); len(dst) > base {
-			p.tlpIssues++
-			p.lastOrigin = "tlp"
-			if p.sink != nil {
-				// The trigger fell through to TLP: SLP had no usable
-				// pattern for the page (or is disabled).
-				reason := events.ReasonNoMetadata
-				if p.cfg.DisableSLP {
-					reason = events.ReasonDisabled
-				}
-				p.sink.Emit(events.Event{
-					Kind: events.KindArbitration, Cycle: a.Cycle, Block: a.Block,
-					Origin: events.OriginTLP, Reason: reason, N: uint16(len(dst) - base),
-				})
-			}
-			return dst
-		}
+	if tlp != 0 {
+		p.tlp.issued(a, neighbor, tlp)
 	}
-	p.lastOrigin = ""
+	if p.cfg.Mode == Parallel {
+		return dst // a union has no single origin and no arbitration
+	}
+	var origin events.Origin
+	var reason events.Reason
+	switch {
+	case slp != 0:
+		// SLP won the trigger: TLP was suppressed by the serial-issuing
+		// priority rule (or is simply off).
+		p.lastOrigin, origin, reason = "slp", events.OriginSLP, events.ReasonSLPPriority
+		if p.cfg.DisableTLP {
+			reason = events.ReasonDisabled
+		}
+	case tlp != 0:
+		// The trigger fell through to TLP: SLP had no usable pattern for
+		// the page (or is disabled).
+		p.lastOrigin, origin, reason = "tlp", events.OriginTLP, events.ReasonNoMetadata
+		if p.cfg.DisableSLP {
+			reason = events.ReasonDisabled
+		}
+	default:
+		p.lastOrigin = ""
+		return dst
+	}
+	if p.sink != nil {
+		p.sink.Emit(events.Event{
+			Kind: events.KindArbitration, Cycle: a.Cycle, Block: a.Block,
+			Origin: origin, Reason: reason, N: uint16(len(dst) - base),
+		})
+	}
 	return dst
 }
 
-// Peek implements prefetch.Component: the blocks Issue would return for a,
-// computed from the same metadata probes (SLP's pattern table, TLP's best
-// neighbour) without mutating any state, counters or events. The tournament
-// calls it on every trigger for shadow evaluation.
+// Peek implements prefetch.Component: the blocks IssueTo would return for
+// a, expanded from the same plan with no state, counter or event touched.
+// The tournament calls it on every trigger for shadow evaluation.
 func (p *Planaria) Peek(a prefetch.Access, dst []addr.BlockNum) []addr.BlockNum {
 	if !a.Miss {
 		return dst
 	}
-	page := a.Page()
-	ch := a.Block.Channel()
-	trigger := a.Block.SegOffset()
-	if p.cfg.Mode == Parallel {
-		// Union of both sub-prefetchers, deduplicated like IssueTo's
-		// dedupTail (an offset mask; all candidates live in the trigger
-		// page's segment).
-		var seen uint16
-		if !p.cfg.DisableSLP {
-			if pat, ok := p.slp.Pattern(page); ok {
-				rest := uint16(pat.Clear(trigger))
-				seen = rest
-				for v := rest; v != 0; v &= v - 1 {
-					dst = append(dst, page.Block(addr.OffsetOf(ch, mbits.TrailingZeros16(v))))
-				}
-			}
-		}
-		if !p.cfg.DisableTLP {
-			if _, transfer, ok := p.tlp.BestNeighbor(page); ok {
-				for v := uint16(transfer) &^ seen; v != 0; v &= v - 1 {
-					dst = append(dst, page.Block(addr.OffsetOf(ch, mbits.TrailingZeros16(v))))
-				}
-			}
-		}
-		return dst
-	}
-	// Decoupled and Serial: SLP's snapshot first, TLP as the fallback —
-	// the same priority order as Issue.
-	if !p.cfg.DisableSLP {
-		if pat, ok := p.slp.Pattern(page); ok {
-			if rest := uint16(pat.Clear(trigger)); rest != 0 {
-				for v := rest; v != 0; v &= v - 1 {
-					dst = append(dst, page.Block(addr.OffsetOf(ch, mbits.TrailingZeros16(v))))
-				}
-				return dst
-			}
-		}
-	}
-	if !p.cfg.DisableTLP {
-		if _, transfer, ok := p.tlp.BestNeighbor(page); ok {
-			for v := uint16(transfer); v != 0; v &= v - 1 {
-				dst = append(dst, page.Block(addr.OffsetOf(ch, mbits.TrailingZeros16(v))))
-			}
-		}
-	}
-	return dst
+	slp, tlp, _ := p.plan(a)
+	return expand(dst, a, slp, tlp)
 }
 
 // Origin reports which sub-prefetcher answered the most recent Issue call
@@ -298,44 +258,26 @@ func (p *Planaria) Origin() string {
 
 // IssueShare returns how many triggers each sub-prefetcher answered — the
 // Figure 9 breakdown input.
-func (p *Planaria) IssueShare() (slp, tlp uint64) { return p.slpIssues, p.tlpIssues }
+func (p *Planaria) IssueShare() (slp, tlp uint64) { return p.slp.issues, p.tlp.issues }
 
 // StorageBits implements prefetch.Prefetcher.
 func (p *Planaria) StorageBits() int {
 	return p.slp.StorageBits() + p.tlp.StorageBits()
 }
 
-// dedupTail removes from dst[mid:] (TLP's candidates) any block already
-// present in dst[base:mid] (SLP's), compacting in place. Both
-// sub-prefetchers target only the trigger page's own channel segment and
-// never repeat an offset internally, so membership is a 16-bit mask of
-// segment offsets — the allocation-free replacement for the per-call map
-// the Parallel-mode union used to build.
-func dedupTail(dst []addr.BlockNum, base, mid int) []addr.BlockNum {
-	if mid == len(dst) || base == mid {
-		return dst
+// appendSegment appends to dst, in ascending offset order, the blocks of
+// the trigger's channel segment whose offsets are set in m.
+func appendSegment(dst []addr.BlockNum, trigger addr.BlockNum, m bitmap.Seg16) []addr.BlockNum {
+	p, ch := trigger.Page(), trigger.Channel()
+	for v := uint16(m); v != 0; v &= v - 1 {
+		dst = append(dst, p.Block(addr.OffsetOf(ch, mbits.TrailingZeros16(v))))
 	}
-	var seen uint16
-	for _, b := range dst[base:mid] {
-		seen |= 1 << uint(b.SegOffset())
-	}
-	out := dst[:mid]
-	for _, b := range dst[mid:] {
-		if bit := uint16(1) << uint(b.SegOffset()); seen&bit == 0 {
-			seen |= bit
-			out = append(out, b)
-		}
-	}
-	return out
+	return dst
 }
 
 // Interface conformance checks.
 var (
-	_ prefetch.Prefetcher     = (*Planaria)(nil)
-	_ prefetch.Component      = (*Planaria)(nil)
-	_ prefetch.Prefetcher     = (*SLP)(nil)
-	_ prefetch.Prefetcher     = (*TLP)(nil)
-	_ prefetch.BufferedIssuer = (*Planaria)(nil)
-	_ prefetch.BufferedIssuer = (*SLP)(nil)
-	_ prefetch.BufferedIssuer = (*TLP)(nil)
+	_ prefetch.Component  = (*Planaria)(nil)
+	_ prefetch.Prefetcher = (*SLP)(nil)
+	_ prefetch.Prefetcher = (*TLP)(nil)
 )

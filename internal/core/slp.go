@@ -8,8 +8,6 @@
 package core
 
 import (
-	"math/bits"
-
 	"repro/internal/addr"
 	"repro/internal/bitmap"
 	"repro/internal/events"
@@ -57,7 +55,7 @@ type SLP struct {
 	// statistics
 	promotions uint64 // FT→AT
 	snapshots  uint64 // AT→PT
-	issues     uint64 // Issue calls that produced prefetches
+	issues     uint64 // triggers answered with prefetches, here or by the coordinator
 
 	// sink receives learning-milestone events (FT→AT promotions and
 	// AT→PT snapshot captures); nil when tracing is disabled.
@@ -187,31 +185,28 @@ func (s *SLP) Issue(a prefetch.Access) []addr.BlockNum {
 	return s.IssueTo(a, nil)
 }
 
-// IssueTo implements prefetch.BufferedIssuer: Issue appending into the
-// caller's buffer, iterating the snapshot bitmap directly (no Offsets
-// slice) so a warm SLP issues without allocating.
+// IssueTo implements prefetch.Prefetcher: Issue appending into the caller's
+// buffer, so a warm SLP issues without allocating.
 func (s *SLP) IssueTo(a prefetch.Access, dst []addr.BlockNum) []addr.BlockNum {
 	if !a.Miss {
 		return dst
 	}
-	p := a.Page()
-	pat, ok := s.Pattern(p)
-	if !ok {
-		return dst
-	}
-	// Even when the trigger lies outside the learned snapshot we still
-	// prefetch the snapshot: the paper's overlap experiment (Figure 4)
-	// shows footprints stay stable across phases.
-	rest := pat.Clear(a.Block.SegOffset())
+	rest := s.offer(a)
 	if rest == 0 {
 		return dst
 	}
-	ch := a.Block.Channel()
-	for v := uint16(rest); v != 0; v &= v - 1 {
-		dst = append(dst, p.Block(addr.OffsetOf(ch, bits.TrailingZeros16(v))))
-	}
 	s.issues++
-	return dst
+	return appendSegment(dst, a.Block, rest)
+}
+
+// offer returns the offsets SLP issues for the miss a: the page's recorded
+// snapshot minus the trigger's own block, or 0 when the page has none. Even
+// when the trigger lies outside the learned snapshot we still prefetch the
+// snapshot: the paper's overlap experiment (Figure 4) shows footprints stay
+// stable across phases.
+func (s *SLP) offer(a prefetch.Access) bitmap.Seg16 {
+	pat, _ := s.Pattern(a.Page())
+	return pat.Clear(a.Block.SegOffset())
 }
 
 // HasMetadata reports whether SLP could issue for page p — the coordinator's

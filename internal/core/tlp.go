@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/bits"
-
 	"repro/internal/addr"
 	"repro/internal/bitmap"
 	"repro/internal/events"
@@ -145,22 +143,24 @@ func (t *TLP) Issue(a prefetch.Access) []addr.BlockNum {
 	return t.IssueTo(a, nil)
 }
 
-// IssueTo implements prefetch.BufferedIssuer: Issue appending into the
-// caller's buffer, iterating the transfer bitmap directly (no Offsets
-// slice) so a warm TLP issues without allocating.
+// IssueTo implements prefetch.Prefetcher: Issue appending into the caller's
+// buffer, so a warm TLP issues without allocating.
 func (t *TLP) IssueTo(a prefetch.Access, dst []addr.BlockNum) []addr.BlockNum {
 	if !a.Miss {
 		return dst
 	}
-	p := a.Page()
-	neighbor, transfer, ok := t.BestNeighbor(p)
+	neighbor, transfer, ok := t.BestNeighbor(a.Page())
 	if !ok {
 		return dst
 	}
-	ch := a.Block.Channel()
-	for v := uint16(transfer); v != 0; v &= v - 1 {
-		dst = append(dst, p.Block(addr.OffsetOf(ch, bits.TrailingZeros16(v))))
-	}
+	dst = appendSegment(dst, a.Block, transfer)
+	t.issued(a, neighbor, transfer)
+	return dst
+}
+
+// issued counts an issue for the miss a that transfers offsets from
+// neighbor, and emits its neighbour-match event.
+func (t *TLP) issued(a prefetch.Access, neighbor addr.PageNum, transfer bitmap.Seg16) {
 	t.issues++
 	if t.sink != nil {
 		t.sink.Emit(events.Event{
@@ -168,10 +168,10 @@ func (t *TLP) IssueTo(a prefetch.Access, dst []addr.BlockNum) []addr.BlockNum {
 			Aux: uint64(neighbor), Origin: events.OriginTLP, N: uint16(transfer.Count()),
 		})
 	}
-	return dst
 }
 
-// Issues returns the number of Issue calls that produced prefetches.
+// Issues returns the number of triggers TLP answered with prefetches, here
+// or by the coordinator.
 func (t *TLP) Issues() uint64 { return t.issues }
 
 // StorageBits implements prefetch.Prefetcher: each RPT entry holds a page

@@ -102,7 +102,7 @@ func (p *Accel) Issue(a Access) []addr.BlockNum {
 	return p.IssueTo(a, nil)
 }
 
-// IssueTo implements BufferedIssuer.
+// IssueTo implements Prefetcher.
 func (p *Accel) IssueTo(a Access, dst []addr.BlockNum) []addr.BlockNum {
 	out := p.Peek(a, dst)
 	if len(out) > len(dst) {

@@ -25,11 +25,7 @@ func churnComp(c Component, rounds int, dst []addr.BlockNum) []addr.BlockNum {
 				Miss:  true,
 			}
 			c.Train(a)
-			if bi, ok := c.(BufferedIssuer); ok {
-				dst = bi.IssueTo(a, dst[:0])
-			} else {
-				c.Issue(a)
-			}
+			dst = c.IssueTo(a, dst[:0])
 			cycle += 11
 		}
 	}

@@ -155,7 +155,7 @@ func (b *BOP) Issue(a prefetch.Access) []addr.BlockNum {
 	return b.IssueTo(a, nil)
 }
 
-// IssueTo implements prefetch.BufferedIssuer.
+// IssueTo implements prefetch.Prefetcher.
 func (b *BOP) IssueTo(a prefetch.Access, dst []addr.BlockNum) []addr.BlockNum {
 	if !a.Miss || !b.prefetchOn {
 		return dst

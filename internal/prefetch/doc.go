@@ -6,12 +6,14 @@
 //
 // The central idea, taken from the paper's coordinator (Section 2), is that
 // learning and issuing are separate operations: Train observes every demand
-// access ("full-pattern directed" learning), while Issue is invoked
-// selectively and returns the blocks to prefetch. Monolithic prefetchers
-// simply do their bookkeeping in Train and their prediction in Issue. That
-// contract is the Prefetcher interface; everything the engine drives — the
-// Planaria composite, the BOP/SPP baselines, NextLine, Stride, and the
-// tournament itself — implements it.
+// access ("full-pattern directed" learning), while IssueTo is invoked
+// selectively and appends the blocks to prefetch to a caller-owned buffer.
+// Monolithic prefetchers simply do their bookkeeping in Train and their
+// prediction in IssueTo. That contract is the Prefetcher interface;
+// everything the engine drives — the Planaria composite, the BOP/SPP
+// baselines, NextLine, Stride, and the tournament itself — implements it,
+// and IssueTo is the only way the engine and the tournament ask a
+// prefetcher to issue.
 //
 // Component extends Prefetcher with Peek, a side-effect-free prediction
 // probe. Peek is what makes a prefetcher eligible for the tournament: the

@@ -9,7 +9,7 @@ import (
 
 // echo is a minimal custom component: on every miss it predicts the next
 // block of the segment. Peek carries the whole prediction (it must be free
-// of side effects); Issue simply reuses it.
+// of side effects); IssueTo simply reuses it.
 type echo struct{}
 
 func (echo) Name() string          { return "echo" }
@@ -17,8 +17,10 @@ func (echo) Train(prefetch.Access) {}
 func (echo) StorageBits() int      { return 0 }
 func (echo) Reset()                {}
 
-func (e echo) Issue(a prefetch.Access) []addr.BlockNum {
-	return e.Peek(a, nil)
+func (e echo) Issue(a prefetch.Access) []addr.BlockNum { return e.IssueTo(a, nil) }
+
+func (e echo) IssueTo(a prefetch.Access, dst []addr.BlockNum) []addr.BlockNum {
+	return e.Peek(a, dst)
 }
 
 func (echo) Peek(a prefetch.Access, dst []addr.BlockNum) []addr.BlockNum {
@@ -44,7 +46,7 @@ func ExampleNewTournament() {
 		Miss:  true,
 	}
 	tour.Train(a)
-	targets := tour.Issue(a)
+	targets := tour.IssueTo(a, nil)
 	fmt.Printf("%s issued %d block(s) at offset %d via %s\n",
 		tour.Name(), len(targets), targets[0].SegOffset(), tour.Origin())
 	// Output: tournament issued 1 block(s) at offset 5 via echo

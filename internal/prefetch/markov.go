@@ -169,7 +169,7 @@ func (m *Markov) Issue(a Access) []addr.BlockNum {
 	return m.IssueTo(a, nil)
 }
 
-// IssueTo implements BufferedIssuer.
+// IssueTo implements Prefetcher.
 func (m *Markov) IssueTo(a Access, dst []addr.BlockNum) []addr.BlockNum {
 	out := m.Peek(a, dst)
 	if len(out) > len(dst) {

@@ -23,10 +23,11 @@ type Prefetcher interface {
 	// Train observes a demand access and updates internal pattern state.
 	// Every demand access is passed to Train, hits and misses alike.
 	Train(a Access)
-	// Issue returns the blocks to prefetch in response to a demand
-	// access, or nil. The engine calls Issue after Train for the same
-	// access. Returned blocks may include already-resident targets; the
-	// engine filters them.
+	// BufferedIssuer's IssueTo is the issuing phase; the engine and the
+	// tournament issue through it alone.
+	BufferedIssuer
+	// Issue is IssueTo(a, nil). No program code calls it through this
+	// interface; it stays because the bench harness's wrapper calls it.
 	Issue(a Access) []addr.BlockNum
 	// StorageBits returns the hardware metadata budget of this
 	// prefetcher instance in bits, for the paper's storage accounting.
@@ -35,15 +36,13 @@ type Prefetcher interface {
 	Reset()
 }
 
-// BufferedIssuer is the allocation-free extension of Prefetcher: IssueTo
-// appends the blocks Issue would return for a to dst and returns the
-// extended slice, with exactly Issue's side effects (statistics, origin
-// tracking, events). The engine discovers it by type assertion once at
-// construction — like the origin and event-sink interfaces — and threads a
-// persistent per-channel buffer through it, so implementations never
-// allocate per trigger. Every built-in prefetcher implements it; Prefetcher
-// alone remains sufficient for custom implementations, at the cost of one
-// slice allocation per Issue.
+// BufferedIssuer is the issuing phase of a Prefetcher. IssueTo appends to
+// dst the blocks to prefetch in response to a demand access and returns the
+// extended slice; the engine calls it after Train for the same access.
+// Appended blocks may include already-resident targets; the engine filters
+// them. The engine threads one persistent buffer per channel through it, so
+// an implementation that only appends issues without allocating. The name
+// survives as its own interface because the bench harness asserts it.
 type BufferedIssuer interface {
 	IssueTo(a Access, dst []addr.BlockNum) []addr.BlockNum
 }
@@ -56,8 +55,8 @@ type BufferedIssuer interface {
 // score the meta-predictor's trust counters. Implementations should treat
 // dst as scratch owned by the caller and never retain it.
 //
-// Peek(a) must equal what Issue(a) would return at the same point: the
-// tournament relies on it and never re-peeks a component whose Issue just
+// Peek(a) must equal what IssueTo(a) would append at the same point: the
+// tournament relies on it and never re-peeks a component whose IssueTo just
 // came back empty on the same trigger.
 type Component interface {
 	Prefetcher
@@ -76,7 +75,7 @@ func (None) Train(Access) {}
 // Issue implements Prefetcher.
 func (n None) Issue(a Access) []addr.BlockNum { return n.IssueTo(a, nil) }
 
-// IssueTo implements BufferedIssuer.
+// IssueTo implements Prefetcher.
 func (None) IssueTo(_ Access, dst []addr.BlockNum) []addr.BlockNum { return dst }
 
 // StorageBits implements Prefetcher.

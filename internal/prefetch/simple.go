@@ -27,7 +27,7 @@ func (p *NextLine) Issue(a Access) []addr.BlockNum {
 	return p.IssueTo(a, nil)
 }
 
-// IssueTo implements BufferedIssuer.
+// IssueTo implements Prefetcher.
 func (p *NextLine) IssueTo(a Access, dst []addr.BlockNum) []addr.BlockNum {
 	if !a.Miss {
 		return dst
@@ -122,8 +122,8 @@ func (p *Stride) Issue(a Access) []addr.BlockNum {
 	return p.IssueTo(a, nil)
 }
 
-// IssueTo implements BufferedIssuer: Peek into the caller's buffer (the
-// stride table is only read, so Issue and Peek predict identically).
+// IssueTo implements Prefetcher: Peek into the caller's buffer (the stride
+// table is only read, so IssueTo and Peek predict identically).
 func (p *Stride) IssueTo(a Access, dst []addr.BlockNum) []addr.BlockNum {
 	return p.Peek(a, dst)
 }

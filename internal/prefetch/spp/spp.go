@@ -174,7 +174,7 @@ func (s *SPP) Issue(a prefetch.Access) []addr.BlockNum {
 	return s.IssueTo(a, nil)
 }
 
-// IssueTo implements prefetch.BufferedIssuer.
+// IssueTo implements prefetch.Prefetcher.
 func (s *SPP) IssueTo(a prefetch.Access, dst []addr.BlockNum) []addr.BlockNum {
 	p := a.Page()
 	e := s.stSlot(p)

@@ -227,19 +227,9 @@ func (t *Tournament) Issue(a Access) []addr.BlockNum {
 	return t.IssueTo(a, nil)
 }
 
-// issueComp lets component c issue into dst: through its BufferedIssuer
-// fast path when implemented (all built-ins), otherwise by copying its
-// Issue result (custom Components registered via the public API).
-func issueComp(c Component, a Access, dst []addr.BlockNum) []addr.BlockNum {
-	if bi, ok := c.(BufferedIssuer); ok {
-		return bi.IssueTo(a, dst)
-	}
-	return append(dst, c.Issue(a)...)
-}
-
-// IssueTo implements BufferedIssuer; the engine's persistent per-channel
-// buffer flows through the winning component, so a steady-state tournament
-// trigger allocates nothing.
+// IssueTo implements Prefetcher; the engine's persistent per-channel buffer
+// flows through the winning component, so a steady-state tournament trigger
+// allocates nothing.
 func (t *Tournament) IssueTo(a Access, dst []addr.BlockNum) []addr.BlockNum {
 	if !a.Miss {
 		return dst
@@ -249,14 +239,14 @@ func (t *Tournament) IssueTo(a Access, dst []addr.BlockNum) []addr.BlockNum {
 
 	base := len(dst)
 	winner := -1
-	if dst = issueComp(t.comps[selected], a, dst); len(dst) > base {
+	if dst = t.comps[selected].IssueTo(a, dst); len(dst) > base {
 		winner = selected
 	} else {
 		for c := range t.comps {
 			if c == selected {
 				continue
 			}
-			if dst = issueComp(t.comps[c], a, dst); len(dst) > base {
+			if dst = t.comps[c].IssueTo(a, dst); len(dst) > base {
 				winner = c
 				break
 			}
@@ -358,15 +348,9 @@ func (t *Tournament) StorageBits() int {
 
 // Interface conformance checks.
 var (
-	_ Prefetcher     = (*Tournament)(nil)
-	_ Component      = (*Tournament)(nil)
-	_ Component      = (*Stride)(nil)
-	_ Component      = (*NextLine)(nil)
-	_ Component      = (*Markov)(nil)
-	_ Component      = (*Accel)(nil)
-	_ BufferedIssuer = (*Tournament)(nil)
-	_ BufferedIssuer = (*Stride)(nil)
-	_ BufferedIssuer = (*NextLine)(nil)
-	_ BufferedIssuer = (*Markov)(nil)
-	_ BufferedIssuer = (*Accel)(nil)
+	_ Component = (*Tournament)(nil)
+	_ Component = (*Stride)(nil)
+	_ Component = (*NextLine)(nil)
+	_ Component = (*Markov)(nil)
+	_ Component = (*Accel)(nil)
 )

@@ -9,24 +9,25 @@ import (
 
 // fixed is a test component that always predicts the same in-segment offsets
 // for any miss. It also counts Peeks, and the Peeks that follow an empty
-// Issue on the same trigger (Train starts a new trigger).
+// IssueTo on the same trigger (Train starts a new trigger).
 type fixed struct {
 	name      string
 	offs      []int
 	mute      bool // predict nothing at all
 	train     int  // Train call count (checks all-components training)
-	empty     bool // the last Issue since Train returned nothing
+	empty     bool // the last IssueTo since Train appended nothing
 	peeks     int
-	redundant int // Peeks after an empty Issue on the same trigger
+	redundant int // Peeks after an empty IssueTo on the same trigger
 }
 
-func (f *fixed) Name() string     { return f.name }
-func (f *fixed) Train(Access)     { f.train++; f.empty = false }
-func (f *fixed) StorageBits() int { return 0 }
-func (f *fixed) Reset()           { f.train = 0 }
-func (f *fixed) Issue(a Access) []addr.BlockNum {
-	out := f.predict(a, nil)
-	f.empty = len(out) == 0
+func (f *fixed) Name() string                   { return f.name }
+func (f *fixed) Train(Access)                   { f.train++; f.empty = false }
+func (f *fixed) StorageBits() int               { return 0 }
+func (f *fixed) Reset()                         { f.train = 0 }
+func (f *fixed) Issue(a Access) []addr.BlockNum { return f.IssueTo(a, nil) }
+func (f *fixed) IssueTo(a Access, dst []addr.BlockNum) []addr.BlockNum {
+	out := f.predict(a, dst)
+	f.empty = len(out) == len(dst)
 	return out
 }
 func (f *fixed) Peek(a Access, dst []addr.BlockNum) []addr.BlockNum {

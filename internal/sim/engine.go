@@ -212,12 +212,9 @@ type channelState struct {
 	// attribution table and the Chrome trace share one origin namespace.
 	tracker originTracker
 
-	// issuer is pf's buffered-issue interface (nil when pf only implements
-	// Issue), and cands the persistent candidate buffer threaded through
-	// it — the issuing phase of every built-in prefetcher runs without a
-	// single allocation this way.
-	issuer prefetch.BufferedIssuer
-	cands  []addr.BlockNum
+	// cands is the persistent candidate buffer threaded through pf's
+	// IssueTo, so the issuing phase runs without a single allocation.
+	cands []addr.BlockNum
 
 	// kept holds the candidates one trigger issues (the prefetch queue,
 	// allocated once at its full depth), and pstats counts this unit's
@@ -424,7 +421,6 @@ func New(cfg Config) *Engine {
 			kept:  make([]addr.BlockNum, 0, prefetchQueueCap),
 		}
 		cs.tracker, _ = pf.(originTracker)
-		cs.issuer, _ = pf.(prefetch.BufferedIssuer)
 		if e.recorder != nil {
 			cs.ev = e.recorder.Channel(ch)
 			if es, ok := pf.(eventSinkSetter); ok {
@@ -656,17 +652,10 @@ func (cs *channelState) step(rec trace.Record) error {
 		}
 	}
 
-	// Issuing phase, through the persistent candidate buffer when the
-	// prefetcher supports it (all built-ins do).
-	var cands []addr.BlockNum
-	if cs.issuer != nil {
-		cs.cands = cs.issuer.IssueTo(a, cs.cands[:0])
-		cands = cs.cands
-	} else {
-		cands = cs.pf.Issue(a)
-	}
+	// Issuing phase, through the persistent candidate buffer.
+	cs.cands = cs.pf.IssueTo(a, cs.cands[:0])
 	origin := events.OriginNone
-	if len(cands) > 0 {
+	if len(cs.cands) > 0 {
 		if cs.tracker != nil {
 			origin = events.OriginFromName(cs.tracker.Origin())
 		}
@@ -678,7 +667,7 @@ func (cs *channelState) step(rec trace.Record) error {
 	// targets are dropped, which defends against buggy custom prefetchers
 	// rather than silently corrupting another channel's cache.
 	cs.kept = cs.kept[:0]
-	for _, c := range cands {
+	for _, c := range cs.cands {
 		cs.pstats.Candidates++
 		switch {
 		case c.Channel() != blk.Channel() || len(cs.kept) >= cs.cfg.MaxPerTrigger:

@@ -167,10 +167,13 @@ func (s *scriptedPrefetcher) Train(prefetch.Access) {}
 func (s *scriptedPrefetcher) StorageBits() int      { return 1 }
 func (s *scriptedPrefetcher) Reset()                {}
 func (s *scriptedPrefetcher) Issue(a prefetch.Access) []addr.BlockNum {
+	return s.IssueTo(a, nil)
+}
+func (s *scriptedPrefetcher) IssueTo(a prefetch.Access, dst []addr.BlockNum) []addr.BlockNum {
 	if a.Miss || s.onHit {
-		return s.targets
+		return append(dst, s.targets...)
 	}
-	return nil
+	return dst
 }
 
 func TestPrefetchTimeliness(t *testing.T) {
@@ -344,13 +347,16 @@ func (crossChannelPrefetcher) Name() string          { return "evil" }
 func (crossChannelPrefetcher) Train(prefetch.Access) {}
 func (crossChannelPrefetcher) StorageBits() int      { return 0 }
 func (crossChannelPrefetcher) Reset()                {}
-func (crossChannelPrefetcher) Issue(a prefetch.Access) []addr.BlockNum {
+func (c crossChannelPrefetcher) Issue(a prefetch.Access) []addr.BlockNum {
+	return c.IssueTo(a, nil)
+}
+func (crossChannelPrefetcher) IssueTo(a prefetch.Access, dst []addr.BlockNum) []addr.BlockNum {
 	if !a.Miss {
-		return nil
+		return dst
 	}
 	// Same page, next segment: a different channel.
 	off := (a.Block.Offset() + addr.SegmentBlocks) % addr.BlocksPerPage
-	return []addr.BlockNum{a.Block.Page().Block(off)}
+	return append(dst, a.Block.Page().Block(off))
 }
 
 func TestForeignChannelTargetsDropped(t *testing.T) {

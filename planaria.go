@@ -82,7 +82,7 @@ type Options struct {
 	// usable (default 110).
 	PrefetchLatency uint64
 	// MaxPrefetchPerTrigger caps prefetches accepted per demand access
-	// (default 16).
+	// (default 16); the 64-entry prefetch queue caps it.
 	MaxPrefetchPerTrigger int
 }
 
@@ -90,7 +90,9 @@ type Options struct {
 // decoupled design: Train observes every demand access (the learning phase);
 // Issue returns block addresses to prefetch (the issuing phase). Block
 // addresses returned by Issue are byte addresses of 64-byte blocks on the
-// same channel as the triggering access.
+// same channel as the triggering access. The simulator copies them before
+// its next call, so Issue may return a slice it reuses, and then a warm
+// simulator steps without allocating.
 type Prefetcher interface {
 	Name() string
 	Train(a Access, miss bool)
@@ -117,17 +119,15 @@ func (c customAdapter) Name() string     { return c.p.Name() }
 func (c customAdapter) StorageBits() int { return c.p.StorageBits() }
 func (c customAdapter) Reset()           {}
 
-func (c customAdapter) Train(a prefetch.Access) {
-	c.p.Train(Access{Addr: uint64(a.Block.Addr()), Cycle: a.Cycle, Write: a.Write}, a.Miss)
-}
+func (c customAdapter) Train(a prefetch.Access) { c.p.Train(publicAccess(a), a.Miss) }
 
-func (c customAdapter) Issue(a prefetch.Access) []addr.BlockNum {
-	targets := c.p.Issue(Access{Addr: uint64(a.Block.Addr()), Cycle: a.Cycle, Write: a.Write}, a.Miss)
-	out := make([]addr.BlockNum, 0, len(targets))
-	for _, t := range targets {
-		out = append(out, addr.Addr(t).Block())
-	}
-	return out
+func (c customAdapter) Issue(a prefetch.Access) []addr.BlockNum { return c.IssueTo(a, nil) }
+
+// IssueTo appends the blocks of the addresses the public Issue returns to
+// the engine's buffer, so an implementation that reuses its own slice steps
+// allocation-free.
+func (c customAdapter) IssueTo(a prefetch.Access, dst []addr.BlockNum) []addr.BlockNum {
+	return appendBlocks(dst, c.p.Issue(publicAccess(a), a.Miss))
 }
 
 // componentAdapter bridges a public Component (custom tournament entrant)
@@ -135,7 +135,16 @@ func (c customAdapter) Issue(a prefetch.Access) []addr.BlockNum {
 type componentAdapter struct{ customAdapter }
 
 func (c componentAdapter) Peek(a prefetch.Access, dst []addr.BlockNum) []addr.BlockNum {
-	targets := c.p.(Component).Peek(Access{Addr: uint64(a.Block.Addr()), Cycle: a.Cycle, Write: a.Write}, a.Miss)
+	return appendBlocks(dst, c.p.(Component).Peek(publicAccess(a), a.Miss))
+}
+
+// publicAccess is the public form of an internal access.
+func publicAccess(a prefetch.Access) Access {
+	return Access{Addr: uint64(a.Block.Addr()), Cycle: a.Cycle, Write: a.Write}
+}
+
+// appendBlocks appends the blocks holding the byte addresses targets to dst.
+func appendBlocks(dst []addr.BlockNum, targets []uint64) []addr.BlockNum {
 	for _, t := range targets {
 		dst = append(dst, addr.Addr(t).Block())
 	}

@@ -230,3 +230,58 @@ func TestTournamentCustomJoinsBuiltInSet(t *testing.T) {
 		}
 	}
 }
+
+// reusePrefetcher next-line prefetches through the public Component
+// interface from a slice it reuses, so it allocates nothing itself.
+type reusePrefetcher struct{ buf []uint64 }
+
+func (r *reusePrefetcher) Name() string                       { return "reuse" }
+func (r *reusePrefetcher) StorageBits() int                   { return 8 }
+func (r *reusePrefetcher) Train(Access, bool)                 {}
+func (r *reusePrefetcher) Issue(a Access, miss bool) []uint64 { return r.Peek(a, miss) }
+func (r *reusePrefetcher) Peek(a Access, miss bool) []uint64 {
+	if !miss {
+		return nil
+	}
+	r.buf = append(r.buf[:0], a.Addr+64)
+	return r.buf
+}
+
+// TestCustomPrefetcherStepsAllocationFree: once warm, the simulator steps a
+// custom prefetcher, and a tournament with a custom entrant, without
+// allocating, when the custom code returns a reused slice. The adapter
+// appends the public addresses to the engine's candidate buffer.
+func TestCustomPrefetcherStepsAllocationFree(t *testing.T) {
+	cases := []struct {
+		name string
+		opts Options
+	}{
+		{"custom", Options{Custom: func(int) Prefetcher { return &reusePrefetcher{} }}},
+		{"tournament-custom", Options{TournamentCustom: func(int) []Component {
+			return []Component{&reusePrefetcher{}}
+		}}},
+	}
+	tr := GenerateTrace("CFM", 300_000)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := NewSimulator(tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			next := 0
+			steps := func(n int) {
+				for end := next + n; next < end; next++ {
+					if err := s.Step(tr[next]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			steps(200_000)
+			// AllocsPerRun divides by the runs in integers, so one run of
+			// 1,000 Steps counts every allocation they make.
+			if n := testing.AllocsPerRun(1, func() { steps(1_000) }); n != 0 {
+				t.Fatalf("%.0f allocations in 1,000 warm Steps, want 0", n)
+			}
+		})
+	}
+}
