@@ -15,8 +15,8 @@
 //	experiments -run fig8 -sample-every 50000 -json fig8.json
 //	experiments -validate-artifact out.json          # parse + validate, exit
 //	experiments -validate-trace run.trace.json       # parse + validate a Chrome trace, exit
-//	experiments -validate-metrics scrape.prom        # parse + validate a /metrics scrape, exit
-//	experiments -run all -debug-addr localhost:6060  # live progress + pprof while the sweep runs
+//	experiments -validate-metrics live/metrics.prom  # parse + validate a Prometheus text exposition, exit
+//	experiments -run all -live-dir live/             # live metrics + progress files while the sweep runs
 //
 // Sweep farm (see EXPERIMENTS.md, "Sweep farm"): -repeats > 1 or -grid
 // switches to the resumable grid runner, which checkpoints one artifact per
@@ -69,8 +69,8 @@ var (
 	memprofile      = flag.String("memprofile", "", "write a heap profile (runtime/pprof) to this path")
 	validate        = flag.String("validate-artifact", "", "read and validate the JSON artifact at this path, then exit (CI smoke check)")
 	validateTrace   = flag.String("validate-trace", "", "read and validate the Chrome trace-event JSON at this path, then exit (CI smoke check)")
-	validateMetrics = flag.String("validate-metrics", "", "read and validate the Prometheus text exposition at this path (a saved /metrics scrape), then exit (CI smoke check)")
-	debugAddr       = flag.String("debug-addr", "", "serve live sweep introspection (progress, metrics, pprof) on this address, e.g. localhost:6060")
+	validateMetrics = flag.String("validate-metrics", "", "read and validate the Prometheus text exposition at this path (e.g. a -live-dir metrics.prom), then exit (CI smoke check)")
+	liveDir         = flag.String("live-dir", "", "rewrite the sweep's live views (metrics.prom, progress.json) in this directory every second and at exit")
 	extraPF         = flag.String("extra-pf", "", "comma-separated extra prefetchers added to the fig7/csv sweep set, e.g. planaria-tournament (see sim.PrefetcherNames)")
 	repeats         = flag.Int("repeats", 1, "seeded repeats per sweep cell; values > 1 run the resumable sweep farm and report mean ± 95% CI (see EXPERIMENTS.md)")
 	gridPath        = flag.String("grid", "", "JSON grid spec (apps × prefetchers × variants × repeats) run on the sweep farm; overrides -run")
@@ -85,7 +85,7 @@ var (
 func main() { os.Exit(execute()) }
 
 // execute is the command. It returns the exit status instead of calling
-// os.Exit, so the deferred cleanups — the profiles and the debug server —
+// os.Exit, so the deferred cleanups — the profiles and the live views —
 // run on every way out, failures included.
 func execute() (code int) {
 	flag.Parse()
@@ -160,18 +160,28 @@ func execute() (code int) {
 		}()
 	}
 
-	if *debugAddr != "" {
+	// The live views are rewritten every second, and once more on every
+	// way out after the ticker stops.
+	if *liveDir != "" {
 		opts.Progress = telemetry.NewRegistry()
-		d, derr := obs.StartDebugServer(*debugAddr, obs.DebugConfig{
+		live, err := obs.NewLiveViews(*liveDir, obs.LiveConfig{
 			Telemetry: opts.Progress,
 			Tool:      "experiments",
 			Workload:  *run,
 		})
-		if derr != nil {
-			return fail(derr)
+		if err != nil {
+			return fail(err)
 		}
-		defer d.Close()
-		logger.Info("debug endpoint ready", "url", "http://"+d.Addr()+"/")
+		defer func() {
+			if err := live.Write(); err != nil {
+				code = fail(err)
+			}
+		}()
+		defer obs.Every(time.Second, func() {
+			if err := live.Write(); err != nil {
+				logger.Warn("live views not written", "err", err)
+			}
+		})()
 	}
 	w := os.Stdout
 
@@ -305,7 +315,7 @@ func execute() (code int) {
 func farmMode() bool { return *gridPath != "" || *repeats > 1 }
 
 // runOptions builds the experiment options the flags select, without the
-// -debug-addr progress registry.
+// -live-dir progress registry.
 func runOptions() (experiments.Options, error) {
 	if *n <= 0 {
 		return experiments.Options{}, fmt.Errorf("-n %d: the trace length must be positive", *n)

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/obs"
+	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
 
@@ -219,6 +220,65 @@ func TestProfilesWrittenOnFailure(t *testing.T) {
 			}
 			requireGzip(t, cpu)
 			requireGzip(t, heap)
+		})
+	}
+}
+
+// requireLiveViews fails the test unless dir holds the live views of a
+// finished 2,000-record farm: a metrics.prom that validates and counts the
+// records, a progress.json that parses, and no attrib.json, whose source
+// the sweeps do not record.
+func requireLiveViews(t *testing.T, dir string) {
+	t.Helper()
+	prom, err := os.ReadFile(filepath.Join(dir, obs.MetricsFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := telemetry.ValidateExposition(bytes.NewReader(prom)); err != nil {
+		t.Fatalf("%s: %v", obs.MetricsFile, err)
+	}
+	if !bytes.Contains(prom, []byte("\nplanaria_run_records_total 2000\n")) {
+		t.Fatalf("%s does not read planaria_run_records_total 2000", obs.MetricsFile)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, obs.ProgressFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var progress telemetry.Progress
+	if err := json.Unmarshal(b, &progress); err != nil {
+		t.Fatalf("%s: %v", obs.ProgressFile, err)
+	}
+	if progress.Records != 2000 {
+		t.Fatalf("%s: %d records, want 2000", obs.ProgressFile, progress.Records)
+	}
+	if _, err := os.Stat(filepath.Join(dir, obs.AttribFile)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("%s written without an event recorder: %v", obs.AttribFile, err)
+	}
+}
+
+// TestLiveViewsWritten: -live-dir leaves the live views of a finished farm,
+// and a farm that exits 1 (its -csv path lies under a regular file) still
+// writes them.
+func TestLiveViewsWritten(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct {
+		args []string
+		code int
+	}{
+		"ok":     {nil, 0},
+		"failed": {[]string{"-csv", filepath.Join(file, "out.csv")}, 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			live := filepath.Join(dir, name)
+			args := append([]string{"-n", "2000", "-grid", writeGrid(t), "-live-dir", live}, c.args...)
+			if code, stderr := runMain(t, args...); code != c.code {
+				t.Fatalf("exit %d, stderr %q; want exit %d", code, stderr, c.code)
+			}
+			requireLiveViews(t, live)
 		})
 	}
 }

@@ -13,15 +13,15 @@
 //	planaria-sim -app CFM -pf planaria -json out.json -sample-every 50000
 //	planaria-sim -app CFM -pf planaria -cpuprofile cpu.out -memprofile mem.out
 //
-// Decision-level tracing and live introspection (see docs/TRACING.md):
+// Decision-level tracing and live views (see docs/TRACING.md):
 //
 //	planaria-sim -app CFM -pf planaria -trace-out run.trace.json -attrib
-//	planaria-sim -app CFM -pf planaria -progress -debug-addr localhost:6060
+//	planaria-sim -app CFM -pf planaria -progress -live-dir live/
 //
 // Live telemetry and structured logging (see docs/OBSERVABILITY.md):
 //
 //	planaria-sim -app CFM -pf planaria -telemetry -json out.json  # report carries the telemetry summary
-//	planaria-sim -app CFM -pf planaria -debug-addr :6060          # Prometheus text format at /metrics
+//	planaria-sim -app CFM -pf planaria -live-dir live/            # Prometheus text format in live/metrics.prom
 //	planaria-sim -app CFM -pf planaria -log-level debug -log-json
 package main
 
@@ -34,7 +34,6 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
@@ -68,9 +67,9 @@ var (
 	memprofile   = flag.String("memprofile", "", "write a heap profile (runtime/pprof) to this path")
 	traceOut     = flag.String("trace-out", "", "record decision events and write a Chrome trace-event JSON (Perfetto-loadable) to this path")
 	attrib       = flag.Bool("attrib", false, "record decision events and print the per-prefetcher attribution table")
-	debugAddr    = flag.String("debug-addr", "", "serve live run introspection (progress, attribution, metrics, pprof) on this address, e.g. localhost:6060")
+	liveDir      = flag.String("live-dir", "", "rewrite the run's live views (metrics.prom, progress.json, attrib.json) in this directory every second and at exit")
 	progress     = flag.Bool("progress", false, "print a one-line progress report to stderr every second")
-	telemetryOn  = flag.Bool("telemetry", false, "enable live metrics instruments (latency histograms, per-component counters); implied by -debug-addr and -progress; adds the telemetry summary to reports and -json artifacts (docs/OBSERVABILITY.md)")
+	telemetryOn  = flag.Bool("telemetry", false, "enable live metrics instruments (latency histograms, per-component counters); implied by -live-dir and -progress; adds the telemetry summary to reports and -json artifacts (docs/OBSERVABILITY.md)")
 	logLevel     = flag.String("log-level", "info", "minimum structured-log level on stderr: debug, info, warn or error")
 	logJSON      = flag.Bool("log-json", false, "emit structured logs as JSON lines instead of key=value text")
 	// Deprecated: -subshards must be 0 or 1; engineConfig refuses more.
@@ -80,7 +79,7 @@ var (
 func main() { os.Exit(execute()) }
 
 // execute is the command. It returns the exit status instead of calling
-// os.Exit, so the deferred cleanups — the profiles, the debug server, the
+// os.Exit, so the deferred cleanups — the profiles, the live views, the
 // trace file — run on every way out, failures included.
 func execute() (code int) {
 	flag.Parse()
@@ -131,8 +130,14 @@ func execute() (code int) {
 	reg := cfg.Telemetry
 	eng := sim.New(cfg)
 
-	if *debugAddr != "" {
-		debug, err := obs.StartDebugServer(*debugAddr, obs.DebugConfig{
+	// The -progress line and the live views share one 1-second ticker.
+	// The views are written once more on every way out, after it stops.
+	var ticks []func()
+	if *progress {
+		ticks = append(ticks, progressLine(reg))
+	}
+	if *liveDir != "" {
+		live, err := obs.NewLiveViews(*liveDir, obs.LiveConfig{
 			Recorder:   eng.Events(),
 			Telemetry:  reg,
 			Tool:       "planaria-sim",
@@ -142,14 +147,19 @@ func execute() (code int) {
 		if err != nil {
 			return fail(err)
 		}
-		defer debug.Close()
-		logger.Info("debug endpoint ready", "url", "http://"+debug.Addr()+"/")
+		defer func() {
+			if err := live.Write(); err != nil {
+				code = fail(err)
+			}
+		}()
+		ticks = append(ticks, func() {
+			if err := live.Write(); err != nil {
+				logger.Warn("live views not written", "err", err)
+			}
+		})
 	}
-	var stopProgress func()
-	if *progress {
-		stopProgress = startProgressPrinter(reg)
-		defer stopProgress()
-	}
+	stopTicks := obs.Every(time.Second, ticks...)
+	defer stopTicks()
 
 	// The profiles are written on every way out from here on. The heap
 	// profile, deferred last, is written before the CPU profile stops.
@@ -186,9 +196,7 @@ func execute() (code int) {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	rep, err := eng.Run(ctx, s, name, *warmup)
 	stopSignals()
-	if stopProgress != nil {
-		stopProgress()
-	}
+	stopTicks()
 	if err != nil && !rep.Truncated {
 		// Nothing ran (e.g. a warmup fraction on an unsized stream): a
 		// configuration error, not a degraded run — no partial results
@@ -268,61 +276,41 @@ func engineConfig() (sim.Config, error) {
 	cfg.SampleEvery = *sampleEvery
 	cfg.SampleEveryCycles = *sampleCycles
 	// Event tracing: -trace-out needs the per-channel rings; -attrib and
-	// -debug-addr only need the attribution counters (ring size 0).
+	// -live-dir only need the attribution counters (ring size 0).
 	if *traceOut != "" {
 		cfg.Events = &events.Config{RingSize: events.DefaultRingSize}
-	} else if *attrib || *debugAddr != "" {
+	} else if *attrib || *liveDir != "" {
 		cfg.Events = &events.Config{}
 	}
 	// Run progress is a pair of registry series, so -progress and
-	// -debug-addr always build the registry.
-	if *telemetryOn || *debugAddr != "" || *progress {
+	// -live-dir always build the registry.
+	if *telemetryOn || *liveDir != "" || *progress {
 		cfg.Telemetry = telemetry.NewRegistry()
 	}
 	return cfg, nil
 }
 
-// startProgressPrinter logs a one-line progress report every second: records
+// progressLine returns a tick that logs a one-line progress report: records
 // done, live req/s, ETA and the live p99 demand read latency, from the
-// registry's progress view with elapsed time counted from this call. The
-// returned stop function is idempotent.
-func startProgressPrinter(reg *telemetry.Registry) func() {
+// registry's progress view with elapsed time counted from this call.
+func progressLine(reg *telemetry.Registry) func() {
 	start := time.Now()
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		tick := time.NewTicker(time.Second)
-		defer tick.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-tick.C:
-				p := reg.Progress(start)
-				attrs := []any{
-					"records", p.Records,
-					"req_per_s", int64(p.ReqPerSec),
-				}
-				if p.Total > 0 {
-					attrs = append(attrs,
-						"total", p.Total,
-						"pct", fmt.Sprintf("%.1f", 100*p.Fraction),
-						"eta_s", int64(p.ETASec))
-				}
-				if p.P99DemandLatCycles > 0 {
-					attrs = append(attrs, "p99_demand_lat_cycles", p.P99DemandLatCycles)
-				}
-				logger.Info("progress", attrs...)
-			}
-		}
-	}()
-	var once sync.Once
 	return func() {
-		once.Do(func() {
-			close(done)
-			<-finished
-		})
+		p := reg.Progress(start)
+		attrs := []any{
+			"records", p.Records,
+			"req_per_s", int64(p.ReqPerSec),
+		}
+		if p.Total > 0 {
+			attrs = append(attrs,
+				"total", p.Total,
+				"pct", fmt.Sprintf("%.1f", 100*p.Fraction),
+				"eta_s", int64(p.ETASec))
+		}
+		if p.P99DemandLatCycles > 0 {
+			attrs = append(attrs, "p99_demand_lat_cycles", p.P99DemandLatCycles)
+		}
+		logger.Info("progress", attrs...)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"repro/internal/events"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
 
@@ -184,4 +185,62 @@ func TestProfilesWrittenOnFailure(t *testing.T) {
 	}
 	requireGzip(t, cpu)
 	requireGzip(t, heap)
+}
+
+// requireLiveViews fails the test unless dir holds the live views of a
+// finished 2,000-record run: a metrics.prom that validates and counts the
+// records, a progress.json that parses, and an attrib.json that parses.
+func requireLiveViews(t *testing.T, dir string) {
+	t.Helper()
+	prom, err := os.ReadFile(filepath.Join(dir, obs.MetricsFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := telemetry.ValidateExposition(bytes.NewReader(prom)); err != nil {
+		t.Fatalf("%s: %v", obs.MetricsFile, err)
+	}
+	if !bytes.Contains(prom, []byte("\nplanaria_run_records_total 2000\n")) {
+		t.Fatalf("%s does not read planaria_run_records_total 2000", obs.MetricsFile)
+	}
+	var progress telemetry.Progress
+	var attrib events.AttribSnapshot
+	for name, v := range map[string]any{obs.ProgressFile: &progress, obs.AttribFile: &attrib} {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(b, v); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	if progress.Records != 2000 {
+		t.Fatalf("%s: %d records, want 2000", obs.ProgressFile, progress.Records)
+	}
+}
+
+// TestLiveViewsWritten: -live-dir leaves the live views of the finished
+// run, and a run that exits 1 (its -json path lies under a regular file)
+// still writes them.
+func TestLiveViewsWritten(t *testing.T) {
+	dir := t.TempDir()
+	file := filepath.Join(dir, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct {
+		args []string
+		code int
+	}{
+		"ok":     {nil, 0},
+		"failed": {[]string{"-json", filepath.Join(file, "out.json")}, 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			live := filepath.Join(dir, name)
+			args := append([]string{"-app", "CFM", "-n", "2000", "-attrib", "-live-dir", live}, c.args...)
+			if code, stderr := runMain(t, args...); code != c.code {
+				t.Fatalf("exit %d, stderr %q; want exit %d", code, stderr, c.code)
+			}
+			requireLiveViews(t, live)
+		})
+	}
 }

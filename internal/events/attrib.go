@@ -14,7 +14,7 @@ func bucketOf(ev Event) int {
 }
 
 // attribCell is one (origin × page-bucket) row of lifecycle counters. All
-// fields are atomics so the debug endpoint can snapshot mid-run.
+// fields are atomics so the live views can snapshot mid-run.
 type attribCell struct {
 	issued  atomic.Uint64
 	filled  atomic.Uint64

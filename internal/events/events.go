@@ -17,13 +17,13 @@
 //     ring buffers (drop-oldest, with a dropped counter) so bounded memory
 //     is preserved under arbitrarily long streamed runs.
 //   - The attribution table is updated with channel-local atomics so a
-//     live consumer (the -debug-addr endpoint) can snapshot it mid-run
+//     live consumer (the -live-dir views) can snapshot it mid-run
 //     without stopping the workers.
 //
 // Consumers: WriteChromeTrace exports the rings as Chrome trace-event JSON
 // (loadable in Perfetto / chrome://tracing), and Recorder.Attrib produces
 // the per-prefetcher / per-page-bucket attribution table embedded in obs
-// run artifacts and served by the debug endpoint.
+// run artifacts and written to the live attrib.json view.
 package events
 
 import (
@@ -228,7 +228,7 @@ type Sink interface {
 type Config struct {
 	// RingSize is the per-channel ring-buffer capacity in events. Zero
 	// keeps attribution and live counters but records no event ring —
-	// the cheap mode behind -debug-addr / -attrib without -trace-out.
+	// the cheap mode behind -live-dir / -attrib without -trace-out.
 	RingSize int
 }
 

@@ -3,7 +3,7 @@ package events
 // ChannelSink is one channel's event sink: a ring buffer (optional) plus
 // channel-local attribution counters. Emit is called by exactly one
 // goroutine (the channel's worker); the attribution side uses atomics so
-// concurrent readers (the debug endpoint) stay race-free.
+// concurrent readers (the live views) stay race-free.
 type ChannelSink struct {
 	ring    *Ring // nil when the recorder runs attribution-only
 	at      attrib

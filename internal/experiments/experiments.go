@@ -38,7 +38,7 @@ type Options struct {
 
 	// Progress, when non-nil, receives job-granular run progress from
 	// every simulated run (telemetry.RunProgress) — the backing state of
-	// cmd/experiments' -debug-addr endpoint. Each run declares its records
+	// cmd/experiments' -live-dir views. Each run declares its records
 	// before it starts and adds them when it completes; the registry is
 	// never handed to the engines, so reports do not depend on it.
 	Progress *telemetry.Registry

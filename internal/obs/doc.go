@@ -25,5 +25,7 @@
 //
 // The profiling hooks (StartCPUProfile, WriteHeapProfile) are thin wrappers
 // over runtime/pprof used by cmd/planaria-sim and cmd/experiments behind
-// their -cpuprofile/-memprofile flags.
+// their -cpuprofile/-memprofile flags. Behind -live-dir, LiveViews keeps
+// a run's metrics, progress and attribution current as files while it is
+// in flight.
 package obs

@@ -113,8 +113,7 @@ func (m *Meta) Penalize(region, comp int) {
 	}
 }
 
-// Trust returns the region's trust counter for a component (tests and the
-// debug endpoint).
+// Trust returns the region's trust counter for a component (tests).
 func (m *Meta) Trust(region, comp int) uint8 { return m.trust[region][comp] }
 
 // Score returns a component's global (PSEL-style) score.

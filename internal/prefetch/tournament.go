@@ -147,7 +147,7 @@ func NewTournament(cfg TournamentConfig, comps ...Component) *Tournament {
 // Name implements Prefetcher.
 func (t *Tournament) Name() string { return t.cfg.Name }
 
-// Meta exposes the selector (tests, analysis, the debug endpoint).
+// Meta exposes the selector (tests, and the engine's published scores).
 func (t *Tournament) Meta() *Meta { return t.meta }
 
 // Components returns the component list in priority order.

@@ -93,8 +93,8 @@ type Config struct {
 	// record on the hot paths; the counters and gauges are published from
 	// the units' own counts after each batch Run steps, in ResetStats and
 	// in Finish (only the last two for a Step-driven engine). The registry
-	// is scrape-safe mid-run — it backs the -debug-addr /metrics and
-	// /progress handlers — and its Summary lands in the report
+	// is safe to read mid-run — it backs the -live-dir metrics.prom and
+	// progress.json views — and its Summary lands in the report
 	// (Report.Telemetry). Instruments cover the whole run including warmup
 	// and are never reset (Prometheus counter semantics); the report
 	// aggregates remain measured-region-only. Nil disables everything: the

@@ -136,7 +136,7 @@ func (e *Engine) runParallelStream(ctx context.Context, s trace.Stream, warmAt i
 			} else if c := e.runRecords; c != nil {
 				// Progress and the unit's counters are published at parcel
 				// granularity — a few atomic adds per batch keep -progress
-				// and -debug-addr nearly free — and additively, so
+				// and -live-dir nearly free — and additively, so
 				// sequential engines sharing one registry accumulate
 				// instead of rewinding.
 				c.Add(uint64(len(b.recs)))

@@ -6,11 +6,10 @@ package telemetry
 // id, app, prefetcher) that a log pipeline can filter on.
 
 import (
-	"crypto/rand"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"log/slog"
+	"math/rand/v2"
 	"strings"
 )
 
@@ -41,12 +40,10 @@ func NewLogger(w io.Writer, level slog.Level, asJSON bool) *slog.Logger {
 	return slog.New(slog.NewTextHandler(w, opts))
 }
 
-// NewRunID returns a short random hex id identifying one run in log
-// streams that interleave several (the experiments sweep, a farm).
+// NewRunID returns a short random id, 8 hex digits, identifying one run
+// in log streams that interleave several (the experiments sweep, a farm).
+// It labels log lines and is not a secret, so it draws from the
+// runtime-seeded math/rand/v2 rather than crypto/rand.
 func NewRunID() string {
-	var b [4]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "run-unknown"
-	}
-	return hex.EncodeToString(b[:])
+	return fmt.Sprintf("%08x", rand.Uint32())
 }

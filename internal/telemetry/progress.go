@@ -3,7 +3,7 @@ package telemetry
 // Run progress lives in the registry as two series: a counter of records
 // processed and a gauge of records declared. The engine advances them per
 // chunk, the sweep runners per job; Progress turns them into the view that
-// the -debug-addr /progress endpoint and the -progress printer both show.
+// the -live-dir progress.json view and the -progress printer both show.
 
 import "time"
 
@@ -26,7 +26,7 @@ func RunProgress(r *Registry) (records *Counter, expected *Gauge) {
 }
 
 // Progress is one self-describing progress snapshot, JSON-shaped for the
-// debug endpoint.
+// progress.json live view.
 type Progress struct {
 	Records    int64   `json:"records"`
 	Total      int64   `json:"total,omitempty"`    // 0 = unknown

@@ -1,15 +1,14 @@
 package telemetry
 
 // Prometheus text exposition (version 0.0.4): WritePrometheus renders the
-// registry for a /metrics scrape, and ValidateExposition is the matching
-// minimal promlint-style checker used by the exposition tests, by
-// `experiments -validate-metrics`, and by the CI scrape smoke step.
+// registry for the live metrics.prom view, and ValidateExposition is the
+// matching minimal promlint-style checker used by the exposition tests, by
+// `experiments -validate-metrics`, and by the CI live-view smoke step.
 
 import (
 	"bufio"
 	"fmt"
 	"io"
-	"regexp"
 	"strconv"
 	"strings"
 )
@@ -79,10 +78,21 @@ func escapeHelp(s string) string {
 	return strings.ReplaceAll(s, "\n", `\n`)
 }
 
-var (
-	metricNameRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
-	labelNameRe  = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
-)
+// validName reports whether s is a metric name, [a-zA-Z_:][a-zA-Z0-9_:]*,
+// or, with colon false, a label name, [a-zA-Z_][a-zA-Z0-9_]*.
+func validName(s string, colon bool) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', c == '_':
+		case c == ':' && colon:
+		case '0' <= c && c <= '9' && i > 0:
+		default:
+			return false
+		}
+	}
+	return s != ""
+}
 
 // ValidateExposition parses a text-exposition payload and reports the
 // first violation it finds: malformed sample or comment lines, invalid
@@ -153,7 +163,7 @@ func validateComment(line string, typeOf map[string]string, seenSample map[strin
 	}
 	switch fields[1] {
 	case "HELP":
-		if len(fields) < 3 || !metricNameRe.MatchString(fields[2]) {
+		if len(fields) < 3 || !validName(fields[2], true) {
 			return fmt.Errorf("telemetry: malformed HELP comment %q", line)
 		}
 	case "TYPE":
@@ -161,7 +171,7 @@ func validateComment(line string, typeOf map[string]string, seenSample map[strin
 			return fmt.Errorf("telemetry: malformed TYPE comment %q", line)
 		}
 		name, typ := fields[2], fields[3]
-		if !metricNameRe.MatchString(name) {
+		if !validName(name, true) {
 			return fmt.Errorf("telemetry: invalid metric name %q", name)
 		}
 		switch typ {
@@ -282,7 +292,7 @@ func parseSample(line string) (name string, labels map[string]string, value floa
 		name = rest[:sp]
 		rest = rest[sp:]
 	}
-	if !metricNameRe.MatchString(name) {
+	if !validName(name, true) {
 		return "", nil, 0, fmt.Errorf("telemetry: invalid metric name %q", name)
 	}
 	fields := strings.Fields(rest)
@@ -313,7 +323,7 @@ func parseLabels(s string, out map[string]string) (rest string, err error) {
 			return "", fmt.Errorf("telemetry: labels missing '=' in %q", s)
 		}
 		key := strings.TrimSpace(s[:eq])
-		if !labelNameRe.MatchString(key) {
+		if !validName(key, false) {
 			return "", fmt.Errorf("telemetry: invalid label name %q", key)
 		}
 		s = s[eq+1:]
