@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -27,14 +28,12 @@ func readView(t *testing.T, dir, name string) []byte {
 	return b
 }
 
-// TestLiveViews pins what each view holds: a populated registry, run
-// progress included, as a valid exposition with each family declared once,
-// its progress view, and the attribution snapshot; a later Write rewrites
-// them with later counts.
+// TestLiveViews pins the progress and attribution views and the directory
+// they leave: progress.json reads the run-progress series, attrib.json the
+// attribution snapshot, nothing but the three views is left behind, and a
+// later Write rewrites them with later counts.
 func TestLiveViews(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	reg.Counter("test_ops_total", "Operations.").Add(42)
-	reg.Histogram("test_latency_cycles", "Latency.").Record(100)
 	records, expected := telemetry.RunProgress(reg)
 	expected.Add(1000)
 	records.Add(250)
@@ -49,6 +48,78 @@ func TestLiveViews(t *testing.T) {
 		Telemetry: reg, Recorder: rec,
 		Tool: "test", Workload: "CFM", Prefetcher: "planaria",
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type labelledProgress struct {
+		Tool       string `json:"tool"`
+		Workload   string `json:"workload"`
+		Prefetcher string `json:"prefetcher"`
+		telemetry.Progress
+	}
+	var prog labelledProgress
+	if err := json.Unmarshal(readView(t, dir, ProgressFile), &prog); err != nil {
+		t.Fatal(err)
+	}
+	if prog.Tool != "test" || prog.Workload != "CFM" || prog.Prefetcher != "planaria" ||
+		prog.Records != 250 || prog.Total != 1000 || prog.Fraction != 0.25 {
+		t.Fatalf("progress %+v", prog)
+	}
+
+	var snap events.AttribSnapshot
+	if err := json.Unmarshal(readView(t, dir, AttribFile), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Origins) != 1 || snap.Origins[0].Origin != "slp" || snap.Origins[0].Used != 1 {
+		t.Fatalf("attrib snapshot %+v", snap)
+	}
+
+	records.Add(750)
+	rec.Channel(1).Emit(events.Event{Kind: events.KindIssue, Block: addr.PageNum(9).Block(0), Origin: events.OriginTLP})
+	if err := v.Write(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if got, want := strings.Join(names, " "), strings.Join([]string{AttribFile, MetricsFile, ProgressFile}, " "); got != want {
+		t.Errorf("directory holds %s, want %s", got, want)
+	}
+	prog = labelledProgress{}
+	if err := json.Unmarshal(readView(t, dir, ProgressFile), &prog); err != nil {
+		t.Fatal(err)
+	}
+	if prog.Records != 1000 || prog.Fraction != 1 {
+		t.Errorf("rewritten progress %+v, want 1000 records, fraction 1", prog)
+	}
+	snap = events.AttribSnapshot{}
+	if err := json.Unmarshal(readView(t, dir, AttribFile), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Origins) != 2 || snap.Origins[1].Origin != "tlp" || snap.Origins[1].Issued != 1 {
+		t.Errorf("rewritten attrib snapshot %+v, want the TLP issue", snap)
+	}
+}
+
+// TestLiveViewsMetrics pins metrics.prom: a populated registry, run
+// progress included, is written in valid Prometheus text format with each
+// family declared once, and a later Write rewrites it with later counts.
+func TestLiveViewsMetrics(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	reg.Counter("test_ops_total", "Operations.").Add(42)
+	reg.Histogram("test_latency_cycles", "Latency.").Record(100)
+	records, expected := telemetry.RunProgress(reg)
+	records.Add(250)
+	expected.Add(1000)
+
+	dir := t.TempDir()
+	v, err := NewLiveViews(dir, LiveConfig{Telemetry: reg, Tool: "test"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,25 +143,6 @@ func TestLiveViews(t *testing.T) {
 	}
 	if err := telemetry.ValidateExposition(strings.NewReader(body)); err != nil {
 		t.Errorf("exposition invalid: %v", err)
-	}
-
-	var prog struct {
-		Tool string `json:"tool"`
-		telemetry.Progress
-	}
-	if err := json.Unmarshal(readView(t, dir, ProgressFile), &prog); err != nil {
-		t.Fatal(err)
-	}
-	if prog.Tool != "test" || prog.Records != 250 || prog.Total != 1000 || prog.Fraction != 0.25 {
-		t.Fatalf("progress %+v", prog)
-	}
-
-	var snap events.AttribSnapshot
-	if err := json.Unmarshal(readView(t, dir, AttribFile), &snap); err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Origins) != 1 || snap.Origins[0].Origin != "slp" || snap.Origins[0].Used != 1 {
-		t.Fatalf("attrib snapshot %+v", snap)
 	}
 
 	records.Add(750)
@@ -158,6 +210,103 @@ func TestEveryStopIdempotent(t *testing.T) {
 	}
 	stop() // second stop must neither panic nor block
 	Every(time.Millisecond)()
+}
+
+// TestLiveViewsLiveRun is the recorder's mid-run pattern under -race: one
+// producer per channel, as the engine runs them, emits events into 64-slot
+// rings and advances the progress series while the views are rewritten and
+// read back in a loop. The views written after the producers finish count
+// every issue exactly, and the overwritten ring slots as drops.
+func TestLiveViewsLiveRun(t *testing.T) {
+	const perChannel = 5_000
+	reg := telemetry.NewRegistry()
+	records, expected := telemetry.RunProgress(reg)
+	expected.Add(int64(addr.Channels) * perChannel)
+	rec := events.NewRecorder(addr.Channels, 64)
+	dir := t.TempDir()
+	v, err := NewLiveViews(dir, LiveConfig{Telemetry: reg, Recorder: rec, Tool: "live"})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var producers sync.WaitGroup
+	for ch := 0; ch < addr.Channels; ch++ {
+		producers.Add(1)
+		go func(ch int) {
+			defer producers.Done()
+			sink := rec.Channel(ch)
+			b := addr.PageNum(ch * 64).Block(0)
+			for i := 0; i < perChannel; i++ {
+				sink.Emit(events.Event{Kind: events.KindIssue, Cycle: uint64(i), Block: b, Origin: events.OriginTLP})
+				if i%100 == 99 {
+					records.Add(100)
+				}
+			}
+			records.Add(perChannel % 100)
+		}(ch)
+	}
+	stop := make(chan struct{})
+	written := make(chan error, 1)
+	go func() { // the writer, rewriting and reading back while the producers run
+		read := func(name string, check func([]byte) error) error {
+			b, err := os.ReadFile(filepath.Join(dir, name))
+			if err == nil {
+				err = check(b)
+			}
+			return err
+		}
+		for {
+			var prog telemetry.Progress
+			var snap events.AttribSnapshot
+			for _, err := range []error{
+				v.Write(),
+				read(MetricsFile, func(b []byte) error { return telemetry.ValidateExposition(bytes.NewReader(b)) }),
+				read(ProgressFile, func(b []byte) error { return json.Unmarshal(b, &prog) }),
+				read(AttribFile, func(b []byte) error { return json.Unmarshal(b, &snap) }),
+			} {
+				if err != nil {
+					written <- err
+					return
+				}
+			}
+			select {
+			case <-stop:
+				written <- nil
+				return
+			default:
+			}
+		}
+	}()
+	producers.Wait()
+	close(stop)
+	if err := <-written; err != nil {
+		t.Fatal(err)
+	}
+
+	if err := v.Write(); err != nil {
+		t.Fatal(err)
+	}
+	var prog telemetry.Progress
+	if err := json.Unmarshal(readView(t, dir, ProgressFile), &prog); err != nil {
+		t.Fatal(err)
+	}
+	if prog.Records != int64(addr.Channels)*perChannel || prog.Fraction != 1 {
+		t.Fatalf("progress %+v", prog)
+	}
+	var snap events.AttribSnapshot
+	if err := json.Unmarshal(readView(t, dir, AttribFile), &snap); err != nil {
+		t.Fatal(err)
+	}
+	var issued uint64
+	for _, o := range snap.Origins {
+		issued += o.Issued
+	}
+	if issued != uint64(addr.Channels)*perChannel {
+		t.Fatalf("attributed %d issues, want %d", issued, uint64(addr.Channels)*perChannel)
+	}
+	if snap.DroppedEvents == 0 {
+		t.Fatal("64-slot rings under 5k events dropped nothing")
+	}
 }
 
 // TestMetricsScrapeLiveRun is the mid-run pattern under -race: an engine
