@@ -11,7 +11,7 @@
 // Observability (see docs/OBSERVABILITY.md):
 //
 //	experiments -run fig7 -json fig7.json            # one combined artifact
-//	experiments -run fig7 -artifact-dir out/         # one artifact per cell
+//	experiments -run fig7 -artifact-dir out/         # checkpoint each cell, resume from out/
 //	experiments -run fig8 -sample-every 50000 -json fig8.json
 //	experiments -validate-artifact out.json          # parse + validate, exit
 //	experiments -validate-trace run.trace.json       # parse + validate a Chrome trace, exit
@@ -63,7 +63,7 @@ var (
 	warmup          = flag.Float64("warmup", 0.2, "fraction of each trace run before statistics start (clamped to [0, 0.9]; 0 disables)")
 	run             = flag.String("run", "all", "experiment id (all, fig2, fig4, fig5, fig7, fig8, fig9, fig9b, fig10, tab-ipc, tab-traffic, tab-storage, cache-study, abl-coord, abl-dist, abl-pt, csv)")
 	jsonPath        = flag.String("json", "", "write a combined JSON run artifact to this path (not in farm mode: -grid or -repeats > 1)")
-	artifactDir     = flag.String("artifact-dir", "", "write one JSON artifact per (app, prefetcher) sweep cell into this directory")
+	artifactDir     = flag.String("artifact-dir", "", "checkpoint each completed sweep cell into this directory as a JSON artifact, and resume the cells whose checkpoints match")
 	sampleEvery     = flag.Uint64("sample-every", 0, "emit a windowed time-series sample every N requests inside each run (0 disables)")
 	cpuprofile      = flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this path")
 	memprofile      = flag.String("memprofile", "", "write a heap profile (runtime/pprof) to this path")
@@ -164,10 +164,16 @@ func execute() (code int) {
 	// way out after the ticker stops.
 	if *liveDir != "" {
 		opts.Progress = telemetry.NewRegistry()
+		// A farm run is labelled by its grid file, and -repeats alone runs
+		// no named experiment, so it has no label.
+		label := *run
+		if farmMode() {
+			label = *gridPath
+		}
 		live, err := obs.NewLiveViews(*liveDir, obs.LiveConfig{
 			Telemetry: opts.Progress,
 			Tool:      "experiments",
-			Workload:  *run,
+			Workload:  label,
 		})
 		if err != nil {
 			return fail(err)
@@ -325,6 +331,11 @@ func runOptions() (experiments.Options, error) {
 	}
 	if *jsonPath != "" && farmMode() {
 		return experiments.Options{}, errors.New("-json: the sweep farm (-grid, -repeats > 1) writes -artifact-dir, -csv and -latex, not a combined artifact")
+	}
+	for _, f := range []struct{ name, path string }{{"-csv", *csvOut}, {"-latex", *latexOut}} {
+		if f.path != "" && !farmMode() {
+			return experiments.Options{}, fmt.Errorf("%s: only the sweep farm (-grid, -repeats > 1) writes it", f.name)
+		}
 	}
 	var extras []string
 	if *extraPF != "" {

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"os/exec"
@@ -14,10 +15,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/telemetry"
-	"repro/internal/workloads"
 )
 
 // runMainArg, as the first argument of a re-executed test binary, makes
@@ -81,13 +82,14 @@ func TestWarmupZeroCountsEveryRecord(t *testing.T) {
 	}
 }
 
-// TestDefaultGeometryIgnoresHost runs one cell under the options the
-// default flags select at several GOMAXPROCS values: the host's core count
-// must not choose the simulated system, so every run reports the same
-// bytes. Only the record count is cut, to keep the test short.
+// TestDefaultGeometryIgnoresHost runs the default Planaria configuration
+// through the serial runner under the options the default flags select, at
+// several GOMAXPROCS values: the host's core count must not choose the
+// simulated system, so every run reports the same bytes. Only the record
+// count is cut, to keep the test short.
 func TestDefaultGeometryIgnoresHost(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	p := workloads.Catalog()[0]
+	size := []int{core.DefaultConfig().SLP.PTEntries}
 	var want [sha256.Size]byte
 	for i, procs := range []int{1, 4, 8, 16} {
 		runtime.GOMAXPROCS(procs)
@@ -96,11 +98,11 @@ func TestDefaultGeometryIgnoresHost(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts.Requests = 20_000
-		rep, err := experiments.RunOne(p, "planaria", opts)
+		reps, err := experiments.AblationPTSize(io.Discard, opts, size)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := json.Marshal(rep)
+		b, err := json.Marshal(reps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,6 +162,22 @@ func TestFarmRefusesJSON(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("refused run left %s behind: %v", path, err)
+	}
+}
+
+// TestFarmOnlyOutputsRefused: only the farm writes -csv and -latex, so
+// either outside farm mode exits 1 naming the flag, before anything runs.
+func TestFarmOnlyOutputsRefused(t *testing.T) {
+	dir := t.TempDir()
+	for _, flag := range []string{"-csv", "-latex"} {
+		path := filepath.Join(dir, "out"+flag)
+		code, stderr := runMain(t, "-n", "2000", "-run", "fig4", flag, path)
+		if code != 1 || !strings.Contains(stderr, flag) {
+			t.Errorf("%s: exit %d, stderr %q; want exit 1 naming %s", flag, code, stderr, flag)
+		}
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s: refused run left %s behind: %v", flag, path, err)
+		}
 	}
 }
 
@@ -225,10 +243,11 @@ func TestProfilesWrittenOnFailure(t *testing.T) {
 }
 
 // requireLiveViews fails the test unless dir holds the live views of a
-// finished 2,000-record farm: a metrics.prom that validates and counts the
-// records, a progress.json that parses, and no attrib.json, whose source
-// the sweeps do not record.
-func requireLiveViews(t *testing.T, dir string) {
+// finished farm that processed records records: a metrics.prom that
+// validates and counts them, a progress.json that parses, counts them and
+// carries the workload label, and no attrib.json, whose source the sweeps
+// do not record.
+func requireLiveViews(t *testing.T, dir string, records int64, workload string) {
 	t.Helper()
 	prom, err := os.ReadFile(filepath.Join(dir, obs.MetricsFile))
 	if err != nil {
@@ -237,19 +256,29 @@ func requireLiveViews(t *testing.T, dir string) {
 	if err := telemetry.ValidateExposition(bytes.NewReader(prom)); err != nil {
 		t.Fatalf("%s: %v", obs.MetricsFile, err)
 	}
-	if !bytes.Contains(prom, []byte("\nplanaria_run_records_total 2000\n")) {
-		t.Fatalf("%s does not read planaria_run_records_total 2000", obs.MetricsFile)
+	if line := fmt.Sprintf("\nplanaria_run_records_total %d\n", records); !bytes.Contains(prom, []byte(line)) {
+		t.Fatalf("%s does not read %q", obs.MetricsFile, strings.TrimSpace(line))
 	}
 	b, err := os.ReadFile(filepath.Join(dir, obs.ProgressFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var progress telemetry.Progress
+	var progress struct {
+		Workload *string `json:"workload"`
+		telemetry.Progress
+	}
 	if err := json.Unmarshal(b, &progress); err != nil {
 		t.Fatalf("%s: %v", obs.ProgressFile, err)
 	}
-	if progress.Records != 2000 {
-		t.Fatalf("%s: %d records, want 2000", obs.ProgressFile, progress.Records)
+	if progress.Records != records {
+		t.Fatalf("%s: %d records, want %d", obs.ProgressFile, progress.Records, records)
+	}
+	label, labelled := "", progress.Workload != nil
+	if labelled {
+		label = *progress.Workload
+	}
+	if label != workload || labelled != (workload != "") {
+		t.Fatalf("%s: workload %q (present: %v), want %q", obs.ProgressFile, label, labelled, workload)
 	}
 	if _, err := os.Stat(filepath.Join(dir, obs.AttribFile)); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("%s written without an event recorder: %v", obs.AttribFile, err)
@@ -257,28 +286,34 @@ func requireLiveViews(t *testing.T, dir string) {
 }
 
 // TestLiveViewsWritten: -live-dir leaves the live views of a finished farm,
-// and a farm that exits 1 (its -csv path lies under a regular file) still
-// writes them.
+// labelled with the grid file that chose its one cell, and a farm that
+// exits 1 (its -csv path lies under a regular file) still writes them. A
+// farm of -repeats alone, which runs no grid file and no -run id, carries
+// no label.
 func TestLiveViewsWritten(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "file")
 	if err := os.WriteFile(file, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	grid := writeGrid(t)
 	for name, c := range map[string]struct {
-		args []string
-		code int
+		args     []string
+		code     int
+		records  int64
+		workload string
 	}{
-		"ok":     {nil, 0},
-		"failed": {[]string{"-csv", filepath.Join(file, "out.csv")}, 1},
+		"ok":      {[]string{"-grid", grid}, 0, 2000, grid},
+		"failed":  {[]string{"-grid", grid, "-csv", filepath.Join(file, "out.csv")}, 1, 2000, grid},
+		"repeats": {[]string{"-repeats", "2"}, 0, 10 * 4 * 2 * 2000, ""},
 	} {
 		t.Run(name, func(t *testing.T) {
 			live := filepath.Join(dir, name)
-			args := append([]string{"-n", "2000", "-grid", writeGrid(t), "-live-dir", live}, c.args...)
+			args := append([]string{"-n", "2000", "-live-dir", live}, c.args...)
 			if code, stderr := runMain(t, args...); code != c.code {
 				t.Fatalf("exit %d, stderr %q; want exit %d", code, stderr, c.code)
 			}
-			requireLiveViews(t, live)
+			requireLiveViews(t, live, c.records, c.workload)
 		})
 	}
 }

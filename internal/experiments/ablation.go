@@ -11,53 +11,58 @@ import (
 	"repro/internal/workloads"
 )
 
-// RunOneWith simulates one app trace under an arbitrary prefetcher factory
-// (the hook the ablation sweeps use).
-func RunOneWith(p workloads.Profile, factory func(int) prefetch.Prefetcher, opts Options) (metrics.Report, error) {
-	cfg := sim.DefaultConfig()
-	cfg.NewPrefetcher = factory
-	cfg.SampleEvery = opts.SampleEvery
-	return runProfile(sim.New(cfg), p, opts)
-}
-
 // AblationCoordinator compares the three coordination strategies of
 // Section 2/7: Planaria's decoupled "parallel learning + serial issuing"
 // against a TPC-style serial coordinator (monolithic sub-prefetchers) and an
 // ISB-style parallel coordinator (both issue). It backs the design claim
-// that decoupling buys accuracy and coverage simultaneously.
+// that decoupling buys accuracy and coverage simultaneously. The cells are
+// one sweep of the no-prefetcher baseline and the three registry
+// configurations.
 func AblationCoordinator(w io.Writer, opts Options) (map[string]map[core.CoordMode]metrics.Report, error) {
-	modes := []core.CoordMode{core.Decoupled, core.Serial, core.Parallel}
+	coords := []struct {
+		mode core.CoordMode
+		pf   string
+	}{{core.Decoupled, "planaria"}, {core.Serial, "planaria-serial"}, {core.Parallel, "planaria-parallel"}}
+	pfs := []string{"none"}
+	for _, c := range coords {
+		pfs = append(pfs, c.pf)
+	}
+	reps, err := Sweep(pfs, opts)
+	if err != nil {
+		return nil, err
+	}
 	fmt.Fprintf(w, "\n== Ablation: coordinator mode (AMAT / accuracy / traffic overhead) ==\n")
 	fmt.Fprintf(w, "%-6s", "app")
-	for _, m := range modes {
-		fmt.Fprintf(w, "%24s", m)
+	for _, c := range coords {
+		fmt.Fprintf(w, "%24s", c.mode)
 	}
 	fmt.Fprintln(w)
 	out := make(map[string]map[core.CoordMode]metrics.Report)
-	for _, p := range workloads.Catalog() {
-		base, err := RunOne(p, "none", opts)
-		if err != nil {
-			return nil, err
-		}
-		out[p.Abbr] = make(map[core.CoordMode]metrics.Report)
-		fmt.Fprintf(w, "%-6s", p.Abbr)
-		for _, m := range modes {
-			mode := m
-			rep, err := RunOneWith(p, func(int) prefetch.Prefetcher {
-				cfg := core.DefaultConfig()
-				cfg.Mode = mode
-				return core.New(cfg)
-			}, opts)
-			if err != nil {
-				return nil, err
-			}
-			out[p.Abbr][m] = rep
+	for _, a := range appOrder(reps) {
+		base := reps[a]["none"]
+		out[a] = make(map[core.CoordMode]metrics.Report)
+		fmt.Fprintf(w, "%-6s", a)
+		for _, c := range coords {
+			rep := reps[a][c.pf]
+			out[a][c.mode] = rep
 			ovh := metrics.Improvement(float64(base.Traffic()), float64(rep.Traffic()))
 			fmt.Fprintf(w, "  %7.1f %5.1f%% %+5.1f%%", rep.AMAT, 100*rep.Accuracy(), 100*ovh)
 		}
 		fmt.Fprintln(w)
 	}
 	return out, nil
+}
+
+// planariaWith returns the default engine configuration running the
+// Planaria composite built from core.DefaultConfig as edited by set.
+func planariaWith(set func(*core.Config)) sim.Config {
+	cfg := sim.DefaultConfig()
+	cfg.NewPrefetcher = func(int) prefetch.Prefetcher {
+		c := core.DefaultConfig()
+		set(&c)
+		return core.New(c)
+	}
+	return cfg
 }
 
 // AblationDistance sweeps TLP's neighbour distance threshold (Section 4.2
@@ -77,12 +82,7 @@ func AblationDistance(w io.Writer, opts Options, dists []uint64) (map[string]map
 		out[p.Abbr] = make(map[uint64]metrics.Report)
 		fmt.Fprintf(w, "%-6s", p.Abbr)
 		for _, d := range dists {
-			dist := d
-			rep, err := RunOneWith(p, func(int) prefetch.Prefetcher {
-				cfg := core.DefaultConfig()
-				cfg.TLP.DistThreshold = dist
-				return core.New(cfg)
-			}, opts)
+			rep, err := runOne(p, planariaWith(func(c *core.Config) { c.TLP.DistThreshold = d }), opts)
 			if err != nil {
 				return nil, err
 			}
@@ -117,12 +117,7 @@ func AblationPTSize(w io.Writer, opts Options, sizes []int) (map[string]map[int]
 		out[abbr] = make(map[int]metrics.Report)
 		fmt.Fprintf(w, "%-6s", abbr)
 		for _, s := range sizes {
-			size := s
-			rep, err := RunOneWith(p, func(int) prefetch.Prefetcher {
-				cfg := core.DefaultConfig()
-				cfg.SLP.PTEntries = size
-				return core.New(cfg)
-			}, opts)
+			rep, err := runOne(p, planariaWith(func(c *core.Config) { c.SLP.PTEntries = s }), opts)
 			if err != nil {
 				return nil, err
 			}

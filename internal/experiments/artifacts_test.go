@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/telemetry"
 )
 
 // TestWriteCSVDeterministic: two CSV renderings of the same sweep result
@@ -50,8 +52,10 @@ func TestCellsOrdering(t *testing.T) {
 	}
 }
 
-// TestSweepArtifactDir: with ArtifactDir set, Sweep writes one valid
-// artifact per cell, and sampled runs carry their time series through.
+// TestSweepArtifactDir: with ArtifactDir set, Sweep checkpoints one valid
+// farm artifact per cell, sampled runs carry their time series through,
+// and a second Sweep over the same directory resumes every cell, simulating
+// nothing.
 func TestSweepArtifactDir(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Requests: 20_000, Warmup: 0.2, SampleEvery: 5_000, ArtifactDir: dir}
@@ -67,7 +71,7 @@ func TestSweepArtifactDir(t *testing.T) {
 	if len(entries) != want {
 		t.Fatalf("wrote %d artifacts, want %d", len(entries), want)
 	}
-	path := filepath.Join(dir, "CFM_planaria.json")
+	path := filepath.Join(dir, "CFM_planaria_base_r0.json")
 	art, err := obs.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -85,5 +89,28 @@ func TestSweepArtifactDir(t *testing.T) {
 	if art.Report.AMAT != reps["CFM"]["planaria"].AMAT {
 		t.Fatalf("artifact AMAT %v != sweep AMAT %v",
 			art.Report.AMAT, reps["CFM"]["planaria"].AMAT)
+	}
+
+	reg := telemetry.NewRegistry()
+	opts.Progress = reg
+	again, err := Sweep([]string{"none", "planaria"}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if records, expected := telemetry.RunProgress(reg); records.Value() != 0 || expected.Value() != 0 {
+		t.Fatalf("resumed sweep processed %d records of %d declared; want 0", records.Value(), expected.Value())
+	}
+	// Compared as JSON: a checkpoint does not keep an empty map apart from
+	// a nil one.
+	a, err := json.Marshal(reps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatal("resumed sweep's reports differ from the sweep that wrote the checkpoints")
 	}
 }

@@ -58,7 +58,7 @@ func CacheStudy(w io.Writer, opts Options, variants []CacheVariant) (map[string]
 			cfg.Cache.SizeBytes = v.SizeBytes
 			cfg.Cache.Policy = v.Policy
 			cfg.NewPrefetcher = factory
-			rep, err := runProfile(sim.New(cfg), p, opts)
+			rep, err := runOne(p, cfg, opts)
 			if err != nil {
 				return nil, err
 			}

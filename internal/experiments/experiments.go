@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -30,10 +31,10 @@ type Options struct {
 	// it. See docs/OBSERVABILITY.md.
 	SampleEvery uint64
 
-	// ArtifactDir, when non-empty, makes Sweep write one JSON run
-	// artifact per (app × prefetcher) cell into the directory, named
-	// "<app>_<prefetcher>.json", alongside whatever text tables the
-	// caller prints.
+	// ArtifactDir, when non-empty, is the checkpoint directory of every
+	// Sweep: each completed cell is written there as the sweep farm
+	// writes it ("<app>_<prefetcher>_base_r0.json", schema v3), and a cell
+	// whose checkpoint matches is loaded instead of simulated again.
 	ArtifactDir string
 
 	// Progress, when non-nil, receives job-granular run progress from
@@ -58,16 +59,10 @@ type Options struct {
 // Fig7 and the CSV export.
 func (o Options) EvalSet() []string {
 	out := append([]string(nil), EvalPrefetchers...)
-	have := make(map[string]bool, len(out))
-	for _, pf := range out {
-		have[pf] = true
-	}
 	for _, pf := range o.ExtraPrefetchers {
-		if pf == "" || have[pf] {
-			continue
+		if pf != "" && !slices.Contains(out, pf) {
+			out = append(out, pf)
 		}
-		have[pf] = true
-		out = append(out, pf)
 	}
 	return out
 }
@@ -81,37 +76,27 @@ func (o Options) FarmConfig() sweepfarm.Config {
 	}
 }
 
-// runProfile drives one app through an engine with the options' warmup
-// window discarded from the statistics, publishing the run on
-// opts.Progress. The records stream straight from the workload generator —
-// O(chunk) memory regardless of opts.Requests.
-func runProfile(eng *sim.Engine, p workloads.Profile, opts Options) (metrics.Report, error) {
-	n := opts.Requests
+// runOne simulates one app trace on the engine cfg describes, with the
+// options' sampling and warmup, publishing the run on opts.Progress. It
+// serves the runs a named sweep cell cannot express: the cache study's
+// cache configurations and the ablations' Planaria parameters. The records
+// stream straight from the workload generator — O(chunk) memory regardless
+// of opts.Requests.
+func runOne(p workloads.Profile, cfg sim.Config, opts Options) (metrics.Report, error) {
+	cfg.SampleEvery = opts.SampleEvery
 	records, expected := telemetry.RunProgress(opts.Progress)
-	expected.Add(int64(n))
-	rep, err := eng.Run(context.Background(), p.Stream(n), p.Abbr, opts.Warmup)
+	expected.Add(int64(opts.Requests))
+	rep, err := sim.New(cfg).Run(context.Background(), p.Stream(opts.Requests), p.Abbr, opts.Warmup)
 	if err == nil {
-		records.Add(uint64(n))
+		records.Add(uint64(opts.Requests))
 	}
 	return rep, err
 }
 
-// RunOne simulates one app trace under one named prefetcher.
-func RunOne(p workloads.Profile, pf string, opts Options) (metrics.Report, error) {
-	factory, err := sim.NamedPrefetcher(pf)
-	if err != nil {
-		return metrics.Report{}, err
-	}
-	return RunOneWith(p, factory, opts)
-}
-
-// Sweep runs every catalog app under every named prefetcher. Since the
-// sweep farm landed it is a thin wrapper over sweepfarm.Runner with one
-// repeat, no config variants and no resume directory — the output is bit
-// for bit what the original hand-rolled worker pool produced (runs are
-// deterministic and repeat 0 keeps each profile's catalog seed), which the
-// golden/equivalence tests pin. Callers that want repeats, resumability or
-// CI statistics use the farm directly (or cmd/experiments -repeats/-grid).
+// Sweep runs every catalog app under every named prefetcher on the sweep
+// farm: one repeat, which keeps each profile's catalog seed, no config
+// variants, and opts.ArtifactDir as the farm's checkpoint and resume
+// directory. Duplicate names run once; an empty set is an empty sweep.
 //
 // On failure Sweep degrades instead of discarding the sweep: the returned
 // map holds every cell that completed cleanly (failed cells are simply
@@ -122,13 +107,9 @@ func RunOne(p workloads.Profile, pf string, opts Options) (metrics.Report, error
 // progress (cmd/experiments) can still write artifacts for the completed
 // cells.
 func Sweep(prefetchers []string, opts Options) (map[string]map[string]metrics.Report, error) {
-	// The old pool tolerated duplicates (map writes made them redundant)
-	// and an empty set (empty sweep); keep both behaviours.
-	uniq := make([]string, 0, len(prefetchers))
-	seen := make(map[string]bool, len(prefetchers))
+	var uniq []string
 	for _, pf := range prefetchers {
-		if !seen[pf] {
-			seen[pf] = true
+		if !slices.Contains(uniq, pf) {
 			uniq = append(uniq, pf)
 		}
 	}
@@ -136,28 +117,37 @@ func Sweep(prefetchers []string, opts Options) (map[string]map[string]metrics.Re
 		return map[string]map[string]metrics.Report{}, nil
 	}
 	runner := &sweepfarm.Runner{
-		Grid:     sweepfarm.Grid{Prefetchers: uniq},
-		Base:     opts.FarmConfig(),
-		Progress: opts.Progress,
+		Grid:        sweepfarm.Grid{Prefetchers: uniq},
+		Base:        opts.FarmConfig(),
+		ArtifactDir: opts.ArtifactDir,
+		Progress:    opts.Progress,
 	}
-	res, runErr := runner.Run(context.Background())
+	res, err := runner.Run(context.Background())
 	if res == nil {
-		return nil, runErr
+		return nil, err
 	}
-	out := res.ReportGrid("")
-	var errs []error
-	if runErr != nil {
-		errs = append(errs, runErr)
-	}
-	if opts.ArtifactDir != "" {
-		// Completed cells are written even on a partial sweep — their
-		// reports are valid; any write error joins the run errors rather
-		// than shadowing (or being shadowed by) them.
-		if werr := writeCellArtifacts(opts.ArtifactDir, out, opts); werr != nil {
-			errs = append(errs, werr)
+	return res.ReportGrid(""), err
+}
+
+// columns selects the named prefetchers' cells from a sweep, and reports
+// whether every catalog app has all of them.
+func columns(reps map[string]map[string]metrics.Report, prefetchers []string) (map[string]map[string]metrics.Report, bool) {
+	out := make(map[string]map[string]metrics.Report, len(reps))
+	complete := true
+	for _, app := range workloads.Abbrs() {
+		row := make(map[string]metrics.Report, len(prefetchers))
+		for _, pf := range prefetchers {
+			if rep, ok := reps[app][pf]; ok {
+				row[pf] = rep
+			} else {
+				complete = false
+			}
+		}
+		if len(row) > 0 {
+			out[app] = row
 		}
 	}
-	return out, errors.Join(errs...)
+	return out, complete
 }
 
 // EvalPrefetchers is the prefetcher set of Figures 7, 8 and 10.
@@ -245,6 +235,12 @@ func Fig7(w io.Writer, opts Options) (map[string]map[string]metrics.Report, erro
 	if err != nil {
 		return reps, err
 	}
+	fig7Table(w, reps, set)
+	return reps, nil
+}
+
+// fig7Table prints the Figure 7 table of a sweep's set columns.
+func fig7Table(w io.Writer, reps map[string]map[string]metrics.Report, set []string) {
 	header(w, "Figure 7: SC hit rate", set)
 	for _, a := range appOrder(reps) {
 		fmt.Fprintf(w, "%-6s", a)
@@ -253,7 +249,6 @@ func Fig7(w io.Writer, opts Options) (map[string]map[string]metrics.Report, erro
 		}
 		fmt.Fprintln(w)
 	}
-	return reps, nil
 }
 
 // Fig8 prints per-app AMAT and the headline reductions (paper: Planaria
@@ -284,10 +279,6 @@ func Fig8(w io.Writer, reps map[string]map[string]metrics.Report) (vsNone, vsBOP
 // Fig9) so the RunAll partial-results test can inject a failing cell.
 var fig9Prefetchers = []string{"none", "planaria-slp", "planaria-tlp", "planaria"}
 
-// fig9bPrefetcher is the configuration Fig9b attributes; a variable for
-// the same fault-injection reason.
-var fig9bPrefetcher = "planaria"
-
 // Fig9 runs the Planaria breakdown (SLP-only, TLP-only, full) and prints
 // each variant's share of the AMAT improvement (paper: SLP ≈ 80 % overall,
 // TLP dominant on Fort).
@@ -296,6 +287,12 @@ func Fig9(w io.Writer, opts Options) (slpShareAvg float64, slpShare map[string]f
 	if err != nil {
 		return 0, nil, err
 	}
+	slpShareAvg, slpShare = fig9Table(w, reps)
+	return slpShareAvg, slpShare, nil
+}
+
+// fig9Table prints the Figure 9 table of a sweep with fig9Prefetchers.
+func fig9Table(w io.Writer, reps map[string]map[string]metrics.Report) (slpShareAvg float64, slpShare map[string]float64) {
 	header(w, "Figure 9: breakdown (AMAT reduction share)", []string{"slp-only", "tlp-only", "slp-share"})
 	slpShare = map[string]float64{}
 	var shares []float64
@@ -315,7 +312,7 @@ func Fig9(w io.Writer, opts Options) (slpShareAvg float64, slpShare map[string]f
 	}
 	slpShareAvg = metrics.Mean(shares)
 	fmt.Fprintf(w, "average SLP share: %.1f%%   (paper: ~80%%)\n", 100*slpShareAvg)
-	return slpShareAvg, slpShare, nil
+	return slpShareAvg, slpShare
 }
 
 // Fig9b prints the in-system breakdown: useful prefetches attributed to
@@ -323,14 +320,20 @@ func Fig9(w io.Writer, opts Options) (slpShareAvg float64, slpShare map[string]f
 // attribution-based view of Figure 9; Fig9 uses the standalone-variant
 // method).
 func Fig9b(w io.Writer, opts Options) (slpShareAvg float64, err error) {
+	reps, err := Sweep([]string{"planaria"}, opts)
+	if err != nil {
+		return 0, err
+	}
+	return fig9bTable(w, reps), nil
+}
+
+// fig9bTable prints the attribution table of a sweep's planaria column.
+func fig9bTable(w io.Writer, reps map[string]map[string]metrics.Report) (slpShareAvg float64) {
 	fmt.Fprintf(w, "\n== Figure 9 (in-system attribution): useful prefetches per sub-prefetcher ==\n")
 	fmt.Fprintf(w, "%-6s %12s %12s %12s\n", "app", "slp", "tlp", "slp-share")
 	var shares []float64
-	for _, p := range workloads.Catalog() {
-		rep, err := RunOne(p, fig9bPrefetcher, opts)
-		if err != nil {
-			return 0, err
-		}
+	for _, a := range appOrder(reps) {
+		rep := reps[a]["planaria"]
 		slp := rep.UsefulByOrigin["slp"]
 		tlp := rep.UsefulByOrigin["tlp"]
 		share := 0.0
@@ -338,11 +341,11 @@ func Fig9b(w io.Writer, opts Options) (slpShareAvg float64, err error) {
 			share = float64(slp) / float64(slp+tlp)
 		}
 		shares = append(shares, share)
-		fmt.Fprintf(w, "%-6s %12d %12d %11.1f%%\n", p.Abbr, slp, tlp, 100*share)
+		fmt.Fprintf(w, "%-6s %12d %12d %11.1f%%\n", a, slp, tlp, 100*share)
 	}
 	slpShareAvg = metrics.Mean(shares)
 	fmt.Fprintf(w, "average SLP share of useful prefetches: %.1f%%   (paper: ~80%%)\n", 100*slpShareAvg)
-	return slpShareAvg, nil
+	return slpShareAvg
 }
 
 // Fig10 prints per-app memory-system energy overhead vs no prefetcher
@@ -432,34 +435,37 @@ func tableStorage(w io.Writer, name string) (float64, error) {
 	return kb, nil
 }
 
-// RunAll strings the full evaluation; used by cmd/experiments -run all. It
-// returns the Figure 7 sweep reports so callers can derive artifacts from
-// the same runs the tables printed.
+// RunAll strings the full evaluation; used by cmd/experiments -run all. One
+// sweep simulates each cell once — the EvalSet for Figures 7, 8, 9b and 10
+// and the IPC and traffic tables, plus the SLP-only and TLP-only variants
+// Figure 9 adds — and every table is rendered from it. It returns the
+// EvalSet cells so callers can derive artifacts from the same runs the
+// tables printed. On a failed cell it degrades as Sweep does: Figures 7
+// and 8 print only when every EvalSet cell completed, a failed Figure 9
+// cell ends the run after Figure 8, and the completed EvalSet cells come
+// back with the error either way.
 func RunAll(w io.Writer, opts Options) (map[string]map[string]metrics.Report, error) {
 	Fig4(w, opts)
 	Fig5(w, opts)
-	reps, err := Fig7(w, opts)
-	if err != nil {
+	set := opts.EvalSet()
+	all, err := Sweep(slices.Concat(set, fig9Prefetchers), opts)
+	reps, ok := columns(all, set)
+	if !ok {
 		return reps, err
 	}
+	fig7Table(w, reps, set)
 	Fig8(w, reps)
-	// Every error path below returns reps, never nil: Fig7's sweep has
-	// already completed by this point and discarding it would throw away
-	// the partial results cmd/experiments writes artifacts from (the same
-	// degrade-don't-discard contract Sweep itself keeps).
-	if _, _, err := Fig9(w, opts); err != nil {
+	breakdown, ok := columns(all, fig9Prefetchers)
+	if !ok {
 		return reps, err
 	}
-	if _, err := Fig9b(w, opts); err != nil {
-		return reps, err
-	}
+	fig9Table(w, breakdown)
+	fig9bTable(w, reps)
 	Fig10(w, reps)
 	TableIPC(w, reps)
 	TableTraffic(w, reps)
-	if _, err := TableStorage(w); err != nil {
-		return reps, err
-	}
-	return reps, nil
+	_, serr := TableStorage(w)
+	return reps, errors.Join(err, serr)
 }
 
 // Fig2 extracts the snapshot timeline of a hot page (rendered as text).

@@ -2,12 +2,16 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
@@ -17,9 +21,11 @@ import (
 // 150k requests per app is the smallest scale at which they hold reliably.
 func small() Options { return Options{Requests: 150_000, Warmup: 0.2} }
 
-func TestRunOneUnknownPrefetcher(t *testing.T) {
-	p, _ := workloads.ByAbbr("CFM")
-	if _, err := RunOne(p, "warp-drive", small()); err == nil {
+// TestCacheStudyUnknownPrefetcher: a cache variant naming no registered
+// prefetcher fails with the registry's error instead of running.
+func TestCacheStudyUnknownPrefetcher(t *testing.T) {
+	variants := []CacheVariant{{"4MB+warp", 1 << 20, cache.LRU, "warp-drive"}}
+	if _, err := CacheStudy(io.Discard, small(), variants); err == nil {
 		t.Fatal("unknown prefetcher accepted")
 	}
 }
@@ -46,25 +52,30 @@ func TestSweepPartialOnError(t *testing.T) {
 	}
 }
 
-// TestSweepMatchesRunOne: the farm-backed Sweep is a pure wrapper — its
-// single-repeat cells are bit-identical to the direct RunOne path the old
-// worker pool used (repeat 0 keeps the catalog seed, and both drive the
-// same Engine.Run).
+// TestSweepMatchesRunOne: the farm-backed Sweep and the serial runOne
+// produce bit-identical reports for the same named configuration (repeat 0
+// keeps the catalog seed, and both drive the same Engine.Run).
 func TestSweepMatchesRunOne(t *testing.T) {
 	opts := Options{Requests: 20_000, Warmup: 0.2}
 	reps, err := Sweep([]string{"planaria"}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	factory, err := sim.NamedPrefetcher("planaria")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.DefaultConfig()
+	cfg.NewPrefetcher = factory
 	for _, abbr := range []string{"CFM", "Fort"} {
 		p, _ := workloads.ByAbbr(abbr)
-		direct, err := RunOne(p, "planaria", opts)
+		direct, err := runOne(p, cfg, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := reps[abbr]["planaria"]
 		if !reflect.DeepEqual(got, direct) {
-			t.Fatalf("%s: farm-backed sweep diverged from RunOne:\nfarm:   %+v\ndirect: %+v", abbr, got, direct)
+			t.Fatalf("%s: farm-backed sweep diverged from runOne:\nfarm:   %+v\ndirect: %+v", abbr, got, direct)
 		}
 	}
 }
@@ -98,15 +109,17 @@ func TestSweepJoinedErrors(t *testing.T) {
 	}
 }
 
-// TestRunAllPartialOnFig9Failure: when a figure after Fig7 fails, RunAll
-// must hand back the completed Fig7 sweep with the error instead of
-// discarding it — cmd/experiments writes its artifacts from that map.
+// TestRunAllPartialOnFig9Failure: when a Figure 9 cell fails, RunAll ends
+// after Figure 8 and must hand back the completed Fig7 cells with the
+// error instead of discarding them — cmd/experiments writes its artifacts
+// from that map.
 func TestRunAllPartialOnFig9Failure(t *testing.T) {
 	oldSet := fig9Prefetchers
 	fig9Prefetchers = []string{"none", "warp-drive"}
 	defer func() { fig9Prefetchers = oldSet }()
 
-	reps, err := RunAll(io.Discard, Options{Requests: 20_000, Warmup: 0.2})
+	var buf bytes.Buffer
+	reps, err := RunAll(&buf, Options{Requests: 20_000, Warmup: 0.2})
 	if err == nil {
 		t.Fatal("injected Fig9 failure did not surface")
 	}
@@ -118,27 +131,14 @@ func TestRunAllPartialOnFig9Failure(t *testing.T) {
 			t.Fatalf("Fig7 report for CFM/%s missing from partial results", pf)
 		}
 	}
-}
-
-// TestRunAllPartialOnFig9bFailure: same contract for the Fig9b error path.
-func TestRunAllPartialOnFig9bFailure(t *testing.T) {
-	oldSet, oldPF := fig9Prefetchers, fig9bPrefetcher
-	fig9Prefetchers = []string{"none"} // keep the healthy figures cheap
-	fig9bPrefetcher = "warp-drive"
-	defer func() { fig9Prefetchers, fig9bPrefetcher = oldSet, oldPF }()
-
-	reps, err := RunAll(io.Discard, Options{Requests: 20_000, Warmup: 0.2})
-	if err == nil {
-		t.Fatal("injected Fig9b failure did not surface")
-	}
-	if len(reps) != 10 {
-		t.Fatalf("Fig7 sweep discarded on Fig9b failure: %d apps, want 10", len(reps))
+	if out := buf.String(); !strings.Contains(out, "Figure 8") || strings.Contains(out, "Figure 9") {
+		t.Fatalf("want the output to end after Figure 8:\n%s", out)
 	}
 }
 
-// TestProgressSweepThenFig9b: a sweep followed by the RunOne-driven Fig9b
-// on one progress registry ends with every processed record declared
-// first — records equal expected, so /progress never passes fraction 1.
+// TestProgressSweepThenFig9b: a sweep followed by Fig9b's own sweep on one
+// progress registry ends with every processed record declared first —
+// records equal expected, so progress.json never passes fraction 1.
 func TestProgressSweepThenFig9b(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	opts := Options{Requests: 2000, Warmup: 0.2, Progress: reg}
@@ -385,21 +385,43 @@ func TestCacheStudyClaim(t *testing.T) {
 	}
 }
 
+// runAllStdoutSHA256 is the SHA-256 of RunAll's output at 30,000 requests
+// and warmup 0.2, taken when Figure 9 ran its own sweep and Figure 9b its
+// own serial runs: rendering every table from one sweep moved no byte.
+const runAllStdoutSHA256 = "dc66e87950c33981282da0265768626086089238d21943682a8ddc6efd7f69b8"
+
+// TestRunAll: the full evaluation prints every figure, simulates each of
+// its 60 cells (10 apps × the EvalSet and the two Figure 9 variants) once,
+// and prints the bytes it always printed.
 func TestRunAll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full runner in -short mode")
 	}
 	var buf bytes.Buffer
-	reps, err := RunAll(&buf, Options{Requests: 30_000, Warmup: 0.2})
+	reg := telemetry.NewRegistry()
+	const n = 30_000
+	reps, err := RunAll(&buf, Options{Requests: n, Warmup: 0.2, Progress: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reps) == 0 {
-		t.Fatal("RunAll returned no sweep reports")
+	if len(reps) != 10 {
+		t.Fatalf("RunAll returned %d apps, want 10", len(reps))
+	}
+	for app, row := range reps {
+		if len(row) != len(EvalPrefetchers) {
+			t.Fatalf("%s: RunAll returned %d cells, want the %d EvalSet cells", app, len(row), len(EvalPrefetchers))
+		}
 	}
 	for _, frag := range []string{"Figure 4", "Figure 5", "Figure 7", "Figure 8", "Figure 9", "Figure 10", "Storage"} {
 		if !strings.Contains(buf.String(), frag) {
 			t.Fatalf("RunAll output missing %q", frag)
 		}
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != runAllStdoutSHA256 {
+		t.Errorf("RunAll output SHA-256 %s, want %s", got, runAllStdoutSHA256)
+	}
+	records, expected := telemetry.RunProgress(reg)
+	if want := 60 * n; records.Value() != uint64(want) || expected.Value() != int64(want) {
+		t.Errorf("records %d, expected %d; want %d each (60 cells once)", records.Value(), expected.Value(), want)
 	}
 }

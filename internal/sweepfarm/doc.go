@@ -1,6 +1,7 @@
 // Package sweepfarm runs experiment grids as a resumable, repeated,
 // statistically-rigorous job queue — the machinery behind
-// `experiments -run all -repeats R` and the thin experiments.Sweep wrapper.
+// `experiments -repeats R` and `-grid`, and the runner of every named
+// (app, prefetcher) cell of the `-run` experiments (experiments.Sweep).
 //
 // A Grid is the cross product (apps × prefetchers × config variants); each
 // cell of the grid runs R seeded repeats. Every (cell, repeat) pair is one
@@ -14,11 +15,11 @@
 // manifest) the moment it completes.
 //
 // Seeding is deterministic: repeat 0 keeps the catalog profile's seed — so
-// an R=1 grid reproduces the paper's single-pass point estimates (and the
-// legacy Sweep output) bit for bit — while repeats ≥ 1 derive fresh seeds
-// from the cell key and repeat index alone. Two runs of the same grid
-// therefore simulate exactly the same set of traces, regardless of worker
-// count, interruption or host.
+// an R=1 grid, the shape of every experiments.Sweep, reproduces the
+// paper's single-pass point estimates bit for bit — while repeats ≥ 1
+// derive fresh seeds from the cell key and repeat index alone. Two runs of
+// the same grid therefore simulate exactly the same set of traces,
+// regardless of worker count, interruption or host.
 //
 // Resume: on startup the runner scans the artifact directory and accepts a
 // job's artifact only when its manifest matches the planned job exactly —

@@ -229,8 +229,9 @@ func sanitize(s string) string {
 }
 
 // SeedFor derives the workload seed of one cell repeat. Repeat 0 keeps the
-// catalog profile's own seed (base), so single-repeat grids reproduce the
-// paper's point estimates — and the legacy Sweep output — bit for bit.
+// catalog profile's own seed (base), so single-repeat grids — every
+// experiments.Sweep among them — reproduce the paper's point estimates bit
+// for bit.
 // Later repeats hash the cell key and repeat index (FNV-1a), independent of
 // everything else, so the same grid always simulates the same trace set.
 func SeedFor(key CellKey, repeat int, base int64) int64 {
