@@ -12,7 +12,9 @@ package planaria
 // cmd/experiments for the full-scale numbers recorded in EXPERIMENTS.md.
 
 import (
+	"context"
 	"io"
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
@@ -21,16 +23,40 @@ import (
 // benchRequests is the per-app trace length used by the benchmark harness.
 const benchRequests = 150_000
 
-func benchOpts() experiments.Options {
-	return experiments.Options{Requests: benchRequests, Warmup: 0.2}
+// runExperiment runs the cmd/experiments -run id at the benchmark scale
+// through the experiments entry point.
+func runExperiment(b *testing.B, id string) experiments.Outcome {
+	b.Helper()
+	opts := experiments.Options{Requests: benchRequests, Warmup: 0.2}
+	e, err := experiments.Lookup(id, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	out, err := experiments.Run(context.Background(), io.Discard, e, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return out
+}
+
+// reportSummary reports the named summary values of one experiment under
+// their units; a value whose unit ends in "_%" is a fraction, reported
+// as a percentage.
+func reportSummary(b *testing.B, out experiments.Outcome, units map[string]string) {
+	for key, unit := range units {
+		v := out.Summary[key]
+		if strings.HasSuffix(unit, "_%") {
+			v *= 100
+		}
+		b.ReportMetric(v, unit)
+	}
 }
 
 // BenchmarkFig2Snapshot regenerates Figure 2: the access timeline of a hot
 // page, showing footprint visits with non-deterministic intra-visit order.
 func BenchmarkFig2Snapshot(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		n := experiments.Fig2(io.Discard, benchOpts())
-		b.ReportMetric(float64(n), "accesses")
+		reportSummary(b, runExperiment(b, "fig2"), map[string]string{"fig2_timeline_accesses": "accesses"})
 	}
 }
 
@@ -38,8 +64,7 @@ func BenchmarkFig2Snapshot(b *testing.B) {
 // across program phases (paper: > 80 %).
 func BenchmarkFig4OverlapRate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		avg := experiments.Fig4(io.Discard, benchOpts())
-		b.ReportMetric(100*avg, "overlap_%")
+		reportSummary(b, runExperiment(b, "fig4"), map[string]string{"fig4_overlap_rate_avg": "overlap_%"})
 	}
 }
 
@@ -47,19 +72,15 @@ func BenchmarkFig4OverlapRate(b *testing.B) {
 // proportion at distance thresholds 4 and 64 (paper: 26.95 % / 39.26 %).
 func BenchmarkFig5Neighbors(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		at4, at64 := experiments.Fig5(io.Discard, benchOpts())
-		b.ReportMetric(100*at4, "neighbors@4_%")
-		b.ReportMetric(100*at64, "neighbors@64_%")
+		reportSummary(b, runExperiment(b, "fig5"), map[string]string{
+			"fig5_neighbors_at4": "neighbors@4_%", "fig5_neighbors_at64": "neighbors@64_%"})
 	}
 }
 
 // BenchmarkFig7HitRate regenerates Figure 7: SC hit rate per prefetcher.
 func BenchmarkFig7HitRate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reps, err := experiments.Fig7(io.Discard, benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
+		reps := runExperiment(b, "fig7").Farm.ReportGrid("")
 		var none, pl float64
 		for _, m := range reps {
 			none += m["none"].HitRate()
@@ -75,14 +96,11 @@ func BenchmarkFig7HitRate(b *testing.B) {
 // Planaria's AMAT reduction vs none/BOP/SPP (paper: 24.3/21.3/15.1 %).
 func BenchmarkFig8AMAT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reps, err := experiments.Fig7(io.Discard, benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		vsNone, vsBOP, vsSPP := experiments.Fig8(io.Discard, reps)
-		b.ReportMetric(100*vsNone, "amat_vs_none_%")
-		b.ReportMetric(100*vsBOP, "amat_vs_bop_%")
-		b.ReportMetric(100*vsSPP, "amat_vs_spp_%")
+		reportSummary(b, runExperiment(b, "fig8"), map[string]string{
+			"fig8_amat_reduction_vs_none": "amat_vs_none_%",
+			"fig8_amat_reduction_vs_bop":  "amat_vs_bop_%",
+			"fig8_amat_reduction_vs_spp":  "amat_vs_spp_%",
+		})
 	}
 }
 
@@ -90,12 +108,8 @@ func BenchmarkFig8AMAT(b *testing.B) {
 // improvement (paper: ≈ 80 % overall, TLP dominant on Fort).
 func BenchmarkFig9Breakdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		avg, perApp, err := experiments.Fig9(io.Discard, benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*avg, "slp_share_%")
-		b.ReportMetric(100*perApp["Fort"], "slp_share_fort_%")
+		reportSummary(b, runExperiment(b, "fig9"), map[string]string{
+			"fig9_slp_share_avg": "slp_share_%", "fig9_slp_share:Fort": "slp_share_fort_%"})
 	}
 }
 
@@ -103,14 +117,11 @@ func BenchmarkFig9Breakdown(b *testing.B) {
 // per prefetcher (paper: BOP +13.5 %, SPP +9.7 %, Planaria +0.5 %).
 func BenchmarkFig10Power(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reps, err := experiments.Fig7(io.Discard, benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		pl, bop, spp := experiments.Fig10(io.Discard, reps)
-		b.ReportMetric(100*bop, "power_bop_%")
-		b.ReportMetric(100*spp, "power_spp_%")
-		b.ReportMetric(100*pl, "power_planaria_%")
+		reportSummary(b, runExperiment(b, "fig10"), map[string]string{
+			"power_overhead_bop":      "power_bop_%",
+			"power_overhead_spp":      "power_spp_%",
+			"power_overhead_planaria": "power_planaria_%",
+		})
 	}
 }
 
@@ -118,14 +129,11 @@ func BenchmarkFig10Power(b *testing.B) {
 // +28.9/+21.9/+15.3 % vs none/BOP/SPP).
 func BenchmarkTableIPC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reps, err := experiments.Fig7(io.Discard, benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		vsNone, vsBOP, vsSPP := experiments.TableIPC(io.Discard, reps)
-		b.ReportMetric(100*vsNone, "ipc_vs_none_%")
-		b.ReportMetric(100*vsBOP, "ipc_vs_bop_%")
-		b.ReportMetric(100*vsSPP, "ipc_vs_spp_%")
+		reportSummary(b, runExperiment(b, "tab-ipc"), map[string]string{
+			"ipc_uplift_vs_none": "ipc_vs_none_%",
+			"ipc_uplift_vs_bop":  "ipc_vs_bop_%",
+			"ipc_uplift_vs_spp":  "ipc_vs_spp_%",
+		})
 	}
 }
 
@@ -133,14 +141,11 @@ func BenchmarkTableIPC(b *testing.B) {
 // (paper: BOP +23.4 %, SPP +15.9 %).
 func BenchmarkTableTraffic(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		reps, err := experiments.Fig7(io.Discard, benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		bop, spp, pl := experiments.TableTraffic(io.Discard, reps)
-		b.ReportMetric(100*bop, "traffic_bop_%")
-		b.ReportMetric(100*spp, "traffic_spp_%")
-		b.ReportMetric(100*pl, "traffic_planaria_%")
+		reportSummary(b, runExperiment(b, "tab-traffic"), map[string]string{
+			"traffic_overhead_bop":      "traffic_bop_%",
+			"traffic_overhead_spp":      "traffic_spp_%",
+			"traffic_overhead_planaria": "traffic_planaria_%",
+		})
 	}
 }
 
@@ -148,11 +153,7 @@ func BenchmarkTableTraffic(b *testing.B) {
 // 345.2 KB ≈ 8.4 % of the 4 MB SC).
 func BenchmarkTableStorage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		kb, err := experiments.TableStorage(io.Discard)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(kb, "storage_KB")
+		reportSummary(b, runExperiment(b, "tab-storage"), map[string]string{"planaria_storage_kb": "storage_KB"})
 	}
 }
 
@@ -160,27 +161,21 @@ func BenchmarkTableStorage(b *testing.B) {
 // coordination (the Section 2 design claim).
 func BenchmarkAblationCoordinator(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationCoordinator(io.Discard, benchOpts()); err != nil {
-			b.Fatal(err)
-		}
+		runExperiment(b, "abl-coord")
 	}
 }
 
 // BenchmarkAblationDistance sweeps the TLP distance threshold.
 func BenchmarkAblationDistance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationDistance(io.Discard, benchOpts(), nil); err != nil {
-			b.Fatal(err)
-		}
+		runExperiment(b, "abl-dist")
 	}
 }
 
 // BenchmarkAblationPTSize sweeps the SLP pattern-table capacity.
 func BenchmarkAblationPTSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationPTSize(io.Discard, benchOpts(), nil); err != nil {
-			b.Fatal(err)
-		}
+		runExperiment(b, "abl-pt")
 	}
 }
 
@@ -189,13 +184,11 @@ func BenchmarkAblationPTSize(b *testing.B) {
 // baseline cache does.
 func BenchmarkCacheStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		amats, err := experiments.CacheStudy(io.Discard, benchOpts(), nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(amats["4MB lru"], "amat_4MB_lru")
-		b.ReportMetric(amats["8MB drrip"], "amat_8MB_drrip")
-		b.ReportMetric(amats["4MB+planaria"], "amat_4MB_planaria")
+		reportSummary(b, runExperiment(b, "cache-study"), map[string]string{
+			"cache_study_amat:4MB lru":      "amat_4MB_lru",
+			"cache_study_amat:8MB drrip":    "amat_8MB_drrip",
+			"cache_study_amat:4MB+planaria": "amat_4MB_planaria",
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
@@ -15,10 +16,10 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/telemetry"
+	"repro/internal/workloads"
 )
 
 // runMainArg, as the first argument of a re-executed test binary, makes
@@ -82,14 +83,13 @@ func TestWarmupZeroCountsEveryRecord(t *testing.T) {
 	}
 }
 
-// TestDefaultGeometryIgnoresHost runs the default Planaria configuration
-// through the serial runner under the options the default flags select, at
-// several GOMAXPROCS values: the host's core count must not choose the
-// simulated system, so every run reports the same bytes. Only the record
-// count is cut, to keep the test short.
+// TestDefaultGeometryIgnoresHost runs the PT-size ablation, whose Planaria
+// configurations carry engine overrides, under the options the default
+// flags select, at several GOMAXPROCS values: the host's core count must
+// not choose the simulated system, so every run reports the same bytes.
+// Only the record count is cut, to keep the test short.
 func TestDefaultGeometryIgnoresHost(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	size := []int{core.DefaultConfig().SLP.PTEntries}
 	var want [sha256.Size]byte
 	for i, procs := range []int{1, 4, 8, 16} {
 		runtime.GOMAXPROCS(procs)
@@ -98,11 +98,15 @@ func TestDefaultGeometryIgnoresHost(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts.Requests = 20_000
-		reps, err := experiments.AblationPTSize(io.Discard, opts, size)
+		e, err := experiments.Lookup("abl-pt", opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := json.Marshal(reps)
+		out, err := experiments.Run(context.Background(), io.Discard, e, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(experiments.Cells(out.Farm))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,8 +143,8 @@ func writeGrid(t *testing.T) string {
 	return path
 }
 
-// TestFarmWritesHeapProfile: -memprofile writes its heap profile in farm
-// mode too.
+// TestFarmWritesHeapProfile: -memprofile writes its heap profile after a
+// -grid run too.
 func TestFarmWritesHeapProfile(t *testing.T) {
 	dir := t.TempDir()
 	prof := filepath.Join(dir, "heap.pprof")
@@ -152,31 +156,77 @@ func TestFarmWritesHeapProfile(t *testing.T) {
 	}
 }
 
-// TestFarmRefusesJSON: the farm writes no combined artifact, so -json in
-// farm mode exits 1 naming the flag, before anything runs.
-func TestFarmRefusesJSON(t *testing.T) {
+// TestGridWritesJSON: -json with -grid writes the combined artifact of the
+// grid's cells, as it does for every -run id.
+func TestGridWritesJSON(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.json")
-	code, stderr := runMain(t, "-n", "2000", "-grid", writeGrid(t), "-json", path)
-	if code != 1 || !strings.Contains(stderr, "-json") {
-		t.Fatalf("exit %d, stderr %q; want exit 1 naming -json", code, stderr)
+	if code, stderr := runMain(t, "-n", "2000", "-grid", writeGrid(t), "-json", path); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
 	}
-	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("refused run left %s behind: %v", path, err)
+	art, err := obs.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(art.Cells) != 1 || art.Cells[0].App != "CFM" || art.Cells[0].Prefetcher != "none" {
+		t.Fatalf("artifact cells %+v, want the grid's one CFM/none cell", art.Cells)
 	}
 }
 
-// TestFarmOnlyOutputsRefused: only the farm writes -csv and -latex, so
-// either outside farm mode exits 1 naming the flag, before anything runs.
+// TestFarmOnlyOutputsRefused: -csv, -latex and -repeats > 1 need a grid, so
+// each on an id that simulates nothing exits 1 naming the flag, before
+// anything runs.
 func TestFarmOnlyOutputsRefused(t *testing.T) {
 	dir := t.TempDir()
-	for _, flag := range []string{"-csv", "-latex"} {
+	for _, flag := range []string{"-csv", "-latex", "-repeats"} {
 		path := filepath.Join(dir, "out"+flag)
-		code, stderr := runMain(t, "-n", "2000", "-run", "fig4", flag, path)
+		args := []string{"-n", "2000", "-run", "fig4", flag, path}
+		if flag == "-repeats" {
+			args = []string{"-n", "2000", "-run", "fig4", "-repeats", "2", "-json", path}
+		}
+		code, stderr := runMain(t, args...)
 		if code != 1 || !strings.Contains(stderr, flag) {
 			t.Errorf("%s: exit %d, stderr %q; want exit 1 naming %s", flag, code, stderr, flag)
 		}
 		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
 			t.Errorf("%s: refused run left %s behind: %v", flag, path, err)
+		}
+	}
+}
+
+// TestFailedCheckpointKeepsCells: a checkpoint that cannot be written — a
+// directory holds CFM_none_base_r0.json — fails its cell but keeps its
+// report, so every id that sweeps the EvalSet exits 1 and writes all 40
+// EvalSet cells into -json.
+func TestFailedCheckpointKeepsCells(t *testing.T) {
+	dir := t.TempDir()
+	cells := filepath.Join(dir, "cells")
+	if err := os.MkdirAll(filepath.Join(cells, "CFM_none_base_r0.json"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"fig7", "fig8", "tab-ipc", "tab-traffic", "fig10", "csv", "all"} {
+		path := filepath.Join(dir, id+".json")
+		if code, stderr := runMain(t, "-n", "2000", "-run", id, "-artifact-dir", cells, "-json", path); code != 1 {
+			t.Errorf("%s: exit %d, stderr %q; want exit 1", id, code, stderr)
+			continue
+		}
+		art, err := obs.ReadFile(path)
+		if err != nil {
+			t.Errorf("%s: %v", id, err)
+			continue
+		}
+		have := map[string]bool{}
+		for _, c := range art.Cells {
+			have[c.App+"/"+c.Prefetcher] = true
+		}
+		for _, app := range workloads.Abbrs() {
+			for _, pf := range experiments.EvalPrefetchers {
+				if !have[app+"/"+pf] {
+					t.Errorf("%s: -json lacks the completed cell %s/%s", id, app, pf)
+				}
+			}
+		}
+		if art.Manifest.Failure == "" {
+			t.Errorf("%s: the artifact records no failure", id)
 		}
 	}
 }
@@ -217,7 +267,7 @@ func requireGzip(t *testing.T, path string) {
 
 // TestProfilesWrittenOnFailure: a run that fails after its profiles start
 // exits 1 and still stops its CPU profile and writes its heap profile —
-// whether the combined -json artifact or, in farm mode, the -csv table
+// whether the -json artifact of -run fig4 or the -csv table of a -grid run
 // cannot be written because its path lies under a regular file.
 func TestProfilesWrittenOnFailure(t *testing.T) {
 	dir := t.TempDir()
@@ -243,7 +293,7 @@ func TestProfilesWrittenOnFailure(t *testing.T) {
 }
 
 // requireLiveViews fails the test unless dir holds the live views of a
-// finished farm that processed records records: a metrics.prom that
+// finished run that processed records records: a metrics.prom that
 // validates and counts them, a progress.json that parses, counts them and
 // carries the workload label, and no attrib.json, whose source the sweeps
 // do not record.
@@ -285,11 +335,11 @@ func requireLiveViews(t *testing.T, dir string, records int64, workload string) 
 	}
 }
 
-// TestLiveViewsWritten: -live-dir leaves the live views of a finished farm,
-// labelled with the grid file that chose its one cell, and a farm that
-// exits 1 (its -csv path lies under a regular file) still writes them. A
-// farm of -repeats alone, which runs no grid file and no -run id, carries
-// no label.
+// TestLiveViewsWritten: -live-dir leaves the live views of a finished -grid
+// run, labelled with the grid file that chose its one cell, and a run that
+// exits 1 (its -csv path lies under a regular file) still writes them.
+// -repeats alone repeats the default -run all's 60 cells and is labelled
+// with that id.
 func TestLiveViewsWritten(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "file")
@@ -305,7 +355,7 @@ func TestLiveViewsWritten(t *testing.T) {
 	}{
 		"ok":      {[]string{"-grid", grid}, 0, 2000, grid},
 		"failed":  {[]string{"-grid", grid, "-csv", filepath.Join(file, "out.csv")}, 1, 2000, grid},
-		"repeats": {[]string{"-repeats", "2"}, 0, 10 * 4 * 2 * 2000, ""},
+		"repeats": {[]string{"-repeats", "2"}, 0, 10 * 6 * 2 * 2000, "all"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			live := filepath.Join(dir, name)

@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/events"
 	"repro/internal/obs"
@@ -185,6 +186,41 @@ func TestProfilesWrittenOnFailure(t *testing.T) {
 	}
 	requireGzip(t, cpu)
 	requireGzip(t, heap)
+}
+
+// TestKilledProfileLeavesNoFile: a run killed with SIGKILL while its CPU
+// profile streams leaves no file at the -cpuprofile path, torn or empty,
+// because the profile reaches that path only when the run stops it.
+func TestKilledProfileLeavesNoFile(t *testing.T) {
+	dir := t.TempDir()
+	cpu := filepath.Join(dir, "cpu.pprof")
+	cmd := exec.Command(os.Args[0], runMainArg, "-app", "CFM", "-n", "100000000", "-cpuprofile", cpu)
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// The profile streams once a file for it, at the path or beside it,
+	// exists.
+	for deadline := time.Now().Add(time.Minute); ; time.Sleep(10 * time.Millisecond) {
+		if files, _ := filepath.Glob(filepath.Join(dir, "*cpu.pprof*")); len(files) > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			cmd.Process.Kill()
+			cmd.Wait()
+			t.Fatal("the CPU profile never started")
+		}
+	}
+	time.Sleep(100 * time.Millisecond)
+	if err := cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	cmd.Wait()
+	if cmd.ProcessState.Exited() {
+		t.Fatalf("the run ended (%v) before the kill", cmd.ProcessState)
+	}
+	if _, err := os.Stat(cpu); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("killed run left a file at %s: %v", cpu, err)
+	}
 }
 
 // requireLiveViews fails the test unless dir holds the live views of a

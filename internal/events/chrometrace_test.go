@@ -2,6 +2,7 @@ package events
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -136,4 +137,34 @@ func TestValidateChromeTraceRejectsMalformed(t *testing.T) {
 	if n, err := ValidateChromeTrace(strings.NewReader(`{"traceEvents":[{"name":"x","ph":"M"}]}`)); err != nil || n != 1 {
 		t.Errorf("minimal valid trace: n=%d err=%v", n, err)
 	}
+}
+
+// FuzzValidateChromeTrace: the validator behind `experiments
+// -validate-trace` never panics on any input, and the count it returns for
+// an accepted trace is the length of its traceEvents array. The seeds are a
+// trace exported from a short recorded run, an empty event array and an
+// event with an unknown phase.
+func FuzzValidateChromeTrace(f *testing.F) {
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, goldenRecorder(), TraceMeta{Tool: "planaria-sim", Workload: "CFM"}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(`{"traceEvents":[]}`))
+	f.Add([]byte(`{"traceEvents":[{"name":"x","ph":"Z"}]}`))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		n, err := ValidateChromeTrace(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var raw struct {
+			TraceEvents []json.RawMessage `json:"traceEvents"`
+		}
+		if err := json.NewDecoder(bytes.NewReader(in)).Decode(&raw); err != nil {
+			t.Fatalf("accepted a trace that does not decode: %v", err)
+		}
+		if n != len(raw.TraceEvents) {
+			t.Fatalf("counted %d events of %d", n, len(raw.TraceEvents))
+		}
+	})
 }

@@ -11,35 +11,35 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestWriteCSVDeterministic: two CSV renderings of the same sweep result
-// must be byte-identical — row order may not depend on map iteration.
+// TestWriteCSVDeterministic: two CSV renderings of the same run must be
+// byte-identical — row order may not depend on map iteration.
 func TestWriteCSVDeterministic(t *testing.T) {
-	reps, err := Sweep([]string{"planaria", "none", "bop"}, Options{Requests: 20_000, Warmup: 0.2})
+	out, err := sweep([]string{"planaria", "none", "bop"}, Options{Requests: 20_000, Warmup: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var a, b bytes.Buffer
-	if err := WriteCSV(&a, reps); err != nil {
+	if err := writeCSV(&a, out.Farm.ReportGrid("")); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteCSV(&b, reps); err != nil {
+	if err := writeCSV(&b, out.Farm.ReportGrid("")); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("CSV output differs between renderings of the same sweep")
+		t.Fatal("CSV output differs between renderings of the same run")
 	}
 }
 
 // TestCellsOrdering: cells come out in Table 2 app order with prefetchers
 // sorted within each app.
 func TestCellsOrdering(t *testing.T) {
-	reps, err := Sweep([]string{"planaria", "none"}, Options{Requests: 20_000, Warmup: 0.2})
+	out, err := sweep([]string{"planaria", "none"}, Options{Requests: 20_000, Warmup: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := Cells(reps)
-	if len(cells) != len(reps)*2 {
-		t.Fatalf("got %d cells, want %d", len(cells), len(reps)*2)
+	cells := Cells(out.Farm)
+	if len(cells) != 20 {
+		t.Fatalf("got %d cells, want 20", len(cells))
 	}
 	for i := 0; i+1 < len(cells); i += 2 {
 		if cells[i].App != cells[i+1].App {
@@ -52,17 +52,18 @@ func TestCellsOrdering(t *testing.T) {
 	}
 }
 
-// TestSweepArtifactDir: with ArtifactDir set, Sweep checkpoints one valid
+// TestSweepArtifactDir: with ArtifactDir set, a run checkpoints one valid
 // farm artifact per cell, sampled runs carry their time series through,
-// and a second Sweep over the same directory resumes every cell, simulating
+// and a second run over the same directory resumes every cell, simulating
 // nothing.
 func TestSweepArtifactDir(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{Requests: 20_000, Warmup: 0.2, SampleEvery: 5_000, ArtifactDir: dir}
-	reps, err := Sweep([]string{"none", "planaria"}, opts)
+	first, err := sweep([]string{"none", "planaria"}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	reps := first.Farm.ReportGrid("")
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -85,20 +86,20 @@ func TestSweepArtifactDir(t *testing.T) {
 	if art.Report == nil || art.Report.Series == nil || len(art.Report.Series.Samples) == 0 {
 		t.Fatal("artifact report missing the sampled time series")
 	}
-	// The artifact's report must agree with the in-memory sweep result.
+	// The artifact's report must agree with the in-memory result.
 	if art.Report.AMAT != reps["CFM"]["planaria"].AMAT {
-		t.Fatalf("artifact AMAT %v != sweep AMAT %v",
+		t.Fatalf("artifact AMAT %v != run AMAT %v",
 			art.Report.AMAT, reps["CFM"]["planaria"].AMAT)
 	}
 
 	reg := telemetry.NewRegistry()
 	opts.Progress = reg
-	again, err := Sweep([]string{"none", "planaria"}, opts)
+	again, err := sweep([]string{"none", "planaria"}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if records, expected := telemetry.RunProgress(reg); records.Value() != 0 || expected.Value() != 0 {
-		t.Fatalf("resumed sweep processed %d records of %d declared; want 0", records.Value(), expected.Value())
+		t.Fatalf("resumed run processed %d records of %d declared; want 0", records.Value(), expected.Value())
 	}
 	// Compared as JSON: a checkpoint does not keep an empty map apart from
 	// a nil one.
@@ -106,11 +107,11 @@ func TestSweepArtifactDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(again)
+	b, err := json.Marshal(again.Farm.ReportGrid(""))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a, b) {
-		t.Fatal("resumed sweep's reports differ from the sweep that wrote the checkpoints")
+		t.Fatal("resumed run's reports differ from the run that wrote the checkpoints")
 	}
 }

@@ -4,14 +4,21 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 
 	"repro/internal/metrics"
+	"repro/internal/sweepfarm"
 )
 
-// WriteCSV emits one row per (app, prefetcher) run with every metric the
+// csvTable prints the csv id's table: one row per EvalSet cell.
+func csvTable(w io.Writer, res *sweepfarm.Result, _ Options) (map[string]float64, error) {
+	return nil, writeCSV(w, res.ReportGrid(""))
+}
+
+// writeCSV emits one row per (app, prefetcher) run with every metric the
 // figures draw on, for external plotting.
-func WriteCSV(w io.Writer, reps map[string]map[string]metrics.Report) error {
+func writeCSV(w io.Writer, reps reports) error {
 	cw := csv.NewWriter(w)
 	header := []string{
 		"app", "prefetcher", "demand_reads", "demand_writes",
@@ -49,4 +56,14 @@ func WriteCSV(w io.Writer, reps map[string]map[string]metrics.Report) error {
 		return fmt.Errorf("experiments: csv: %w", err)
 	}
 	return nil
+}
+
+// prefetcherOrder returns the sorted prefetcher keys of one sweep row.
+func prefetcherOrder(row map[string]metrics.Report) []string {
+	out := make([]string, 0, len(row))
+	for pf := range row {
+		out = append(out, pf)
+	}
+	sort.Strings(out)
+	return out
 }

@@ -1,16 +1,16 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/sweepfarm"
 	"repro/internal/telemetry"
@@ -31,35 +31,41 @@ type Options struct {
 	// it. See docs/OBSERVABILITY.md.
 	SampleEvery uint64
 
-	// ArtifactDir, when non-empty, is the checkpoint directory of every
-	// Sweep: each completed cell is written there as the sweep farm
-	// writes it ("<app>_<prefetcher>_base_r0.json", schema v3), and a cell
-	// whose checkpoint matches is loaded instead of simulated again.
+	// ArtifactDir, when non-empty, is the farm's checkpoint directory: each
+	// completed job is written there ("<app>_<prefetcher>_<variant>_r<N>.json",
+	// schema v3), and a job whose checkpoint matches is loaded instead of
+	// simulated again.
 	ArtifactDir string
 
-	// Progress, when non-nil, receives job-granular run progress from
-	// every simulated run (telemetry.RunProgress) — the backing state of
-	// cmd/experiments' -live-dir views. Each run declares its records
-	// before it starts and adds them when it completes; the registry is
-	// never handed to the engines, so reports do not depend on it.
+	// Progress, when non-nil, receives job-granular run progress from the
+	// farm (telemetry.RunProgress) — the backing state of cmd/experiments'
+	// -live-dir views. The registry is never handed to the engines, so
+	// reports do not depend on it.
 	Progress *telemetry.Registry
 
 	// ExtraPrefetchers adds named prefetchers (sim.PrefetcherNames) to the
-	// Figure 7 / CSV sweep set beyond EvalPrefetchers — the way to put
-	// "planaria-tournament" (or "markov", "accel", …) side by side with
-	// the paper's comparison points. Duplicates of the base set are
-	// ignored. The fixed-column paper tables (Fig8, Fig10, IPC, traffic)
-	// keep their original columns; extras appear in the Fig7 table, the
-	// CSV and the sweep artifacts.
+	// EvalSet, the grid of fig7, fig8, fig10, tab-ipc, tab-traffic, csv and
+	// all — the way to put "planaria-tournament" (or "markov", "accel", …)
+	// side by side with the paper's comparison points. Duplicates of the
+	// base set are ignored. The fixed-column paper tables (Fig8, Fig10,
+	// IPC, traffic) keep their original columns; extras appear in the Fig7
+	// table, the CSV and the artifacts.
 	ExtraPrefetchers []string
 }
 
+// EvalPrefetchers is the prefetcher set of Figures 7, 8 and 10.
+var EvalPrefetchers = []string{"none", "bop", "spp", "planaria"}
+
 // EvalSet returns EvalPrefetchers plus the options' extra prefetchers,
-// original order preserved and duplicates dropped — the sweep set used by
-// Fig7 and the CSV export.
+// original order preserved and duplicates dropped.
 func (o Options) EvalSet() []string {
-	out := append([]string(nil), EvalPrefetchers...)
-	for _, pf := range o.ExtraPrefetchers {
+	return union(EvalPrefetchers, o.ExtraPrefetchers)
+}
+
+// union concatenates the sets, dropping empty names and repeats.
+func union(sets ...[]string) []string {
+	var out []string
+	for _, pf := range slices.Concat(sets...) {
 		if pf != "" && !slices.Contains(out, pf) {
 			out = append(out, pf)
 		}
@@ -67,93 +73,191 @@ func (o Options) EvalSet() []string {
 	return out
 }
 
-// FarmConfig returns the sweep-farm cell configuration the options select.
-func (o Options) FarmConfig() sweepfarm.Config {
-	return sweepfarm.Config{
-		Requests:    o.Requests,
-		Warmup:      o.Warmup,
-		SampleEvery: o.SampleEvery,
-	}
+// An Experiment is one entry of the evaluation: the grid it simulates on
+// the sweep farm and the renderer that prints its tables.
+type Experiment struct {
+	// Grid is the cells the experiment simulates; nil for one that
+	// simulates nothing (fig2, fig4, fig5 and tab-storage).
+	Grid *sweepfarm.Grid
+
+	// render prints the experiment's tables from repeat 0 of a clean run
+	// and returns its summary scalars; nil renders the farm's mean ± CI95
+	// tables, as a -grid file does.
+	render renderer
 }
 
-// runOne simulates one app trace on the engine cfg describes, with the
-// options' sampling and warmup, publishing the run on opts.Progress. It
-// serves the runs a named sweep cell cannot express: the cache study's
-// cache configurations and the ablations' Planaria parameters. The records
-// stream straight from the workload generator — O(chunk) memory regardless
-// of opts.Requests.
-func runOne(p workloads.Profile, cfg sim.Config, opts Options) (metrics.Report, error) {
-	cfg.SampleEvery = opts.SampleEvery
-	records, expected := telemetry.RunProgress(opts.Progress)
-	expected.Add(int64(opts.Requests))
-	rep, err := sim.New(cfg).Run(context.Background(), p.Stream(opts.Requests), p.Abbr, opts.Warmup)
-	if err == nil {
-		records.Add(uint64(opts.Requests))
-	}
-	return rep, err
+// renderer prints an experiment's tables from a farm result (nil when the
+// experiment simulates nothing) and returns its summary scalars.
+type renderer func(w io.Writer, res *sweepfarm.Result, opts Options) (map[string]float64, error)
+
+// table is the evaluation, one entry per cmd/experiments -run id: the grid
+// the id simulates under the options (nil: none) and its renderer.
+var table = map[string]struct {
+	grid   func(Options) sweepfarm.Grid
+	render renderer
+}{
+	"all":         {allGrid, renderAll},
+	"fig2":        {nil, fig2},
+	"fig4":        {nil, fig4},
+	"fig5":        {nil, fig5},
+	"fig7":        {evalGrid, afterFig7(nil)},
+	"fig8":        {evalGrid, afterFig7(fig8)},
+	"fig9":        {prefetchers(fig9Prefetchers...), fromReports(fig9)},
+	"fig9b":       {prefetchers("planaria"), fromReports(fig9b)},
+	"fig10":       {evalGrid, afterFig7(fig10)},
+	"tab-ipc":     {evalGrid, afterFig7(tableIPC)},
+	"tab-traffic": {evalGrid, afterFig7(tableTraffic)},
+	"tab-storage": {nil, storage},
+	"cache-study": {cacheGrid, cacheStudy},
+	"abl-coord":   {coordGrid, ablationCoordinator},
+	"abl-dist":    {distGrid, ablationDistance},
+	"abl-pt":      {ptGrid, ablationPTSize},
+	"csv":         {evalGrid, csvTable},
 }
 
-// Sweep runs every catalog app under every named prefetcher on the sweep
-// farm: one repeat, which keeps each profile's catalog seed, no config
-// variants, and opts.ArtifactDir as the farm's checkpoint and resume
-// directory. Duplicate names run once; an empty set is an empty sweep.
-//
-// On failure Sweep degrades instead of discarding the sweep: the returned
-// map holds every cell that completed cleanly (failed cells are simply
-// absent), and the error joins one entry per failed cell — each prefixed
-// with its cell key — so a multi-cell failure diagnoses in a single pass
-// instead of one error per re-run. Callers that need an all-or-nothing
-// result should treat a non-nil error as fatal; callers surfacing partial
-// progress (cmd/experiments) can still write artifacts for the completed
-// cells.
-func Sweep(prefetchers []string, opts Options) (map[string]map[string]metrics.Report, error) {
-	var uniq []string
-	for _, pf := range prefetchers {
-		if !slices.Contains(uniq, pf) {
-			uniq = append(uniq, pf)
+// Lookup returns the experiment of a cmd/experiments -run id under opts.
+func Lookup(id string, opts Options) (Experiment, error) {
+	entry, ok := table[id]
+	if !ok {
+		return Experiment{}, fmt.Errorf("unknown experiment %q", id)
+	}
+	e := Experiment{render: entry.render}
+	if entry.grid != nil {
+		g := entry.grid(opts)
+		e.Grid = &g
+	}
+	return e, nil
+}
+
+// Outcome is what one Run produced.
+type Outcome struct {
+	Farm    *sweepfarm.Result  // the grid's result; nil when e simulates nothing
+	Summary map[string]float64 // the renderer's headline scalars
+}
+
+// Run is the one way an experiment runs: it simulates e's grid once on the
+// sweep farm — resuming from and checkpointing to opts.ArtifactDir, with
+// progress on opts.Progress, cancelled through ctx — and renders it to w.
+// The renderer runs only on a clean grid; the farm's mean ± CI95 tables
+// and job counts follow when the grid has more than one repeat, and stand
+// in for a nil renderer. On failure the Outcome still carries every
+// completed cell, and the error joins one entry per failed job.
+func Run(ctx context.Context, w io.Writer, e Experiment, opts Options) (Outcome, error) {
+	var out Outcome
+	var err error
+	if e.Grid != nil {
+		runner := &sweepfarm.Runner{
+			Grid:        *e.Grid,
+			Base:        sweepfarm.Config{Requests: opts.Requests, Warmup: opts.Warmup, SampleEvery: opts.SampleEvery},
+			ArtifactDir: opts.ArtifactDir,
+			Progress:    opts.Progress,
+		}
+		if out.Farm, err = runner.Run(ctx); out.Farm == nil {
+			return out, err
 		}
 	}
-	if len(uniq) == 0 {
-		return map[string]map[string]metrics.Report{}, nil
+	if e.render != nil && err == nil {
+		out.Summary, err = e.render(w, out.Farm, opts)
 	}
-	runner := &sweepfarm.Runner{
-		Grid:        sweepfarm.Grid{Prefetchers: uniq},
-		Base:        opts.FarmConfig(),
-		ArtifactDir: opts.ArtifactDir,
-		Progress:    opts.Progress,
+	if out.Farm != nil && (e.render == nil || out.Farm.Grid.Repeats > 1) {
+		sweepfarm.TableHitRate(w, out.Farm)
+		sweepfarm.TableAMAT(w, out.Farm)
+		sweepfarm.TablePower(w, out.Farm)
+		fmt.Fprintf(w, "\nfarm: %d jobs executed, %d resumed, %d failed\n",
+			out.Farm.Executed, out.Farm.Resumed, out.Farm.Failed)
 	}
-	res, err := runner.Run(context.Background())
+	return out, err
+}
+
+// Cells lists repeat 0 of every complete cell of a farm result: apps in
+// grid order, prefetchers sorted by name within each app, variants in grid
+// order. The order is deterministic, so JSON artifacts built from it are
+// diff-stable.
+func Cells(res *sweepfarm.Result) []obs.Cell {
 	if res == nil {
-		return nil, err
+		return nil
 	}
-	return res.ReportGrid(""), err
-}
-
-// columns selects the named prefetchers' cells from a sweep, and reports
-// whether every catalog app has all of them.
-func columns(reps map[string]map[string]metrics.Report, prefetchers []string) (map[string]map[string]metrics.Report, bool) {
-	out := make(map[string]map[string]metrics.Report, len(reps))
-	complete := true
-	for _, app := range workloads.Abbrs() {
-		row := make(map[string]metrics.Report, len(prefetchers))
-		for _, pf := range prefetchers {
-			if rep, ok := reps[app][pf]; ok {
-				row[pf] = rep
-			} else {
-				complete = false
-			}
-		}
-		if len(row) > 0 {
-			out[app] = row
+	var cells []obs.Cell
+	for _, c := range res.Cells {
+		if c.Complete() {
+			cells = append(cells, obs.Cell{App: c.Key.App, Prefetcher: c.Key.Prefetcher,
+				Variant: c.Key.Variant, Report: c.Repeats[0].Report})
 		}
 	}
-	return out, complete
+	rank := make(map[string]int, len(res.Grid.Apps))
+	for i, a := range res.Grid.Apps {
+		rank[a] = i
+	}
+	slices.SortStableFunc(cells, func(a, b obs.Cell) int {
+		return cmp.Or(cmp.Compare(rank[a.App], rank[b.App]), strings.Compare(a.Prefetcher, b.Prefetcher))
+	})
+	return cells
 }
 
-// EvalPrefetchers is the prefetcher set of Figures 7, 8 and 10.
-var EvalPrefetchers = []string{"none", "bop", "spp", "planaria"}
+// The grids.
 
-// Row formatting helpers shared by the runners.
+// prefetchers returns the grid of the catalog apps under the named
+// prefetchers.
+func prefetchers(pfs ...string) func(Options) sweepfarm.Grid {
+	return func(Options) sweepfarm.Grid { return sweepfarm.Grid{Prefetchers: slices.Clone(pfs)} }
+}
+
+// evalGrid is the catalog under the EvalSet: the cells of Figures 7, 8 and
+// 10, the IPC and traffic tables and the CSV.
+func evalGrid(opts Options) sweepfarm.Grid {
+	return sweepfarm.Grid{Prefetchers: opts.EvalSet()}
+}
+
+// fig9Prefetchers is the Figure 9 set: the baseline, the SLP-only and
+// TLP-only variants and the full composite.
+var fig9Prefetchers = []string{"none", "planaria-slp", "planaria-tlp", "planaria"}
+
+// allGrid is the whole evaluation: the EvalSet and the two Figure 9
+// variants, each cell once.
+func allGrid(opts Options) sweepfarm.Grid {
+	return sweepfarm.Grid{Prefetchers: union(opts.EvalSet(), fig9Prefetchers)}
+}
+
+// The renderers and their tables.
+
+// reports is one variant's repeat-0 reports by app and prefetcher.
+type reports = map[string]map[string]metrics.Report
+
+// fromReports adapts a table of the base variant's reports to a renderer.
+func fromReports(table func(io.Writer, reports) map[string]float64) renderer {
+	return func(w io.Writer, res *sweepfarm.Result, _ Options) (map[string]float64, error) {
+		return table(w, res.ReportGrid("")), nil
+	}
+}
+
+// afterFig7 renders the Figure 7 table of the EvalSet cells, then table
+// (when non-nil) from the same reports.
+func afterFig7(table func(io.Writer, reports) map[string]float64) renderer {
+	return func(w io.Writer, res *sweepfarm.Result, opts Options) (map[string]float64, error) {
+		reps := res.ReportGrid("")
+		fig7Table(w, reps, opts.EvalSet())
+		if table == nil {
+			return nil, nil
+		}
+		return table(w, reps), nil
+	}
+}
+
+// renderAll prints every figure and table of the evaluation, each from the
+// one sweep of allGrid.
+func renderAll(w io.Writer, res *sweepfarm.Result, opts Options) (map[string]float64, error) {
+	fig4(w, nil, opts)
+	fig5(w, nil, opts)
+	reps := res.ReportGrid("")
+	fig7Table(w, reps, opts.EvalSet())
+	for _, table := range []func(io.Writer, reports) map[string]float64{
+		fig8, fig9, fig9b, fig10, tableIPC, tableTraffic,
+	} {
+		table(w, reps)
+	}
+	_, err := storage(w, nil, opts)
+	return nil, err
+}
 
 func header(w io.Writer, title string, cols []string) {
 	fmt.Fprintf(w, "\n== %s ==\n", title)
@@ -164,25 +268,19 @@ func header(w io.Writer, title string, cols []string) {
 	fmt.Fprintln(w)
 }
 
-func appOrder(m map[string]map[string]metrics.Report) []string {
-	abbrs := workloads.Abbrs()
-	out := abbrs[:0:0]
-	for _, a := range abbrs {
+// appOrder lists the catalog apps that have reports, in Table 2 order.
+func appOrder(m reports) []string {
+	var out []string
+	for _, a := range workloads.Abbrs() {
 		if _, ok := m[a]; ok {
 			out = append(out, a)
 		}
 	}
-	if len(out) == 0 {
-		for a := range m {
-			out = append(out, a)
-		}
-		sort.Strings(out)
-	}
 	return out
 }
 
-// Fig4 computes the per-app overlap rate (paper: average > 80 %).
-func Fig4(w io.Writer, opts Options) (avg float64) {
+// fig4 prints the per-app overlap rate (paper: average > 80 %).
+func fig4(w io.Writer, _ *sweepfarm.Result, opts Options) (map[string]float64, error) {
 	fmt.Fprintf(w, "\n== Figure 4: footprint overlap rate ==\n")
 	var rates []float64
 	for _, p := range workloads.Catalog() {
@@ -190,14 +288,14 @@ func Fig4(w io.Writer, opts Options) (avg float64) {
 		rates = append(rates, r)
 		fmt.Fprintf(w, "%-6s %6.1f%%\n", p.Abbr, 100*r)
 	}
-	avg = metrics.Mean(rates)
+	avg := metrics.Mean(rates)
 	fmt.Fprintf(w, "%-6s %6.1f%%   (paper: > 80%% on average)\n", "avg", 100*avg)
-	return avg
+	return map[string]float64{"fig4_overlap_rate_avg": avg}, nil
 }
 
-// Fig5 computes the learnable-neighbour proportion per distance threshold
+// fig5 prints the learnable-neighbour proportion per distance threshold
 // (paper: 26.95 % at distance 4, 39.26 % at distance 64 on average).
-func Fig5(w io.Writer, opts Options) (avgAt4, avgAt64 float64) {
+func fig5(w io.Writer, _ *sweepfarm.Result, opts Options) (map[string]float64, error) {
 	dists := []uint64{4, 8, 16, 32, 64}
 	fmt.Fprintf(w, "\n== Figure 5: learnable neighbouring pages ==\n")
 	fmt.Fprintf(w, "%-6s", "app")
@@ -222,25 +320,15 @@ func Fig5(w io.Writer, opts Options) (avgAt4, avgAt64 float64) {
 		fmt.Fprintf(w, "%9.1f%%", 100*sums[i]/float64(n))
 	}
 	fmt.Fprintf(w, "   (paper avg: 26.95%% @4, 39.26%% @64)\n")
-	return sums[0] / float64(n), sums[len(dists)-1] / float64(n)
+	return map[string]float64{
+		"fig5_neighbors_at4":  sums[0] / float64(n),
+		"fig5_neighbors_at64": sums[len(dists)-1] / float64(n),
+	}, nil
 }
 
-// Fig7 prints the per-app SC hit rate per prefetcher and returns the
-// reports for further use. On a partial sweep the completed cells come
-// back with the error; the table (which assumes a full grid) is only
-// printed for a clean sweep.
-func Fig7(w io.Writer, opts Options) (map[string]map[string]metrics.Report, error) {
-	set := opts.EvalSet()
-	reps, err := Sweep(set, opts)
-	if err != nil {
-		return reps, err
-	}
-	fig7Table(w, reps, set)
-	return reps, nil
-}
-
-// fig7Table prints the Figure 7 table of a sweep's set columns.
-func fig7Table(w io.Writer, reps map[string]map[string]metrics.Report, set []string) {
+// fig7Table prints the Figure 7 table, SC hit rate per app under each of
+// the set's prefetchers.
+func fig7Table(w io.Writer, reps reports, set []string) {
 	header(w, "Figure 7: SC hit rate", set)
 	for _, a := range appOrder(reps) {
 		fmt.Fprintf(w, "%-6s", a)
@@ -251,10 +339,10 @@ func fig7Table(w io.Writer, reps map[string]map[string]metrics.Report, set []str
 	}
 }
 
-// Fig8 prints per-app AMAT and the headline reductions (paper: Planaria
+// fig8 prints per-app AMAT and the headline reductions (paper: Planaria
 // −24.3 % vs none, −21.3 % vs BOP, −15.1 % vs SPP; SPP −10.8 % and BOP
 // −3.3 % vs none).
-func Fig8(w io.Writer, reps map[string]map[string]metrics.Report) (vsNone, vsBOP, vsSPP float64) {
+func fig8(w io.Writer, reps reports) map[string]float64 {
 	header(w, "Figure 8: AMAT (cycles)", EvalPrefetchers)
 	var rNone, rBOP, rSPP []float64
 	for _, a := range appOrder(reps) {
@@ -268,33 +356,23 @@ func Fig8(w io.Writer, reps map[string]map[string]metrics.Report) (vsNone, vsBOP
 		rBOP = append(rBOP, metrics.Reduction(reps[a]["bop"].AMAT, pl))
 		rSPP = append(rSPP, metrics.Reduction(reps[a]["spp"].AMAT, pl))
 	}
-	vsNone, vsBOP, vsSPP = metrics.Mean(rNone), metrics.Mean(rBOP), metrics.Mean(rSPP)
+	vsNone, vsBOP, vsSPP := metrics.Mean(rNone), metrics.Mean(rBOP), metrics.Mean(rSPP)
 	fmt.Fprintf(w, "Planaria AMAT reduction: %.1f%% vs none, %.1f%% vs BOP, %.1f%% vs SPP\n",
 		100*vsNone, 100*vsBOP, 100*vsSPP)
 	fmt.Fprintf(w, "(paper: 24.3%%, 21.3%%, 15.1%%)\n")
-	return vsNone, vsBOP, vsSPP
-}
-
-// fig9Prefetchers is the Figure 9 sweep set — a variable (not a literal in
-// Fig9) so the RunAll partial-results test can inject a failing cell.
-var fig9Prefetchers = []string{"none", "planaria-slp", "planaria-tlp", "planaria"}
-
-// Fig9 runs the Planaria breakdown (SLP-only, TLP-only, full) and prints
-// each variant's share of the AMAT improvement (paper: SLP ≈ 80 % overall,
-// TLP dominant on Fort).
-func Fig9(w io.Writer, opts Options) (slpShareAvg float64, slpShare map[string]float64, err error) {
-	reps, err := Sweep(fig9Prefetchers, opts)
-	if err != nil {
-		return 0, nil, err
+	return map[string]float64{
+		"fig8_amat_reduction_vs_none": vsNone,
+		"fig8_amat_reduction_vs_bop":  vsBOP,
+		"fig8_amat_reduction_vs_spp":  vsSPP,
 	}
-	slpShareAvg, slpShare = fig9Table(w, reps)
-	return slpShareAvg, slpShare, nil
 }
 
-// fig9Table prints the Figure 9 table of a sweep with fig9Prefetchers.
-func fig9Table(w io.Writer, reps map[string]map[string]metrics.Report) (slpShareAvg float64, slpShare map[string]float64) {
+// fig9 prints the Planaria breakdown (SLP-only, TLP-only, full) and each
+// variant's share of the AMAT improvement (paper: SLP ≈ 80 % overall, TLP
+// dominant on Fort). The summary holds the average share and each app's.
+func fig9(w io.Writer, reps reports) map[string]float64 {
 	header(w, "Figure 9: breakdown (AMAT reduction share)", []string{"slp-only", "tlp-only", "slp-share"})
-	slpShare = map[string]float64{}
+	summary := map[string]float64{}
 	var shares []float64
 	for _, a := range appOrder(reps) {
 		base := reps[a]["none"].AMAT
@@ -305,30 +383,22 @@ func fig9Table(w io.Writer, reps map[string]map[string]metrics.Report) (slpShare
 		if slp+tlp > 0 {
 			share = slp / (slp + tlp)
 		}
-		slpShare[a] = share
+		summary["fig9_slp_share:"+a] = share
 		shares = append(shares, share)
 		fmt.Fprintf(w, "%-6s%11.1f%%%11.1f%%%11.1f%%   (full %.1f%%)\n",
 			a, 100*slp, 100*tlp, 100*share, 100*full)
 	}
-	slpShareAvg = metrics.Mean(shares)
-	fmt.Fprintf(w, "average SLP share: %.1f%%   (paper: ~80%%)\n", 100*slpShareAvg)
-	return slpShareAvg, slpShare
+	avg := metrics.Mean(shares)
+	fmt.Fprintf(w, "average SLP share: %.1f%%   (paper: ~80%%)\n", 100*avg)
+	summary["fig9_slp_share_avg"] = avg
+	return summary
 }
 
-// Fig9b prints the in-system breakdown: useful prefetches attributed to
+// fig9b prints the in-system breakdown: useful prefetches attributed to
 // each sub-prefetcher inside the full Planaria configuration (a second,
-// attribution-based view of Figure 9; Fig9 uses the standalone-variant
+// attribution-based view of Figure 9; fig9 uses the standalone-variant
 // method).
-func Fig9b(w io.Writer, opts Options) (slpShareAvg float64, err error) {
-	reps, err := Sweep([]string{"planaria"}, opts)
-	if err != nil {
-		return 0, err
-	}
-	return fig9bTable(w, reps), nil
-}
-
-// fig9bTable prints the attribution table of a sweep's planaria column.
-func fig9bTable(w io.Writer, reps map[string]map[string]metrics.Report) (slpShareAvg float64) {
+func fig9b(w io.Writer, reps reports) map[string]float64 {
 	fmt.Fprintf(w, "\n== Figure 9 (in-system attribution): useful prefetches per sub-prefetcher ==\n")
 	fmt.Fprintf(w, "%-6s %12s %12s %12s\n", "app", "slp", "tlp", "slp-share")
 	var shares []float64
@@ -343,35 +413,66 @@ func fig9bTable(w io.Writer, reps map[string]map[string]metrics.Report) (slpShar
 		shares = append(shares, share)
 		fmt.Fprintf(w, "%-6s %12d %12d %11.1f%%\n", a, slp, tlp, 100*share)
 	}
-	slpShareAvg = metrics.Mean(shares)
-	fmt.Fprintf(w, "average SLP share of useful prefetches: %.1f%%   (paper: ~80%%)\n", 100*slpShareAvg)
-	return slpShareAvg
+	avg := metrics.Mean(shares)
+	fmt.Fprintf(w, "average SLP share of useful prefetches: %.1f%%   (paper: ~80%%)\n", 100*avg)
+	return map[string]float64{"fig9b_slp_share_avg": avg}
 }
 
-// Fig10 prints per-app memory-system energy overhead vs no prefetcher
-// (paper: Planaria +0.5 % avg, BOP +13.5 %, SPP +9.7 %).
-func Fig10(w io.Writer, reps map[string]map[string]metrics.Report) (plAvg, bopAvg, sppAvg float64) {
-	header(w, "Figure 10: memory power overhead vs none", []string{"bop", "spp", "planaria"})
-	var pl, bo, sp []float64
+// overheads prints each app's overhead of bop, spp and planaria over none
+// in the metric of, then the averages, and returns the averages by
+// prefetcher.
+func overheads(w io.Writer, reps reports, title string, of func(metrics.Report) float64) map[string]float64 {
+	pfs := []string{"bop", "spp", "planaria"}
+	header(w, title, pfs)
+	avgs := map[string][]float64{}
 	for _, a := range appOrder(reps) {
-		base := reps[a]["none"].Energy.Total()
-		ovh := func(pf string) float64 {
-			return metrics.Improvement(base, reps[a][pf].Energy.Total())
+		fmt.Fprintf(w, "%-6s", a)
+		for _, pf := range pfs {
+			ovh := metrics.Improvement(of(reps[a]["none"]), of(reps[a][pf]))
+			avgs[pf] = append(avgs[pf], ovh)
+			fmt.Fprintf(w, "%11.1f%%", 100*ovh)
 		}
-		fmt.Fprintf(w, "%-6s%11.1f%%%11.1f%%%11.1f%%\n", a, 100*ovh("bop"), 100*ovh("spp"), 100*ovh("planaria"))
-		bo = append(bo, ovh("bop"))
-		sp = append(sp, ovh("spp"))
-		pl = append(pl, ovh("planaria"))
+		fmt.Fprintln(w)
 	}
-	plAvg, bopAvg, sppAvg = metrics.Mean(pl), metrics.Mean(bo), metrics.Mean(sp)
-	fmt.Fprintf(w, "average: BOP %+.1f%%, SPP %+.1f%%, Planaria %+.1f%%   (paper: +13.5%%, +9.7%%, +0.5%%)\n",
-		100*bopAvg, 100*sppAvg, 100*plAvg)
-	return plAvg, bopAvg, sppAvg
+	out := make(map[string]float64, len(pfs))
+	for _, pf := range pfs {
+		out[pf] = metrics.Mean(avgs[pf])
+	}
+	return out
 }
 
-// TableIPC prints the estimated IPC uplift (paper: +28.9 % vs none,
-// +21.9 % vs BOP, +15.3 % vs SPP).
-func TableIPC(w io.Writer, reps map[string]map[string]metrics.Report) (vsNone, vsBOP, vsSPP float64) {
+// fig10 prints per-app memory-system energy overhead vs no prefetcher
+// (paper: Planaria +0.5 % avg, BOP +13.5 %, SPP +9.7 %).
+func fig10(w io.Writer, reps reports) map[string]float64 {
+	avg := overheads(w, reps, "Figure 10: memory power overhead vs none",
+		func(r metrics.Report) float64 { return r.Energy.Total() })
+	fmt.Fprintf(w, "average: BOP %+.1f%%, SPP %+.1f%%, Planaria %+.1f%%   (paper: +13.5%%, +9.7%%, +0.5%%)\n",
+		100*avg["bop"], 100*avg["spp"], 100*avg["planaria"])
+	return map[string]float64{
+		"power_overhead_planaria": avg["planaria"],
+		"power_overhead_bop":      avg["bop"],
+		"power_overhead_spp":      avg["spp"],
+	}
+}
+
+// tableTraffic prints DRAM traffic overhead vs none (paper: SPP +15.9 %,
+// BOP +23.4 %).
+func tableTraffic(w io.Writer, reps reports) map[string]float64 {
+	avg := overheads(w, reps, "Traffic overhead vs none",
+		func(r metrics.Report) float64 { return float64(r.Traffic()) })
+	fmt.Fprintf(w, "average: BOP %+.1f%%, SPP %+.1f%%, Planaria %+.1f%%   (paper: +23.4%%, +15.9%%, small)\n",
+		100*avg["bop"], 100*avg["spp"], 100*avg["planaria"])
+	return map[string]float64{
+		"traffic_overhead_bop":      avg["bop"],
+		"traffic_overhead_spp":      avg["spp"],
+		"traffic_overhead_planaria": avg["planaria"],
+	}
+}
+
+// tableIPC prints the estimated IPC uplift (paper: +28.9 % vs none,
+// +21.9 % vs BOP, +15.3 % vs SPP). The IPC model maps AMAT to IPC, so
+// the table restates Figure 8 (DESIGN.md).
+func tableIPC(w io.Writer, reps reports) map[string]float64 {
 	model := metrics.DefaultIPCModel()
 	header(w, "IPC estimate (model, see DESIGN.md)", EvalPrefetchers)
 	var uNone, uBOP, uSPP []float64
@@ -386,45 +487,28 @@ func TableIPC(w io.Writer, reps map[string]map[string]metrics.Report) (vsNone, v
 		uBOP = append(uBOP, metrics.Improvement(model.IPC(reps[a]["bop"].AMAT), pl))
 		uSPP = append(uSPP, metrics.Improvement(model.IPC(reps[a]["spp"].AMAT), pl))
 	}
-	vsNone, vsBOP, vsSPP = metrics.Mean(uNone), metrics.Mean(uBOP), metrics.Mean(uSPP)
+	vsNone, vsBOP, vsSPP := metrics.Mean(uNone), metrics.Mean(uBOP), metrics.Mean(uSPP)
 	fmt.Fprintf(w, "Planaria IPC uplift: %.1f%% vs none, %.1f%% vs BOP, %.1f%% vs SPP\n",
 		100*vsNone, 100*vsBOP, 100*vsSPP)
 	fmt.Fprintf(w, "(paper: 28.9%%, 21.9%%, 15.3%%)\n")
-	return vsNone, vsBOP, vsSPP
-}
-
-// TableTraffic prints DRAM traffic overhead vs none (paper: SPP +15.9 %,
-// BOP +23.4 %).
-func TableTraffic(w io.Writer, reps map[string]map[string]metrics.Report) (bopAvg, sppAvg, plAvg float64) {
-	header(w, "Traffic overhead vs none", []string{"bop", "spp", "planaria"})
-	var bo, sp, pl []float64
-	for _, a := range appOrder(reps) {
-		base := float64(reps[a]["none"].Traffic())
-		ovh := func(pf string) float64 {
-			return metrics.Improvement(base, float64(reps[a][pf].Traffic()))
-		}
-		fmt.Fprintf(w, "%-6s%11.1f%%%11.1f%%%11.1f%%\n", a, 100*ovh("bop"), 100*ovh("spp"), 100*ovh("planaria"))
-		bo = append(bo, ovh("bop"))
-		sp = append(sp, ovh("spp"))
-		pl = append(pl, ovh("planaria"))
+	return map[string]float64{
+		"ipc_uplift_vs_none": vsNone,
+		"ipc_uplift_vs_bop":  vsBOP,
+		"ipc_uplift_vs_spp":  vsSPP,
 	}
-	bopAvg, sppAvg, plAvg = metrics.Mean(bo), metrics.Mean(sp), metrics.Mean(pl)
-	fmt.Fprintf(w, "average: BOP %+.1f%%, SPP %+.1f%%, Planaria %+.1f%%   (paper: +23.4%%, +15.9%%, small)\n",
-		100*bopAvg, 100*sppAvg, 100*plAvg)
-	return bopAvg, sppAvg, plAvg
 }
 
-// TableStorage prints the prefetcher metadata budget (paper: 345.2 KB).
-func TableStorage(w io.Writer) (float64, error) {
+// storage prints the prefetcher metadata budget (paper: 345.2 KB).
+func storage(w io.Writer, _ *sweepfarm.Result, _ Options) (map[string]float64, error) {
 	return tableStorage(w, "planaria")
 }
 
-func tableStorage(w io.Writer, name string) (float64, error) {
+func tableStorage(w io.Writer, name string) (map[string]float64, error) {
 	factory, err := sim.NamedPrefetcher(name)
 	if err != nil {
 		// A registry rename must surface as an error, not as a nil factory
 		// dereference on the next line.
-		return 0, fmt.Errorf("storage table: %w", err)
+		return nil, fmt.Errorf("storage table: %w", err)
 	}
 	bits := 0
 	for ch := 0; ch < 4; ch++ {
@@ -432,49 +516,16 @@ func tableStorage(w io.Writer, name string) (float64, error) {
 	}
 	kb := float64(bits) / 8 / 1024
 	fmt.Fprintf(w, "\n== Storage ==\nPlanaria metadata: %.1f KB across 4 channels (paper: 345.2 KB = 8.4%% of 4 MB SC)\n", kb)
-	return kb, nil
+	return map[string]float64{"planaria_storage_kb": kb}, nil
 }
 
-// RunAll strings the full evaluation; used by cmd/experiments -run all. One
-// sweep simulates each cell once — the EvalSet for Figures 7, 8, 9b and 10
-// and the IPC and traffic tables, plus the SLP-only and TLP-only variants
-// Figure 9 adds — and every table is rendered from it. It returns the
-// EvalSet cells so callers can derive artifacts from the same runs the
-// tables printed. On a failed cell it degrades as Sweep does: Figures 7
-// and 8 print only when every EvalSet cell completed, a failed Figure 9
-// cell ends the run after Figure 8, and the completed EvalSet cells come
-// back with the error either way.
-func RunAll(w io.Writer, opts Options) (map[string]map[string]metrics.Report, error) {
-	Fig4(w, opts)
-	Fig5(w, opts)
-	set := opts.EvalSet()
-	all, err := Sweep(slices.Concat(set, fig9Prefetchers), opts)
-	reps, ok := columns(all, set)
-	if !ok {
-		return reps, err
-	}
-	fig7Table(w, reps, set)
-	Fig8(w, reps)
-	breakdown, ok := columns(all, fig9Prefetchers)
-	if !ok {
-		return reps, err
-	}
-	fig9Table(w, breakdown)
-	fig9bTable(w, reps)
-	Fig10(w, reps)
-	TableIPC(w, reps)
-	TableTraffic(w, reps)
-	_, serr := TableStorage(w)
-	return reps, errors.Join(err, serr)
-}
-
-// Fig2 extracts the snapshot timeline of a hot page (rendered as text).
-func Fig2(w io.Writer, opts Options) int {
+// fig2 extracts the snapshot timeline of a hot page (rendered as text).
+func fig2(w io.Writer, _ *sweepfarm.Result, opts Options) (map[string]float64, error) {
 	p := workloads.Catalog()[0]
 	t := p.Generate(opts.Requests)
 	hot := analysis.HottestPages(t, 1)
 	if len(hot) == 0 {
-		return 0
+		return map[string]float64{"fig2_timeline_accesses": 0}, nil
 	}
 	pts := analysis.PageTimeline(t, hot[0])
 	fmt.Fprintf(w, "\n== Figure 2: footprint snapshot of page %#x (%s) ==\n", uint64(hot[0]), p.Abbr)
@@ -488,5 +539,5 @@ func Fig2(w io.Writer, opts Options) int {
 	if len(pts) > 64 {
 		fmt.Fprintf(w, "... (%d more accesses)\n", len(pts)-64)
 	}
-	return len(pts)
+	return map[string]float64{"fig2_timeline_accesses": float64(len(pts))}, nil
 }

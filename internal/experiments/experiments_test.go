@@ -2,16 +2,22 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/metrics"
+	"repro/internal/prefetch"
 	"repro/internal/sim"
+	"repro/internal/sweepfarm"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
 )
@@ -21,61 +27,103 @@ import (
 // 150k requests per app is the smallest scale at which they hold reliably.
 func small() Options { return Options{Requests: 150_000, Warmup: 0.2} }
 
-// TestCacheStudyUnknownPrefetcher: a cache variant naming no registered
-// prefetcher fails with the registry's error instead of running.
-func TestCacheStudyUnknownPrefetcher(t *testing.T) {
-	variants := []CacheVariant{{"4MB+warp", 1 << 20, cache.LRU, "warp-drive"}}
-	if _, err := CacheStudy(io.Discard, small(), variants); err == nil {
-		t.Fatal("unknown prefetcher accepted")
-	}
-}
-
-// TestSweepPartialOnError: a sweep with one broken prefetcher name still
-// returns the completed cells next to the error instead of discarding the
-// whole grid.
-func TestSweepPartialOnError(t *testing.T) {
-	opts := small()
-	reps, err := Sweep([]string{"none", "warp-drive"}, opts)
-	if err == nil {
-		t.Fatal("unknown prefetcher accepted by Sweep")
-	}
-	if len(reps) == 0 {
-		t.Fatal("partial sweep discarded the completed cells")
-	}
-	for app, cells := range reps {
-		if _, ok := cells["warp-drive"]; ok {
-			t.Fatalf("%s: failed cell present in partial results", app)
-		}
-		if _, ok := cells["none"]; !ok {
-			t.Fatalf("%s: completed cell missing from partial results", app)
-		}
-	}
-}
-
-// TestSweepMatchesRunOne: the farm-backed Sweep and the serial runOne
-// produce bit-identical reports for the same named configuration (repeat 0
-// keeps the catalog seed, and both drive the same Engine.Run).
-func TestSweepMatchesRunOne(t *testing.T) {
-	opts := Options{Requests: 20_000, Warmup: 0.2}
-	reps, err := Sweep([]string{"planaria"}, opts)
+// run looks up and runs the -run id under opts, failing the test on any
+// error, and returns the outcome and the rendered output.
+func run(t *testing.T, id string, opts Options) (Outcome, string) {
+	t.Helper()
+	e, err := Lookup(id, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory, err := sim.NamedPrefetcher("planaria")
+	var buf bytes.Buffer
+	out, err := Run(context.Background(), &buf, e, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, buf.String()
+}
+
+// sweep runs a bare grid of the catalog under the named prefetchers.
+func sweep(prefetchers []string, opts Options) (Outcome, error) {
+	return Run(context.Background(), io.Discard, Experiment{Grid: &sweepfarm.Grid{Prefetchers: prefetchers}}, opts)
+}
+
+// TestCacheStudyUnknownPrefetcher: a cache-study variant naming no
+// registered prefetcher is refused by Grid.Validate and fails its cells
+// with the registry's error, while the study's own 60 cells complete.
+func TestCacheStudyUnknownPrefetcher(t *testing.T) {
+	opts := Options{Requests: 2000, Warmup: 0.2}
+	e, err := Lookup("cache-study", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Grid.Prefetchers = append(e.Grid.Prefetchers, "warp-drive")
+	e.Grid.Variants = append(e.Grid.Variants, sweepfarm.Variant{Name: "4MB+warp", Prefetchers: []string{"warp-drive"}})
+	if err := e.Grid.Validate(); err == nil {
+		t.Fatal("Validate accepted an unknown prefetcher")
+	}
+	out, err := Run(context.Background(), io.Discard, e, opts)
+	if err == nil || !strings.Contains(err.Error(), `unknown prefetcher "warp-drive"`) {
+		t.Fatalf("error %v, want the registry's unknown-prefetcher error", err)
+	}
+	cells := Cells(out.Farm)
+	if len(cells) != 60 {
+		t.Fatalf("%d cells completed, want the study's 60", len(cells))
+	}
+	for _, c := range cells {
+		if c.Variant == "" || c.Prefetcher == "warp-drive" {
+			t.Fatalf("cell %s/%s@%s is no cache-study cell", c.App, c.Prefetcher, c.Variant)
+		}
+	}
+}
+
+// TestSweepPartialOnError: a grid with one broken prefetcher name still
+// returns the completed cells next to the error instead of discarding the
+// whole grid.
+func TestSweepPartialOnError(t *testing.T) {
+	out, err := sweep([]string{"none", "warp-drive"}, small())
+	if err == nil {
+		t.Fatal("unknown prefetcher accepted")
+	}
+	cells := Cells(out.Farm)
+	if len(cells) != 10 {
+		t.Fatalf("partial run kept %d cells, want the 10 completed ones", len(cells))
+	}
+	for _, c := range cells {
+		if c.Prefetcher != "none" {
+			t.Fatalf("%s: failed cell %s present in partial results", c.App, c.Prefetcher)
+		}
+	}
+}
+
+// TestSweepMatchesRunOne: a farm cell that carries cache and Planaria
+// overrides reports bit-identically to one direct sim.New(cfg).Run of the
+// same configuration (repeat 0 keeps the catalog seed, and both drive the
+// same Engine.Run).
+func TestSweepMatchesRunOne(t *testing.T) {
+	opts := Options{Requests: 20_000, Warmup: 0.2}
+	v := sweepfarm.Variant{Name: "big", SliceBytes: 2 << 20, Policy: "drrip", DistThreshold: 16, PTEntries: 4096}
+	grid := &sweepfarm.Grid{Apps: []string{"CFM", "Fort"}, Prefetchers: []string{"planaria"}, Variants: []sweepfarm.Variant{v}}
+	out, err := Run(context.Background(), io.Discard, Experiment{Grid: grid}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := sim.DefaultConfig()
-	cfg.NewPrefetcher = factory
-	for _, abbr := range []string{"CFM", "Fort"} {
+	cfg.Cache.SizeBytes = 2 << 20
+	cfg.Cache.Policy = cache.DRRIP
+	pc := core.DefaultConfig()
+	pc.TLP.DistThreshold = 16
+	pc.SLP.PTEntries = 4096
+	cfg.NewPrefetcher = func(int) prefetch.Prefetcher { return core.New(pc) }
+	for _, abbr := range grid.Apps {
 		p, _ := workloads.ByAbbr(abbr)
-		direct, err := runOne(p, cfg, opts)
+		direct, err := sim.New(cfg).Run(context.Background(), p.Stream(opts.Requests), p.Abbr, opts.Warmup)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := reps[abbr]["planaria"]
+		got := out.Farm.ReportGrid("big")[abbr]["planaria"]
 		if !reflect.DeepEqual(got, direct) {
-			t.Fatalf("%s: farm-backed sweep diverged from runOne:\nfarm:   %+v\ndirect: %+v", abbr, got, direct)
+			t.Fatalf("%s: farm cell diverged from the direct run:\nfarm:   %+v\ndirect: %+v", abbr, got, direct)
 		}
 	}
 }
@@ -84,9 +132,9 @@ func TestSweepMatchesRunOne(t *testing.T) {
 // each tagged with its cell key — in one joined error, not just the first
 // scheduler-ordered loser, while the completed cells still come back.
 func TestSweepJoinedErrors(t *testing.T) {
-	reps, err := Sweep([]string{"none", "warp-drive", "hyper-lane"}, Options{Requests: 20_000, Warmup: 0.2})
+	out, err := sweep([]string{"none", "warp-drive", "hyper-lane"}, Options{Requests: 20_000, Warmup: 0.2})
 	if err == nil {
-		t.Fatal("unknown prefetchers accepted by Sweep")
+		t.Fatal("unknown prefetchers accepted")
 	}
 	msg := err.Error()
 	// Every failed cell is identified: both bad prefetchers appear, keyed
@@ -96,43 +144,40 @@ func TestSweepJoinedErrors(t *testing.T) {
 			t.Fatalf("joined error missing cell %q:\n%s", frag, msg)
 		}
 	}
+	reps := out.Farm.ReportGrid("")
 	if len(reps) != 10 {
 		t.Fatalf("completed cells discarded: %d apps, want 10", len(reps))
 	}
 	for app, cells := range reps {
-		if _, ok := cells["none"]; !ok {
-			t.Fatalf("%s: completed cell missing from partial results", app)
-		}
-		if len(cells) != 1 {
-			t.Fatalf("%s: failed cells leaked into results: %v", app, cells)
+		if _, ok := cells["none"]; !ok || len(cells) != 1 {
+			t.Fatalf("%s: want only the completed none cell, got %v", app, cells)
 		}
 	}
 }
 
-// TestRunAllPartialOnFig9Failure: when a Figure 9 cell fails, RunAll ends
-// after Figure 8 and must hand back the completed Fig7 cells with the
-// error instead of discarding them — cmd/experiments writes its artifacts
-// from that map.
+// TestRunAllPartialOnFig9Failure: when a Figure 9 cell fails — here its
+// checkpoint cannot be written, because a directory holds its path — the
+// evaluation renders no table, reports the cell, and still hands back
+// every one of its 60 cells, the failed one included, for the artifacts.
 func TestRunAllPartialOnFig9Failure(t *testing.T) {
-	oldSet := fig9Prefetchers
-	fig9Prefetchers = []string{"none", "warp-drive"}
-	defer func() { fig9Prefetchers = oldSet }()
-
+	opts := Options{Requests: 20_000, Warmup: 0.2, ArtifactDir: t.TempDir()}
+	if err := os.Mkdir(filepath.Join(opts.ArtifactDir, "CFM_planaria-slp_base_r0.json"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	e, err := Lookup("all", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	reps, err := RunAll(&buf, Options{Requests: 20_000, Warmup: 0.2})
-	if err == nil {
-		t.Fatal("injected Fig9 failure did not surface")
+	out, err := Run(context.Background(), &buf, e, opts)
+	if err == nil || !strings.Contains(err.Error(), "CFM/planaria-slp r0") {
+		t.Fatalf("error %v, want the failed Figure 9 cell named", err)
 	}
-	if len(reps) != 10 {
-		t.Fatalf("Fig7 sweep discarded on Fig9 failure: %d apps, want 10", len(reps))
+	if n := len(Cells(out.Farm)); n != 60 {
+		t.Fatalf("%d cells handed back, want all 60", n)
 	}
-	for _, pf := range EvalPrefetchers {
-		if _, ok := reps["CFM"][pf]; !ok {
-			t.Fatalf("Fig7 report for CFM/%s missing from partial results", pf)
-		}
-	}
-	if out := buf.String(); !strings.Contains(out, "Figure 8") || strings.Contains(out, "Figure 9") {
-		t.Fatalf("want the output to end after Figure 8:\n%s", out)
+	if buf.Len() != 0 {
+		t.Fatalf("a failed evaluation rendered tables:\n%s", buf.String())
 	}
 }
 
@@ -142,12 +187,8 @@ func TestRunAllPartialOnFig9Failure(t *testing.T) {
 func TestProgressSweepThenFig9b(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	opts := Options{Requests: 2000, Warmup: 0.2, Progress: reg}
-	if _, err := Sweep(EvalPrefetchers, opts); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Fig9b(io.Discard, opts); err != nil {
-		t.Fatal(err)
-	}
+	run(t, "fig7", opts)
+	run(t, "fig9b", opts)
 	records, expected := telemetry.RunProgress(reg)
 	if records.Value() != 100_000 || expected.Value() != 100_000 {
 		t.Fatalf("records %d, expected %d; want 100000 each", records.Value(), expected.Value())
@@ -155,31 +196,29 @@ func TestProgressSweepThenFig9b(t *testing.T) {
 }
 
 func TestFig4Bounds(t *testing.T) {
-	avg := Fig4(io.Discard, small())
-	if avg < 0.6 || avg > 1 {
+	out, _ := run(t, "fig4", small())
+	if avg := out.Summary["fig4_overlap_rate_avg"]; avg < 0.6 || avg > 1 {
 		t.Fatalf("overlap average %.3f outside sane band", avg)
 	}
 }
 
 func TestFig5MonotoneAndPositive(t *testing.T) {
-	at4, at64 := Fig5(io.Discard, small())
+	out, _ := run(t, "fig5", small())
+	at4, at64 := out.Summary["fig5_neighbors_at4"], out.Summary["fig5_neighbors_at64"]
 	if at4 <= 0 || at64 < at4 {
 		t.Fatalf("neighbour proportions broken: %.3f @4, %.3f @64", at4, at64)
 	}
 }
 
 func TestFig7And8Shape(t *testing.T) {
-	var buf bytes.Buffer
-	reps, err := Fig7(&buf, small())
-	if err != nil {
-		t.Fatal(err)
-	}
+	out, text := run(t, "fig8", small())
+	reps := out.Farm.ReportGrid("")
 	if len(reps) != 10 {
 		t.Fatalf("expected 10 apps, got %d", len(reps))
 	}
 	// Core ordering claim on the mean: planaria has the highest hit rate
 	// and the lowest AMAT of the four.
-	mean := func(pf string, f func(app string) float64) float64 {
+	mean := func(f func(app string) float64) float64 {
 		s := 0.0
 		for app := range reps {
 			s += f(app)
@@ -189,9 +228,8 @@ func TestFig7And8Shape(t *testing.T) {
 	hit := map[string]float64{}
 	amat := map[string]float64{}
 	for _, pf := range EvalPrefetchers {
-		pf := pf
-		hit[pf] = mean(pf, func(app string) float64 { return reps[app][pf].HitRate() })
-		amat[pf] = mean(pf, func(app string) float64 { return reps[app][pf].AMAT })
+		hit[pf] = mean(func(app string) float64 { return reps[app][pf].HitRate() })
+		amat[pf] = mean(func(app string) float64 { return reps[app][pf].AMAT })
 	}
 	// Scale-robust claims only: Planaria is best on both axes at any
 	// trace length. The full BOP/SPP-vs-none orderings need the paper's
@@ -205,49 +243,47 @@ func TestFig7And8Shape(t *testing.T) {
 			t.Fatalf("planaria mean AMAT %.1f not below %s's %.1f", amat["planaria"], pf, amat[pf])
 		}
 	}
-
-	vsNone, _, vsSPP := Fig8(&buf, reps)
-	if vsNone <= 0 || vsSPP <= 0 {
+	if vsNone, vsSPP := out.Summary["fig8_amat_reduction_vs_none"], out.Summary["fig8_amat_reduction_vs_spp"]; vsNone <= 0 || vsSPP <= 0 {
 		t.Fatalf("planaria does not win: vsNone=%.3f vsSPP=%.3f", vsNone, vsSPP)
 	}
-	out := buf.String()
-	if !strings.Contains(out, "Figure 7") || !strings.Contains(out, "Figure 8") {
+	if !strings.Contains(text, "Figure 7") || !strings.Contains(text, "Figure 8") {
 		t.Fatal("output missing headers")
 	}
 }
 
 func TestFig9TLPDominatesFort(t *testing.T) {
-	_, shares, err := Fig9(io.Discard, small())
-	if err != nil {
-		t.Fatal(err)
-	}
+	out, _ := run(t, "fig9", small())
 	// The paper's qualitative claim: TLP contributes most on Fort, so
 	// Fort's SLP share must sit clearly below the all-app mean.
 	mean := 0.0
-	for _, s := range shares {
-		mean += s
+	for _, app := range workloads.Abbrs() {
+		mean += out.Summary["fig9_slp_share:"+app]
 	}
-	mean /= float64(len(shares))
-	if shares["Fort"] >= mean {
-		t.Fatalf("Fort SLP share %.2f not below the mean %.2f", shares["Fort"], mean)
+	mean /= float64(len(workloads.Abbrs()))
+	if fort := out.Summary["fig9_slp_share:Fort"]; fort >= mean {
+		t.Fatalf("Fort SLP share %.2f not below the mean %.2f", fort, mean)
 	}
 }
 
 func TestFig10AndTrafficOrdering(t *testing.T) {
-	reps, err := Sweep(EvalPrefetchers, small())
-	if err != nil {
-		t.Fatal(err)
+	// One checkpoint directory: tab-traffic resumes fig10's cells.
+	opts := small()
+	opts.ArtifactDir = t.TempDir()
+	power, _ := run(t, "fig10", opts)
+	traffic, _ := run(t, "tab-traffic", opts)
+	if traffic.Farm.Executed != 0 {
+		t.Fatalf("tab-traffic simulated %d cells fig10 had checkpointed", traffic.Farm.Executed)
 	}
 	// Scale-robust claim: Planaria's power and traffic overheads are far
 	// below both baselines' (the BOP-vs-SPP gap needs full-scale traces).
-	pl, bop, spp := Fig10(io.Discard, reps)
+	pl, bop, spp := power.Summary["power_overhead_planaria"], power.Summary["power_overhead_bop"], power.Summary["power_overhead_spp"]
 	if pl >= spp || pl >= bop {
 		t.Fatalf("planaria power %.3f not below bop %.3f / spp %.3f", pl, bop, spp)
 	}
 	if pl > 0.03 {
 		t.Fatalf("planaria power overhead %.3f exceeds 3%%", pl)
 	}
-	tBop, tSpp, tPl := TableTraffic(io.Discard, reps)
+	tPl, tBop, tSpp := traffic.Summary["traffic_overhead_planaria"], traffic.Summary["traffic_overhead_bop"], traffic.Summary["traffic_overhead_spp"]
 	if tPl >= tSpp || tPl >= tBop {
 		t.Fatalf("planaria traffic %.3f not below bop %.3f / spp %.3f", tPl, tBop, tSpp)
 	}
@@ -257,22 +293,15 @@ func TestFig10AndTrafficOrdering(t *testing.T) {
 }
 
 func TestTableIPCPositiveUplift(t *testing.T) {
-	reps, err := Sweep(EvalPrefetchers, small())
-	if err != nil {
-		t.Fatal(err)
-	}
-	vsNone, _, vsSPP := TableIPC(io.Discard, reps)
-	if vsNone <= 0 || vsSPP <= 0 {
+	out, _ := run(t, "tab-ipc", small())
+	if vsNone, vsSPP := out.Summary["ipc_uplift_vs_none"], out.Summary["ipc_uplift_vs_spp"]; vsNone <= 0 || vsSPP <= 0 {
 		t.Fatalf("IPC uplift not positive: %.3f / %.3f", vsNone, vsSPP)
 	}
 }
 
 func TestTableStorageNearPaper(t *testing.T) {
-	kb, err := TableStorage(io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kb < 250 || kb > 450 {
+	out, _ := run(t, "tab-storage", small())
+	if kb := out.Summary["planaria_storage_kb"]; kb < 250 || kb > 450 {
 		t.Fatalf("storage %.1f KB outside the paper's neighbourhood", kb)
 	}
 }
@@ -284,24 +313,21 @@ func TestTableStorageUnknownPrefetcher(t *testing.T) {
 }
 
 func TestFig2ProducesTimeline(t *testing.T) {
-	if n := Fig2(io.Discard, small()); n == 0 {
+	if out, _ := run(t, "fig2", small()); out.Summary["fig2_timeline_accesses"] == 0 {
 		t.Fatal("no accesses in the hottest page's timeline")
 	}
 }
 
 func TestAblationCoordinatorDecoupledWins(t *testing.T) {
-	reps, err := AblationCoordinator(io.Discard, small())
-	if err != nil {
-		t.Fatal(err)
-	}
+	out, _ := run(t, "abl-coord", small())
 	// Decoupled coordination should not lose to the serial (monolithic)
 	// coordinator on mean AMAT, and should beat parallel on accuracy.
 	var dec, ser, decAcc, parAcc float64
-	for _, m := range reps {
-		dec += m[core.Decoupled].AMAT
-		ser += m[core.Serial].AMAT
-		decAcc += m[core.Decoupled].Accuracy()
-		parAcc += m[core.Parallel].Accuracy()
+	for _, m := range out.Farm.ReportGrid("") {
+		dec += m["planaria"].AMAT
+		ser += m["planaria-serial"].AMAT
+		decAcc += m["planaria"].Accuracy()
+		parAcc += m["planaria-parallel"].Accuracy()
 	}
 	if dec > ser*1.02 {
 		t.Fatalf("decoupled mean AMAT %.1f worse than serial %.1f", dec, ser)
@@ -312,45 +338,37 @@ func TestAblationCoordinatorDecoupledWins(t *testing.T) {
 }
 
 func TestAblationDistance(t *testing.T) {
-	reps, err := AblationDistance(io.Discard, small(), []uint64{4, 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	out, _ := run(t, "abl-dist", small())
 	// A larger distance threshold gives TLP more donors: Fort (the
 	// TLP-bound app) must not get worse going 4 → 64.
-	f := reps["Fort"]
-	if f[64].AMAT > f[4].AMAT*1.02 {
-		t.Fatalf("Fort AMAT worse at d=64 (%.1f) than d=4 (%.1f)", f[64].AMAT, f[4].AMAT)
+	at := func(v string) metrics.Report { return out.Farm.ReportGrid(v)["Fort"]["planaria"] }
+	if d4, d64 := at("d4").AMAT, at("d64").AMAT; d64 > d4*1.02 {
+		t.Fatalf("Fort AMAT worse at d=64 (%.1f) than d=4 (%.1f)", d64, d4)
 	}
 }
 
 func TestAblationPTSize(t *testing.T) {
-	reps, err := AblationPTSize(io.Discard, small(), []int{512, 16384})
-	if err != nil {
-		t.Fatal(err)
+	out, _ := run(t, "abl-pt", small())
+	smallPT, bigPT := out.Farm.ReportGrid("pt1024"), out.Farm.ReportGrid("pt16384")
+	if len(smallPT) != 3 {
+		t.Fatalf("%d apps, want the 3 representative ones", len(smallPT))
 	}
-	for app, m := range reps {
-		if m[512].StorageBits >= m[16384].StorageBits {
+	for app, m := range smallPT {
+		lo, hi := m["planaria"], bigPT[app]["planaria"]
+		if lo.StorageBits >= hi.StorageBits {
 			t.Fatalf("%s: storage not increasing with PT size", app)
 		}
-		if m[16384].AMAT > m[512].AMAT*1.05 {
-			t.Fatalf("%s: bigger PT clearly worse (%.1f vs %.1f)", app, m[16384].AMAT, m[512].AMAT)
+		if hi.AMAT > lo.AMAT*1.05 {
+			t.Fatalf("%s: bigger PT clearly worse (%.1f vs %.1f)", app, hi.AMAT, lo.AMAT)
 		}
 	}
 }
 
 func TestWriteCSV(t *testing.T) {
-	reps, err := Sweep([]string{"none", "planaria"}, Options{Requests: 20_000, Warmup: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, reps); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 1+10*2 {
-		t.Fatalf("csv has %d lines, want header + 20 rows", len(lines))
+	_, text := run(t, "csv", Options{Requests: 20_000, Warmup: 0.2})
+	lines := strings.Split(strings.TrimSpace(text), "\n")
+	if len(lines) != 1+10*4 {
+		t.Fatalf("csv has %d lines, want header + 40 rows", len(lines))
 	}
 	if !strings.HasPrefix(lines[0], "app,prefetcher,") {
 		t.Fatalf("bad header %q", lines[0])
@@ -366,28 +384,30 @@ func TestWriteCSV(t *testing.T) {
 func TestCacheStudyClaim(t *testing.T) {
 	// The capacity-vs-prefetching crossover needs more revisit traffic
 	// than the other shape tests; 300k is the stable scale.
-	amats, err := CacheStudy(io.Discard, Options{Requests: 300_000, Warmup: 0.2}, nil)
-	if err != nil {
-		t.Fatal(err)
+	out, _ := run(t, "cache-study", Options{Requests: 300_000, Warmup: 0.2})
+	if out.Farm.Executed != 60 {
+		t.Fatalf("simulated %d cells, want the study's 60", out.Farm.Executed)
 	}
-	base := amats["4MB lru"]
+	amat := func(v string) float64 { return out.Summary["cache_study_amat:"+v] }
+	base := amat("4MB lru")
 	// Replacement policies buy only a few percent...
 	for _, lbl := range []string{"4MB srrip", "4MB drrip"} {
-		if amats[lbl] < base*0.90 {
-			t.Fatalf("%s AMAT %.1f improves more than 10%% over LRU %.1f", lbl, amats[lbl], base)
+		if amat(lbl) < base*0.90 {
+			t.Fatalf("%s AMAT %.1f improves more than 10%% over LRU %.1f", lbl, amat(lbl), base)
 		}
 	}
 	// ...while prefetching on the baseline cache beats doubled capacity
 	// with the best policy.
-	if amats["4MB+planaria"] >= amats["8MB drrip"] {
+	if amat("4MB+planaria") >= amat("8MB drrip") {
 		t.Fatalf("planaria on 4MB (%.1f) does not beat 8MB drrip (%.1f)",
-			amats["4MB+planaria"], amats["8MB drrip"])
+			amat("4MB+planaria"), amat("8MB drrip"))
 	}
 }
 
-// runAllStdoutSHA256 is the SHA-256 of RunAll's output at 30,000 requests
-// and warmup 0.2, taken when Figure 9 ran its own sweep and Figure 9b its
-// own serial runs: rendering every table from one sweep moved no byte.
+// runAllStdoutSHA256 is the SHA-256 of the evaluation's output at 30,000
+// requests and warmup 0.2, taken when each figure ran its own sweep and
+// Figure 9b its own serial runs: rendering every table from one grid moved
+// no byte.
 const runAllStdoutSHA256 = "dc66e87950c33981282da0265768626086089238d21943682a8ddc6efd7f69b8"
 
 // TestRunAll: the full evaluation prints every figure, simulates each of
@@ -397,31 +417,77 @@ func TestRunAll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full runner in -short mode")
 	}
-	var buf bytes.Buffer
 	reg := telemetry.NewRegistry()
 	const n = 30_000
-	reps, err := RunAll(&buf, Options{Requests: n, Warmup: 0.2, Progress: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reps) != 10 {
-		t.Fatalf("RunAll returned %d apps, want 10", len(reps))
-	}
-	for app, row := range reps {
-		if len(row) != len(EvalPrefetchers) {
-			t.Fatalf("%s: RunAll returned %d cells, want the %d EvalSet cells", app, len(row), len(EvalPrefetchers))
-		}
+	out, text := run(t, "all", Options{Requests: n, Warmup: 0.2, Progress: reg})
+	if cells := Cells(out.Farm); len(cells) != 60 {
+		t.Fatalf("the evaluation completed %d cells, want 60", len(cells))
 	}
 	for _, frag := range []string{"Figure 4", "Figure 5", "Figure 7", "Figure 8", "Figure 9", "Figure 10", "Storage"} {
-		if !strings.Contains(buf.String(), frag) {
-			t.Fatalf("RunAll output missing %q", frag)
+		if !strings.Contains(text, frag) {
+			t.Fatalf("output missing %q", frag)
 		}
 	}
-	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != runAllStdoutSHA256 {
-		t.Errorf("RunAll output SHA-256 %s, want %s", got, runAllStdoutSHA256)
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(text))); got != runAllStdoutSHA256 {
+		t.Errorf("output SHA-256 %s, want %s", got, runAllStdoutSHA256)
 	}
 	records, expected := telemetry.RunProgress(reg)
 	if want := 60 * n; records.Value() != uint64(want) || expected.Value() != int64(want) {
 		t.Errorf("records %d, expected %d; want %d each (60 cells once)", records.Value(), expected.Value(), want)
+	}
+}
+
+// TestRepeatsAddCIBands: with more than one repeat an id prints its own
+// tables from repeat 0 and then the farm's mean ± CI95 tables, and every
+// cell aggregates all its repeats.
+func TestRepeatsAddCIBands(t *testing.T) {
+	opts := Options{Requests: 2000, Warmup: 0.2}
+	e, err := Lookup("abl-dist", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Grid.Repeats = 3
+	var buf bytes.Buffer
+	out, err := Run(context.Background(), &buf, e, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := buf.String()
+	for _, frag := range []string{"Ablation: TLP distance threshold", "mean ± 95% CI over R=3", "±", "farm: 120 jobs executed"} {
+		if !strings.Contains(text, frag) {
+			t.Fatalf("output missing %q:\n%s", frag, text)
+		}
+	}
+	if len(out.Farm.Cells) != 40 {
+		t.Fatalf("%d cells, want 40", len(out.Farm.Cells))
+	}
+	for _, c := range out.Farm.Cells {
+		if c.Agg["amat_cycles"].N != 3 {
+			t.Fatalf("cell %s aggregates %d repeats, want 3", c.Key, c.Agg["amat_cycles"].N)
+		}
+	}
+}
+
+// TestLookupCoversEveryID: every -run id has an entry, and only the
+// trace-analysis figures and the storage table simulate nothing.
+func TestLookupCoversEveryID(t *testing.T) {
+	noGrid := map[string]bool{"fig2": true, "fig4": true, "fig5": true, "tab-storage": true}
+	for _, id := range []string{"all", "fig2", "fig4", "fig5", "fig7", "fig8", "fig9", "fig9b", "fig10",
+		"tab-ipc", "tab-traffic", "tab-storage", "cache-study", "abl-coord", "abl-dist", "abl-pt", "csv"} {
+		e, err := Lookup(id, small())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (e.Grid == nil) != noGrid[id] {
+			t.Errorf("%s: grid %v", id, e.Grid)
+		}
+		if e.Grid != nil {
+			if err := e.Grid.Validate(); err != nil {
+				t.Errorf("%s: %v", id, err)
+			}
+		}
+	}
+	if _, err := Lookup("fig99", small()); err == nil {
+		t.Fatal("unknown id accepted")
 	}
 }

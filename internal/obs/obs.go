@@ -107,10 +107,12 @@ func NewManifest(tool string) Manifest {
 	}
 }
 
-// Cell is one (app × prefetcher) result of a sweep.
+// Cell is one (app × prefetcher × variant) result of a sweep. Variant names
+// the grid's configuration variant and is omitted for the base one.
 type Cell struct {
 	App        string         `json:"app"`
 	Prefetcher string         `json:"prefetcher"`
+	Variant    string         `json:"variant,omitempty"`
 	Report     metrics.Report `json:"report"`
 }
 
@@ -188,30 +190,48 @@ func WriteFile(path string, a Artifact) error {
 // opened. There is no fsync: the rename guards against torn writes, not
 // against power loss, and sweeps write dozens of artifacts per run.
 func WriteAtomic(path string, write func(io.Writer) error) error {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("obs: %w", err)
 	}
-	f, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
+	f, err := createTemp(path)
 	if err != nil {
-		return fmt.Errorf("obs: %w", err)
-	}
-	defer os.Remove(f.Name()) // fails harmlessly once the rename succeeded
-	if err := f.Chmod(0o644); err != nil {
-		f.Close()
 		return fmt.Errorf("obs: %w", err)
 	}
 	if err := write(f); err != nil {
 		f.Close()
+		os.Remove(f.Name())
 		return err
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("obs: %w", err)
-	}
-	if err := os.Rename(f.Name(), path); err != nil {
+	if err := commit(f, path); err != nil {
 		return fmt.Errorf("obs: %w", err)
 	}
 	return nil
+}
+
+// createTemp creates the temporary file, mode 0644, that WriteAtomic and
+// StartCPUProfile fill before commit renames it over path: ".<base>.tmp*"
+// in path's directory.
+func createTemp(path string) (*os.File, error) {
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
+	if err != nil {
+		return nil, err
+	}
+	if err := f.Chmod(0o644); err != nil {
+		f.Close()
+		os.Remove(f.Name())
+		return nil, err
+	}
+	return f, nil
+}
+
+// commit closes the temporary file f and renames it over path. A file
+// that fails to close or rename is removed.
+func commit(f *os.File, path string) error {
+	defer os.Remove(f.Name()) // fails harmlessly once the rename succeeded
+	if err := f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
 }
 
 // ReadFile reads and validates the artifact at path.

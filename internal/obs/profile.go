@@ -8,24 +8,25 @@ import (
 )
 
 // StartCPUProfile begins a CPU profile written to path and returns the
-// function that stops the profile and closes the file. The caller must
+// function that stops the profile and moves it into place. The caller must
 // invoke stop before the process exits (os.Exit skips deferred calls) for
-// the profile to be flushed, and check its error: a file that fails to
-// close may hold a torn profile.
+// the profile to reach path, and check its error. The profile streams into
+// a temporary file in path's directory, named as WriteAtomic names its
+// own, and stop renames it over path: a run killed mid-profile leaves no
+// file at path, never a torn one.
 func StartCPUProfile(path string) (stop func() error, err error) {
-	// The profile streams into path while the run executes, so it cannot
-	// go through WriteAtomic: a run killed mid-profile leaves a torn file.
-	f, err := os.Create(path)
+	f, err := createTemp(path)
 	if err != nil {
 		return nil, fmt.Errorf("obs: cpu profile: %w", err)
 	}
 	if err := pprof.StartCPUProfile(f); err != nil {
 		f.Close()
+		os.Remove(f.Name())
 		return nil, fmt.Errorf("obs: cpu profile: %w", err)
 	}
 	return func() error {
 		pprof.StopCPUProfile()
-		if err := f.Close(); err != nil {
+		if err := commit(f, path); err != nil {
 			return fmt.Errorf("obs: cpu profile: %w", err)
 		}
 		return nil

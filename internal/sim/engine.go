@@ -132,22 +132,41 @@ var prefetchers = []struct {
 	{"bop", func(int) prefetch.Prefetcher { return bop.New(bop.DefaultConfig()) }},
 	{"spp", func(int) prefetch.Prefetcher { return spp.New(spp.DefaultConfig()) }},
 	{"spp-ghr", func(int) prefetch.Prefetcher { return spp.NewGHR(spp.DefaultConfig()) }},
-	{"planaria", func(int) prefetch.Prefetcher { return core.New(core.DefaultConfig()) }},
-	{"planaria-slp", planariaVariant(func(c *core.Config) { c.DisableTLP = true })},
-	{"planaria-tlp", planariaVariant(func(c *core.Config) { c.DisableSLP = true })},
-	{"planaria-serial", planariaVariant(func(c *core.Config) { c.Mode = core.Serial })},
-	{"planaria-parallel", planariaVariant(func(c *core.Config) { c.Mode = core.Parallel })},
+	{"planaria", planariaNamed("planaria")},
+	{"planaria-slp", planariaNamed("planaria-slp")},
+	{"planaria-tlp", planariaNamed("planaria-tlp")},
+	{"planaria-serial", planariaNamed("planaria-serial")},
+	{"planaria-parallel", planariaNamed("planaria-parallel")},
 	{"planaria-tournament", TournamentPrefetcher()},
 }
 
-// planariaVariant returns a factory for the Planaria composite built from
-// core.DefaultConfig as edited by set.
-func planariaVariant(set func(*core.Config)) func(int) prefetch.Prefetcher {
-	return func(int) prefetch.Prefetcher {
-		cfg := core.DefaultConfig()
-		set(&cfg)
-		return core.New(cfg)
+// PlanariaConfig returns the core configuration of the registry's Planaria
+// composite called name: core.DefaultConfig, with one sub-prefetcher off or
+// another coordination mode. ok is false for every other prefetcher,
+// planaria-tournament included.
+func PlanariaConfig(name string) (cfg core.Config, ok bool) {
+	cfg = core.DefaultConfig()
+	switch name {
+	case "planaria":
+	case "planaria-slp":
+		cfg.DisableTLP = true
+	case "planaria-tlp":
+		cfg.DisableSLP = true
+	case "planaria-serial":
+		cfg.Mode = core.Serial
+	case "planaria-parallel":
+		cfg.Mode = core.Parallel
+	default:
+		return core.Config{}, false
 	}
+	return cfg, true
+}
+
+// planariaNamed returns the factory of the registry's Planaria composite
+// called name.
+func planariaNamed(name string) func(int) prefetch.Prefetcher {
+	cfg, _ := PlanariaConfig(name)
+	return func(int) prefetch.Prefetcher { return core.New(cfg) }
 }
 
 // NamedPrefetcher returns the prefetcher factory registered under name; see

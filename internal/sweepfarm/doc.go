@@ -1,21 +1,22 @@
 // Package sweepfarm runs experiment grids as a resumable, repeated,
-// statistically-rigorous job queue — the machinery behind
-// `experiments -repeats R` and `-grid`, and the runner of every named
-// (app, prefetcher) cell of the `-run` experiments (experiments.Sweep).
+// statistically-rigorous job queue — the one runner of cmd/experiments:
+// every `-run` id that simulates and every `-grid` file is a grid run here
+// (experiments.Run).
 //
-// A Grid is the cross product (apps × prefetchers × config variants); each
-// cell of the grid runs R seeded repeats. Every (cell, repeat) pair is one
-// job: jobs fan out to a bounded worker pool, each job simulates one full
-// run (internal/sim) — stepping its four channels inline on its worker
+// A Grid is the cross product (apps × prefetchers × config variants), less
+// the prefetchers a variant excludes; a variant may override the SC slice
+// size and policy and Planaria's TLP distance and SLP pattern-table size.
+// Each cell of the grid runs R seeded repeats. Every (cell, repeat) pair
+// is one job: jobs fan out to a bounded worker pool, each job simulates one
+// full run (internal/sim) — stepping its four channels inline on its worker
 // while at least as many jobs are unstarted as there are workers, on one
 // goroutine per channel after that — and, when an artifact directory is
-// configured,
-// checkpoints its result to disk as a versioned JSON artifact in the
-// internal/obs schema (v3: repeat index, seed and configuration hash in the
-// manifest) the moment it completes.
+// configured, checkpoints its result to disk as a versioned JSON artifact
+// in the internal/obs schema (v3: repeat index, seed and configuration hash
+// in the manifest) the moment it completes.
 //
 // Seeding is deterministic: repeat 0 keeps the catalog profile's seed — so
-// an R=1 grid, the shape of every experiments.Sweep, reproduces the
+// an R=1 grid, the default of every `-run` id, reproduces the
 // paper's single-pass point estimates bit for bit — while repeats ≥ 1
 // derive fresh seeds from the cell key and repeat index alone. Two runs of
 // the same grid therefore simulate exactly the same set of traces,

@@ -10,12 +10,16 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/prefetch"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/workloads"
@@ -29,6 +33,13 @@ type Config struct {
 	Requests    int     // trace length per run
 	Warmup      float64 // warmup fraction, clamped to [0, 0.9] as sim.ClampWarmup clamps it
 	SampleEvery uint64  // windowed time-series sampling period
+
+	// Engine overrides; the zero value keeps sim.DefaultConfig's or the
+	// named prefetcher's own setting.
+	SliceBytes    int    // per-channel SC slice capacity in bytes
+	Policy        string // SC replacement policy, as cache.ParsePolicy reads it
+	DistThreshold uint64 // Planaria TLP neighbour distance threshold
+	PTEntries     int    // Planaria SLP pattern-table entries
 
 	// Deprecated: the engine runs one execution unit per channel.
 	// SubShards must be 0 or 1, Runner.Run refuses more, and Hash ignores it.
@@ -44,13 +55,59 @@ func (c Config) normalize() Config {
 
 // Hash returns the configuration fingerprint recorded in artifact
 // manifests (obs.Manifest.ConfigHash, schema v3): a 64-bit FNV-1a over the
-// canonical field encoding, rendered as 16 hex digits.
+// canonical field encoding, rendered as 16 hex digits. The engine
+// overrides enter it only when one is set, so a configuration without
+// overrides keeps the hash its existing checkpoints carry.
 func (c Config) Hash() string {
 	c = c.normalize()
 	h := fnv.New64a()
 	fmt.Fprintf(h, "requests=%d|warmup=%g|sample=%d",
 		c.Requests, c.Warmup, c.SampleEvery)
+	if c.SliceBytes != 0 || c.Policy != "" || c.DistThreshold != 0 || c.PTEntries != 0 {
+		fmt.Fprintf(h, "|slice=%d|policy=%s|dist=%d|pt=%d",
+			c.SliceBytes, c.Policy, c.DistThreshold, c.PTEntries)
+	}
 	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// engine resolves the engine configuration of one cell: sim.DefaultConfig
+// running the named prefetcher, with c's engine overrides applied. The
+// Planaria overrides reach only the registry's Planaria composites whose
+// sub-prefetcher they set (sim.PlanariaConfig).
+func (c Config) engine(prefetcher string) (sim.Config, error) {
+	cfg := sim.DefaultConfig()
+	factory, err := sim.NamedPrefetcher(prefetcher)
+	if err != nil {
+		return cfg, err
+	}
+	cfg.NewPrefetcher = factory
+	if c.SliceBytes != 0 {
+		cfg.Cache.SizeBytes = c.SliceBytes
+	}
+	if c.Policy != "" {
+		if cfg.Cache.Policy, err = cache.ParsePolicy(c.Policy); err != nil {
+			return cfg, err
+		}
+	}
+	if c.DistThreshold != 0 || c.PTEntries != 0 {
+		pc, ok := sim.PlanariaConfig(prefetcher)
+		switch {
+		case c.DistThreshold != 0 && (!ok || pc.DisableTLP):
+			return cfg, fmt.Errorf("prefetcher %q runs no Planaria TLP for tlp_dist_threshold", prefetcher)
+		case c.PTEntries != 0 && (!ok || pc.DisableSLP):
+			return cfg, fmt.Errorf("prefetcher %q runs no Planaria SLP for slp_pt_entries", prefetcher)
+		case c.PTEntries < 0:
+			return cfg, fmt.Errorf("slp_pt_entries %d is negative", c.PTEntries)
+		}
+		if c.DistThreshold != 0 {
+			pc.TLP.DistThreshold = c.DistThreshold
+		}
+		if c.PTEntries != 0 {
+			pc.SLP.PTEntries = c.PTEntries
+		}
+		cfg.NewPrefetcher = func(int) prefetch.Prefetcher { return core.New(pc) }
+	}
+	return cfg, cfg.Cache.Validate()
 }
 
 // Variant is one named configuration override inside a grid. Zero/nil
@@ -61,6 +118,16 @@ type Variant struct {
 	Requests    int      `json:"requests,omitempty"`
 	Warmup      *float64 `json:"warmup,omitempty"`
 	SampleEvery *uint64  `json:"sample_every,omitempty"`
+
+	// The engine overrides (Config's fields of the same names).
+	SliceBytes    int    `json:"sc_slice_bytes,omitempty"`
+	Policy        string `json:"sc_policy,omitempty"`
+	DistThreshold uint64 `json:"tlp_dist_threshold,omitempty"`
+	PTEntries     int    `json:"slp_pt_entries,omitempty"`
+
+	// Prefetchers, when set, restricts the variant to these of the grid's
+	// prefetchers; empty runs it under all of them.
+	Prefetchers []string `json:"prefetchers,omitempty"`
 }
 
 // apply overlays the variant on a base configuration.
@@ -74,7 +141,24 @@ func (v Variant) apply(base Config) Config {
 	if v.SampleEvery != nil {
 		base.SampleEvery = *v.SampleEvery
 	}
+	if v.SliceBytes != 0 {
+		base.SliceBytes = v.SliceBytes
+	}
+	if v.Policy != "" {
+		base.Policy = v.Policy
+	}
+	if v.DistThreshold != 0 {
+		base.DistThreshold = v.DistThreshold
+	}
+	if v.PTEntries != 0 {
+		base.PTEntries = v.PTEntries
+	}
 	return base.normalize()
+}
+
+// runs reports whether the variant runs under the named prefetcher.
+func (v Variant) runs(prefetcher string) bool {
+	return len(v.Prefetchers) == 0 || slices.Contains(v.Prefetchers, prefetcher)
 }
 
 // Grid is the experiment cross product: apps × prefetchers × variants,
@@ -107,12 +191,13 @@ func (g Grid) normalized() Grid {
 	return g
 }
 
-// Validate rejects grids that could not run cleanly: unknown apps or
-// prefetchers, duplicates (which would collide on artifact paths), or no
-// prefetchers. LoadGrid and cmd/experiments validate eagerly for fast
-// feedback; Runner.Run enforces only the structural part, so a single
-// unresolvable cell degrades to a per-job error instead of sinking the
-// whole grid (the Sweep partial-results contract).
+// Validate rejects grids that could not run cleanly: unknown apps,
+// prefetchers or policies, an engine override on a prefetcher it cannot
+// reach, an invalid cache size, duplicates (which would collide on artifact
+// paths), or no prefetchers. LoadGrid and cmd/experiments validate eagerly
+// for fast feedback; Runner.Run enforces only the structural part, so a
+// single unresolvable cell degrades to a per-job error instead of sinking
+// the whole grid.
 func (g Grid) Validate() error {
 	if err := g.validateStructure(); err != nil {
 		return err
@@ -124,8 +209,16 @@ func (g Grid) Validate() error {
 		}
 	}
 	for _, pf := range g.Prefetchers {
-		if _, err := sim.NamedPrefetcher(pf); err != nil {
-			return fmt.Errorf("sweepfarm: %w", err)
+		for _, v := range g.Variants {
+			if !v.runs(pf) {
+				continue
+			}
+			if _, err := v.apply(Config{}).engine(pf); err != nil {
+				if v.Name != "" {
+					err = fmt.Errorf("variant %q: %w", v.Name, err)
+				}
+				return fmt.Errorf("sweepfarm: %w", err)
+			}
 		}
 	}
 	return nil
@@ -155,6 +248,11 @@ func (g Grid) validateStructure() error {
 			return fmt.Errorf("sweepfarm: duplicate variant name %q", v.Name)
 		}
 		seen["v:"+v.Name] = true
+		for _, pf := range v.Prefetchers {
+			if !seen["p:"+pf] {
+				return fmt.Errorf("sweepfarm: variant %q names prefetcher %q, which the grid does not run", v.Name, pf)
+			}
+		}
 	}
 	return nil
 }
@@ -229,9 +327,8 @@ func sanitize(s string) string {
 }
 
 // SeedFor derives the workload seed of one cell repeat. Repeat 0 keeps the
-// catalog profile's own seed (base), so single-repeat grids — every
-// experiments.Sweep among them — reproduce the paper's point estimates bit
-// for bit.
+// catalog profile's own seed (base), so single-repeat grids reproduce the
+// paper's point estimates bit for bit.
 // Later repeats hash the cell key and repeat index (FNV-1a), independent of
 // everything else, so the same grid always simulates the same trace set.
 func SeedFor(key CellKey, repeat int, base int64) int64 {
@@ -329,10 +426,6 @@ type Runner struct {
 	// checkpoints stay independent of it.
 	Progress *telemetry.Registry
 
-	// Verbose, when non-nil, receives one line per scheduling decision
-	// (resumed/done/failed per job).
-	Verbose io.Writer
-
 	// JobDone, when non-nil, is called after a job's result is
 	// checkpointed and recorded — the hook the resume tests use to cancel
 	// mid-grid at a deterministic point. Called concurrently from worker
@@ -345,9 +438,10 @@ type Runner struct {
 // complete cells. On failure it degrades instead of discarding the grid:
 // the returned Result still carries every completed cell, and the error
 // joins one entry per failed job (cell key and repeat in each message) via
-// errors.Join. Cancelling ctx stops workers at the next chunk boundary;
-// in-flight jobs are not checkpointed, so a later Run over the same
-// artifact directory re-executes exactly the unfinished jobs.
+// errors.Join. A job whose checkpoint cannot be written keeps its report
+// and counts as failed. Cancelling ctx stops workers at the next chunk
+// boundary; in-flight jobs are not checkpointed, so a later Run over the
+// same artifact directory re-executes exactly the unfinished jobs.
 func (r *Runner) Run(ctx context.Context) (*Result, error) {
 	grid := r.Grid.normalized()
 	if err := grid.validateStructure(); err != nil {
@@ -369,6 +463,9 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 		p, _ := workloads.ByAbbr(app)
 		for _, pf := range grid.Prefetchers {
 			for _, v := range grid.Variants {
+				if !v.runs(pf) {
+					continue
+				}
 				key := CellKey{App: app, Prefetcher: pf, Variant: v.Name}
 				cfg := v.apply(r.Base.normalize())
 				cell := &CellResult{Key: key, Config: cfg, Repeats: make([]*RepeatResult, grid.Repeats)}
@@ -396,7 +493,6 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 			}
 			resumed[i] = rep
 			pl.cell.Repeats[pl.job.Repeat] = &RepeatResult{Seed: pl.job.Seed, Resumed: true, Report: rep}
-			r.logf("resume %s (artifact %s)", pl.job, pl.job.ArtifactName())
 		}
 	}
 	res.Resumed = len(resumed)
@@ -452,10 +548,15 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 				wall := time.Since(start).Seconds()
 				if err != nil {
 					errs[i] = fmt.Errorf("cell %s: %w", pl.job, err)
-					r.logf("failed %s: %v", pl.job, err)
 					continue
 				}
 				records.Add(uint64(pl.job.Config.Requests))
+				// Each job owns its distinct Repeats slot, so no lock is
+				// needed for the write (the slice itself never changes).
+				// The report is stored before the checkpoint is written,
+				// so a failed write is an error on the cell, not a lost
+				// cell.
+				pl.cell.Repeats[pl.job.Repeat] = &RepeatResult{Seed: pl.job.Seed, Report: rep}
 				if r.ArtifactDir != "" {
 					path := filepath.Join(r.ArtifactDir, pl.job.ArtifactName())
 					if err := writeArtifact(path, man, pl.job, rep, wall); err != nil {
@@ -463,10 +564,6 @@ func (r *Runner) Run(ctx context.Context) (*Result, error) {
 						continue
 					}
 				}
-				// Each job owns its distinct Repeats slot, so no lock is
-				// needed for the write (the slice itself never changes).
-				pl.cell.Repeats[pl.job.Repeat] = &RepeatResult{Seed: pl.job.Seed, Report: rep}
-				r.logf("done %s", pl.job)
 				if r.JobDone != nil {
 					r.JobDone(pl.job, rep)
 				}
@@ -515,19 +612,11 @@ func (r *Runner) runJob(ctx context.Context, j Job, inline bool) (metrics.Report
 		return metrics.Report{}, fmt.Errorf("sweepfarm: unknown app %q", j.Cell.App)
 	}
 	p.Seed = j.Seed
-	factory, err := sim.NamedPrefetcher(j.Cell.Prefetcher)
+	cfg, err := j.Config.engine(j.Cell.Prefetcher)
 	if err != nil {
 		return metrics.Report{}, err
 	}
-	cfg := sim.DefaultConfig()
-	cfg.NewPrefetcher = factory
 	cfg.SampleEvery = j.Config.SampleEvery
 	cfg.ParallelChannels = !inline
 	return sim.New(cfg).Run(ctx, p.Stream(j.Config.Requests), p.Abbr, j.Config.Warmup)
-}
-
-func (r *Runner) logf(format string, args ...any) {
-	if r.Verbose != nil {
-		fmt.Fprintf(r.Verbose, "sweepfarm: "+format+"\n", args...)
-	}
 }

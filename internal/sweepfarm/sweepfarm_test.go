@@ -70,15 +70,29 @@ func TestConfigHashSensitivity(t *testing.T) {
 	if h != base.Hash() {
 		t.Fatal("hash not deterministic")
 	}
+	// A configuration without engine overrides hashes as it did before
+	// they existed, so existing checkpoints still resume.
+	if h != "98eafc861951e4b5" {
+		t.Fatalf("override-free hash %s, want 98eafc861951e4b5", h)
+	}
 	mutations := []sweepfarm.Config{
 		{Requests: tinyRequests + 1, Warmup: 0.2},
 		{Requests: tinyRequests, Warmup: 0.3},
 		{Requests: tinyRequests, Warmup: 0.2, SampleEvery: 500},
+		{Requests: tinyRequests, Warmup: 0.2, SliceBytes: 2 << 20},
+		{Requests: tinyRequests, Warmup: 0.2, Policy: "drrip"},
+		{Requests: tinyRequests, Warmup: 0.2, DistThreshold: 16},
+		{Requests: tinyRequests, Warmup: 0.2, PTEntries: 4096},
 	}
+	seen := map[string]int{}
 	for i, m := range mutations {
 		if m.Hash() == h {
 			t.Fatalf("mutation %d did not change the hash", i)
 		}
+		if j, dup := seen[m.Hash()]; dup {
+			t.Fatalf("mutations %d and %d hash alike", j, i)
+		}
+		seen[m.Hash()] = i
 	}
 	// The deprecated SubShards field is not part of the fingerprint.
 	legacy := base
@@ -130,6 +144,20 @@ func TestGridValidate(t *testing.T) {
 		{"dup prefetcher", sweepfarm.Grid{Prefetchers: []string{"none", "none"}}},
 		{"dup variant", sweepfarm.Grid{Prefetchers: []string{"none"},
 			Variants: []sweepfarm.Variant{{Name: "x"}, {Name: "x"}}}},
+		{"unknown policy", sweepfarm.Grid{Prefetchers: []string{"none"},
+			Variants: []sweepfarm.Variant{{Name: "x", Policy: "mru"}}}},
+		{"bad slice size", sweepfarm.Grid{Prefetchers: []string{"none"},
+			Variants: []sweepfarm.Variant{{Name: "x", SliceBytes: 3 << 19}}}},
+		{"distance without planaria", sweepfarm.Grid{Prefetchers: []string{"planaria", "bop"},
+			Variants: []sweepfarm.Variant{{Name: "x", DistThreshold: 16}}}},
+		{"distance without TLP", sweepfarm.Grid{Prefetchers: []string{"planaria-slp"},
+			Variants: []sweepfarm.Variant{{Name: "x", DistThreshold: 16}}}},
+		{"PT size without SLP", sweepfarm.Grid{Prefetchers: []string{"planaria-tlp"},
+			Variants: []sweepfarm.Variant{{Name: "x", PTEntries: 4096}}}},
+		{"PT size on the tournament", sweepfarm.Grid{Prefetchers: []string{"planaria-tournament"},
+			Variants: []sweepfarm.Variant{{Name: "x", PTEntries: 4096}}}},
+		{"variant prefetcher outside the grid", sweepfarm.Grid{Prefetchers: []string{"none"},
+			Variants: []sweepfarm.Variant{{Name: "x", Prefetchers: []string{"planaria"}}}}},
 	}
 	for _, tc := range cases {
 		if err := tc.g.Validate(); err == nil {
@@ -138,6 +166,68 @@ func TestGridValidate(t *testing.T) {
 	}
 	if err := tinyGrid(3).Validate(); err != nil {
 		t.Fatalf("valid grid rejected: %v", err)
+	}
+	// An override a variant restricts to prefetchers it reaches is valid.
+	ok := sweepfarm.Grid{Prefetchers: []string{"none", "planaria-slp", "planaria-tlp"}, Variants: []sweepfarm.Variant{
+		{Name: "small", SliceBytes: 1 << 19, Policy: "srrip"},
+		{Name: "pt", PTEntries: 4096, Prefetchers: []string{"planaria-slp"}},
+		{Name: "d16", DistThreshold: 16, Prefetchers: []string{"planaria-tlp"}},
+	}}
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("valid override grid rejected: %v", err)
+	}
+}
+
+// TestRunnerVariantPrefetchers: a variant that names its prefetchers runs
+// under those alone, so a grid plans exactly the cells its variants name.
+func TestRunnerVariantPrefetchers(t *testing.T) {
+	r := &sweepfarm.Runner{
+		Grid: sweepfarm.Grid{Apps: []string{"CFM"}, Prefetchers: []string{"none", "planaria"}, Variants: []sweepfarm.Variant{
+			{Name: "lru", Policy: "lru", Prefetchers: []string{"none"}},
+			{Name: "drrip", Policy: "drrip", Prefetchers: []string{"none"}},
+			{Name: "pf", Prefetchers: []string{"planaria"}},
+		}},
+		Base: tinyConfig(),
+	}
+	res, err := r.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, c := range res.Cells {
+		got = append(got, c.Key.String())
+	}
+	want := []string{"CFM/none@lru", "CFM/none@drrip", "CFM/planaria@pf"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("planned cells %v, want %v", got, want)
+	}
+}
+
+// TestRunnerKeepsReportOnCheckpointFailure: a job whose checkpoint cannot
+// be written — the artifact directory lies under a regular file — keeps
+// its report: every cell completes, every job counts as failed, and the
+// error joins one entry per job.
+func TestRunnerKeepsReportOnCheckpointFailure(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := &sweepfarm.Runner{Grid: tinyGrid(2), Base: tinyConfig(), ArtifactDir: filepath.Join(file, "cells")}
+	res, err := r.Run(context.Background())
+	if err == nil {
+		t.Fatal("unwritable checkpoints reported success")
+	}
+	const jobs = 8
+	if res.Failed != jobs || res.Executed != 0 {
+		t.Fatalf("scheduling counts %+v, want all %d jobs failed", res, jobs)
+	}
+	for _, c := range res.Cells {
+		if !c.Complete() {
+			t.Fatalf("cell %s lost its reports", c.Key)
+		}
+	}
+	if lines := strings.Split(err.Error(), "\n"); len(lines) != jobs {
+		t.Fatalf("%d joined errors, want one per job:\n%v", len(lines), err)
 	}
 }
 
@@ -588,6 +678,9 @@ func TestRunnerArtifactSchema(t *testing.T) {
 func FuzzLoadGrid(f *testing.F) {
 	f.Add([]byte(`{"apps":["CFM"],"prefetchers":["none","planaria"],` +
 		`"variants":[{"name":"fast","requests":1000,"warmup":0,"sample_every":500}],"repeats":2}`))
+	f.Add([]byte(`{"prefetchers":["none","planaria"],"variants":[` +
+		`{"name":"8MB drrip","sc_slice_bytes":2097152,"sc_policy":"drrip","prefetchers":["none"]},` +
+		`{"name":"d16","tlp_dist_threshold":16,"slp_pt_entries":4096,"prefetchers":["planaria"]}]}`))
 	f.Add([]byte(`{"prefetchers":["none"],"repeat":3}`))
 	f.Add([]byte(`{`))
 	f.Fuzz(func(t *testing.T, in []byte) {
