@@ -1,6 +1,7 @@
 package sweepfarm
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -70,6 +71,11 @@ func (c Config) Hash() string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
+// maxSliceBytes and maxPTEntries cap a grid's slice and pattern-table
+// overrides at 64 times the defaults: a grid file is outside input, and a
+// larger value would have the engine allocate more than a host holds.
+const maxSliceBytes, maxPTEntries = 64 << 20, 1 << 20
+
 // engine resolves the engine configuration of one cell: sim.DefaultConfig
 // running the named prefetcher, with c's engine overrides applied. The
 // Planaria overrides reach only the registry's Planaria composites whose
@@ -80,31 +86,27 @@ func (c Config) engine(prefetcher string) (sim.Config, error) {
 	if err != nil {
 		return cfg, err
 	}
-	cfg.NewPrefetcher = factory
-	if c.SliceBytes != 0 {
-		cfg.Cache.SizeBytes = c.SliceBytes
+	pc, planaria := sim.PlanariaConfig(prefetcher)
+	switch {
+	case c.SliceBytes > maxSliceBytes:
+		return cfg, fmt.Errorf("sc_slice_bytes %d exceeds %d", c.SliceBytes, maxSliceBytes)
+	case c.PTEntries < 0 || c.PTEntries > maxPTEntries:
+		return cfg, fmt.Errorf("slp_pt_entries %d outside [1, %d]", c.PTEntries, maxPTEntries)
+	case c.DistThreshold != 0 && (!planaria || pc.DisableTLP):
+		return cfg, fmt.Errorf("prefetcher %q runs no Planaria TLP for tlp_dist_threshold", prefetcher)
+	case c.PTEntries != 0 && (!planaria || pc.DisableSLP):
+		return cfg, fmt.Errorf("prefetcher %q runs no Planaria SLP for slp_pt_entries", prefetcher)
 	}
+	cfg.NewPrefetcher = factory
+	cfg.Cache.SizeBytes = cmp.Or(c.SliceBytes, cfg.Cache.SizeBytes)
 	if c.Policy != "" {
 		if cfg.Cache.Policy, err = cache.ParsePolicy(c.Policy); err != nil {
 			return cfg, err
 		}
 	}
 	if c.DistThreshold != 0 || c.PTEntries != 0 {
-		pc, ok := sim.PlanariaConfig(prefetcher)
-		switch {
-		case c.DistThreshold != 0 && (!ok || pc.DisableTLP):
-			return cfg, fmt.Errorf("prefetcher %q runs no Planaria TLP for tlp_dist_threshold", prefetcher)
-		case c.PTEntries != 0 && (!ok || pc.DisableSLP):
-			return cfg, fmt.Errorf("prefetcher %q runs no Planaria SLP for slp_pt_entries", prefetcher)
-		case c.PTEntries < 0:
-			return cfg, fmt.Errorf("slp_pt_entries %d is negative", c.PTEntries)
-		}
-		if c.DistThreshold != 0 {
-			pc.TLP.DistThreshold = c.DistThreshold
-		}
-		if c.PTEntries != 0 {
-			pc.SLP.PTEntries = c.PTEntries
-		}
+		pc.TLP.DistThreshold = cmp.Or(c.DistThreshold, pc.TLP.DistThreshold)
+		pc.SLP.PTEntries = cmp.Or(c.PTEntries, pc.SLP.PTEntries)
 		cfg.NewPrefetcher = func(int) prefetch.Prefetcher { return core.New(pc) }
 	}
 	return cfg, cfg.Cache.Validate()
@@ -141,18 +143,10 @@ func (v Variant) apply(base Config) Config {
 	if v.SampleEvery != nil {
 		base.SampleEvery = *v.SampleEvery
 	}
-	if v.SliceBytes != 0 {
-		base.SliceBytes = v.SliceBytes
-	}
-	if v.Policy != "" {
-		base.Policy = v.Policy
-	}
-	if v.DistThreshold != 0 {
-		base.DistThreshold = v.DistThreshold
-	}
-	if v.PTEntries != 0 {
-		base.PTEntries = v.PTEntries
-	}
+	base.SliceBytes = cmp.Or(v.SliceBytes, base.SliceBytes)
+	base.Policy = cmp.Or(v.Policy, base.Policy)
+	base.DistThreshold = cmp.Or(v.DistThreshold, base.DistThreshold)
+	base.PTEntries = cmp.Or(v.PTEntries, base.PTEntries)
 	return base.normalize()
 }
 

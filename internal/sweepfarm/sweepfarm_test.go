@@ -148,6 +148,12 @@ func TestGridValidate(t *testing.T) {
 			Variants: []sweepfarm.Variant{{Name: "x", Policy: "mru"}}}},
 		{"bad slice size", sweepfarm.Grid{Prefetchers: []string{"none"},
 			Variants: []sweepfarm.Variant{{Name: "x", SliceBytes: 3 << 19}}}},
+		{"slice beyond the cap", sweepfarm.Grid{Prefetchers: []string{"none"},
+			Variants: []sweepfarm.Variant{{Name: "x", SliceBytes: 128 << 20}}}},
+		{"negative PT size", sweepfarm.Grid{Prefetchers: []string{"planaria"},
+			Variants: []sweepfarm.Variant{{Name: "x", PTEntries: -1}}}},
+		{"PT size beyond the cap", sweepfarm.Grid{Prefetchers: []string{"planaria"},
+			Variants: []sweepfarm.Variant{{Name: "x", PTEntries: 1 << 21}}}},
 		{"distance without planaria", sweepfarm.Grid{Prefetchers: []string{"planaria", "bop"},
 			Variants: []sweepfarm.Variant{{Name: "x", DistThreshold: 16}}}},
 		{"distance without TLP", sweepfarm.Grid{Prefetchers: []string{"planaria-slp"},
